@@ -86,8 +86,11 @@ class WdgAlgebra:
     Subclasses implement :meth:`weight_slice`, :meth:`bidegree`,
     :meth:`mul_monomials`, :meth:`diff_monomial` and :attr:`unit`.  The base
     class provides linear-algebra plumbing over elements.  Instances are
-    immutable after construction; caches are filled idempotently, so sharing
-    an instance across threads is safe.
+    immutable after construction; their caches (weight slices here, letter
+    products, differentials and bidegrees in
+    :class:`~extbar.bar.BarAlgebra`) are filled idempotently, so sharing an
+    instance across threads is safe.  Elements returned by products and
+    differentials are never shared with a cache, so callers may mutate them.
     """
 
     ring: Ring

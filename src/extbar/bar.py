@@ -21,13 +21,29 @@ from typing import Dict, List, Mapping, Tuple
 
 from .algebra import Bidegree, Element, Monomial, WdgAlgebra
 
+#: A cached element: its ``(monomial, coefficient)`` pairs, immutable.
+Terms = Tuple[Tuple[Monomial, int], ...]
+
 
 class BarAlgebra(WdgAlgebra):
-    """Bar construction of ``base``; monomials are tuples of base monomials."""
+    """Bar construction of ``base``; monomials are tuples of base monomials.
+
+    The differential and the shuffle product ask only three things of the
+    base, all about letters: bidegrees, products of two letters and
+    differentials of one.  Each answer is cached here, keyed by the
+    letter(s), the first time it is asked for.  Products and differentials
+    are stored as tuples of ``(monomial, coefficient)`` pairs, so every
+    element this algebra returns is built afresh and a caller may mutate it.
+    The word-level differential itself is not cached: a homology run
+    evaluates it once per basis word (see :func:`extbar.homology.compile_slice`).
+    """
 
     def __init__(self, base: WdgAlgebra) -> None:
         super().__init__(base.ring)
         self.base = base
+        self._letter_bidegree: Dict[Monomial, Bidegree] = {}
+        self._letter_product: Dict[Tuple[Monomial, Monomial], Terms] = {}
+        self._letter_diff: Dict[Monomial, Terms] = {}
 
     def __repr__(self) -> str:
         return f"Bar({self.base!r})"
@@ -36,11 +52,33 @@ class BarAlgebra(WdgAlgebra):
     def unit(self) -> Monomial:
         return ()
 
+    # -- letter caches ----------------------------------------------------
+
+    def _bidegree_of(self, letter: Monomial) -> Bidegree:
+        got = self._letter_bidegree.get(letter)
+        if got is None:
+            got = self._letter_bidegree[letter] = self.base.bidegree(letter)
+        return got
+
+    def _product_of(self, a: Monomial, b: Monomial) -> Terms:
+        got = self._letter_product.get((a, b))
+        if got is None:
+            got = self._letter_product[(a, b)] = tuple(self.base.mul_monomials(a, b).items())
+        return got
+
+    def _diff_of(self, letter: Monomial) -> Terms:
+        got = self._letter_diff.get(letter)
+        if got is None:
+            got = self._letter_diff[letter] = tuple(self.base.diff_monomial(letter).items())
+        return got
+
+    # -- interface ----------------------------------------------------------
+
     def bidegree(self, word: Monomial) -> Bidegree:
         degree = len(word)
         weight = 0
         for letter in word:
-            b = self.base.bidegree(letter)
+            b = self._bidegree_of(letter)
             degree += b.degree
             weight += b.weight
         return Bidegree(degree, weight)
@@ -66,28 +104,33 @@ class BarAlgebra(WdgAlgebra):
         return {i: tuple(ms) for i, ms in out.items()}
 
     def diff_monomial(self, word: Monomial) -> Element:
-        n = len(word)
-        degs = [self.base.bidegree(a).degree for a in word]
-        # prefix[i] = i + |a_1| + ... + |a_i|, the suspended degree of the
-        # first i letters; prefix[0] = 0.
-        prefix = [0] * (n + 1)
-        for i in range(1, n + 1):
-            prefix[i] = prefix[i - 1] + 1 + degs[i - 1]
+        # With prefix = k + |a_1| + ... + |a_k|, the suspended degree of the
+        # first k letters: the inner differential of letter k+1 is signed
+        # -(-1)**prefix, and merging letters k, k+1 (k >= 1) is signed
+        # (-1)**prefix.
         out: Element = {}
-        for i in range(1, n):
-            sign = -1 if prefix[i] % 2 else 1
-            for m, c in self.base.mul_monomials(word[i - 1], word[i]).items():
-                self.add_into(out, {word[: i - 1] + (m,) + word[i + 1 :]: sign * c})
-        for i in range(1, n + 1):
-            sign = 1 if prefix[i - 1] % 2 else -1
-            for m, c in self.base.diff_monomial(word[i - 1]).items():
-                self.add_into(out, {word[: i - 1] + (m,) + word[i:]: sign * c})
-        return out
+        prefix = 0
+        last = len(word) - 1
+        for k, letter in enumerate(word):
+            head = word[:k]
+            tail = word[k + 1 :]
+            sign = 1 if prefix & 1 else -1
+            for m, c in self._diff_of(letter):
+                key = head + (m,) + tail
+                out[key] = out.get(key, 0) + sign * c
+            prefix += 1 + self._bidegree_of(letter).degree
+            if k < last:
+                sign = -1 if prefix & 1 else 1
+                tail = word[k + 2 :]
+                for m, c in self._product_of(letter, word[k + 1]):
+                    key = head + (m,) + tail
+                    out[key] = out.get(key, 0) + sign * c
+        return self.element(out)
 
     def mul_monomials(self, x: Monomial, y: Monomial) -> Element:
         p, q = len(x), len(y)
-        sx = [self.base.bidegree(a).degree + 1 for a in x]  # suspended degrees
-        sy = [self.base.bidegree(b).degree + 1 for b in y]
+        sx = [self._bidegree_of(a).degree + 1 for a in x]  # suspended degrees
+        sy = [self._bidegree_of(b).degree + 1 for b in y]
         out: Element = {}
         for xpos in itertools.combinations(range(p + q), p):
             in_x = set(xpos)
@@ -102,8 +145,9 @@ class BarAlgebra(WdgAlgebra):
                 word[pa] = x[i]
             for j, pb in enumerate(ypos):
                 word[pb] = y[j]
-            self.add_into(out, {tuple(word): -1 if sign_exp % 2 else 1})
-        return out
+            key = tuple(word)
+            out[key] = out.get(key, 0) + (-1 if sign_exp % 2 else 1)
+        return self.element(out)
 
 
 def bar(base: WdgAlgebra) -> BarAlgebra:

@@ -2,6 +2,17 @@
 generated abelian groups, mod-p dimensions and ring structure, and the
 Kunneth assembly of weighted homology tables.
 
+Each homology computation compiles its weight slice once
+(:func:`compile_slice`): the differential of every basis monomial is
+evaluated one time into sparse boundary columns, ``{row: coefficient}`` per
+basis monomial.  Everything downstream reads those columns: the d^2 = 0
+check is the exact sparse product ``D_{i-1} D_i = 0`` over the algebra's
+ring; mod-p ranks and kernels fill ``int64`` arrays straight from them; and
+only Smith normal form gets a dense matrix.  Columns live for one call and
+are not kept across weights; what repeats across words and weights (letter
+products, letter differentials, letter bidegrees) is cached by
+:class:`extbar.bar.BarAlgebra`.
+
 A *weighted table* is a mapping ``(degree, weight) -> AbelianGroup`` holding
 the homology of a weighted complex, with trivial groups omitted.  Tables are
 what the closed-form predictors produce and what gets compared against
@@ -17,7 +28,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import Element, InternalAssertionError, Monomial, WdgAlgebra
-from .modp import nullspace_mod_p, rank_mod_p, solve_mod_p
+from .modp import columns_mod_p, nullspace_mod_p, rank_of_columns_mod_p, solve_mod_p
 
 Matrix = List[List[int]]
 TableKey = Tuple[int, int]
@@ -258,23 +269,27 @@ class AbelianGroup:
 
 
 # ----------------------------------------------------------------------
-# boundary matrices of a weight slice
+# boundary columns of a weight slice
 # ----------------------------------------------------------------------
 
+#: One column of a boundary matrix: codomain row index -> nonzero coefficient.
+Column = Dict[int, int]
 
-def boundary_matrix(algebra: WdgAlgebra, weight: int, degree: int) -> Matrix:
-    """Matrix of the differential out of ``degree`` in the given weight slice.
 
-    Columns index the degree-``degree`` basis, rows the degree-``degree - 1``
-    basis.  Raises :class:`InternalAssertionError` if a differential leaves
-    the expected bidegree.
+def boundary_columns(algebra: WdgAlgebra, weight: int, degree: int) -> List[Column]:
+    """Sparse columns of the differential out of ``degree`` in the given
+    weight slice.
+
+    Column ``j`` holds the differential of the ``j``-th basis monomial of
+    degree ``degree``, keyed by row index in the degree-``degree - 1`` basis.
+    ``diff_monomial`` is evaluated once per basis monomial.  Raises
+    :class:`InternalAssertionError` if a differential leaves the slice.
     """
     slice_ = algebra.weight_slice(weight)
-    dom = slice_.get(degree, ())
-    cod = slice_.get(degree - 1, ())
-    index = {m: r for r, m in enumerate(cod)}
-    rows = [[0] * len(dom) for _ in cod]
-    for col, mono in enumerate(dom):
+    index = {m: r for r, m in enumerate(slice_.get(degree - 1, ()))}
+    columns: List[Column] = []
+    for mono in slice_.get(degree, ()):
+        column: Column = {}
         for m, c in algebra.diff_monomial(mono).items():
             r = index.get(m)
             if r is None:
@@ -282,19 +297,62 @@ def boundary_matrix(algebra: WdgAlgebra, weight: int, degree: int) -> Matrix:
                     f"differential of {mono} leaves slice (weight {weight}, "
                     f"degree {degree})"
                 )
-            rows[r][col] = c
+            column[r] = c
+        columns.append(column)
+    return columns
+
+
+def compile_slice(algebra: WdgAlgebra, weight: int) -> Dict[int, List[Column]]:
+    """Boundary columns out of every degree of the weight slice: the one
+    evaluation of the differential that a homology computation makes."""
+    return {i: boundary_columns(algebra, weight, i) for i in algebra.weight_slice(weight)}
+
+
+def _dense(columns: Sequence[Column], n_rows: int) -> Matrix:
+    rows = [[0] * len(columns) for _ in range(n_rows)]
+    for j, column in enumerate(columns):
+        for r, c in column.items():
+            rows[r][j] = c
     return rows
+
+
+def _check_squares_to_zero(
+    algebra: WdgAlgebra, weight: int, columns: Mapping[int, Sequence[Column]]
+) -> None:
+    """The exact sparse product ``D_{i-1} D_i`` is zero for every degree,
+    checked column by column, i.e. on every basis monomial of the slice."""
+    slice_ = algebra.weight_slice(weight)
+    char = algebra.ring.char
+    for i, cols in columns.items():
+        below = columns.get(i - 1, ())
+        for mono, column in zip(slice_[i], cols):
+            acc: Dict[int, int] = {}
+            for r, c in column.items():
+                for s, e in below[r].items():
+                    acc[s] = acc.get(s, 0) + c * e
+            residues = (v % char for v in acc.values()) if char else acc.values()
+            if any(residues):
+                raise InternalAssertionError(
+                    f"differential does not square to zero on {mono} "
+                    f"(weight {weight})"
+                )
+
+
+def boundary_matrix(algebra: WdgAlgebra, weight: int, degree: int) -> Matrix:
+    """Dense matrix of the differential out of ``degree`` in the given
+    weight slice: :func:`boundary_columns` laid out as rows.
+
+    Columns index the degree-``degree`` basis, rows the degree-``degree - 1``
+    basis.  Raises :class:`InternalAssertionError` if a differential leaves
+    the expected bidegree.
+    """
+    n_rows = len(algebra.weight_slice(weight).get(degree - 1, ()))
+    return _dense(boundary_columns(algebra, weight, degree), n_rows)
 
 
 def check_boundary_squares_to_zero(algebra: WdgAlgebra, weight: int) -> None:
     """Verify d(d(m)) = 0 for every basis monomial of the slice."""
-    for basis in algebra.weight_slice(weight).values():
-        for m in basis:
-            if algebra.diff(algebra.diff_monomial(m)):
-                raise InternalAssertionError(
-                    f"differential does not square to zero on {m} "
-                    f"(weight {weight})"
-                )
+    _check_squares_to_zero(algebra, weight, compile_slice(algebra, weight))
 
 
 # ----------------------------------------------------------------------
@@ -309,25 +367,20 @@ def homology_over_Z(
     slice_ = algebra.weight_slice(weight)
     if not slice_:
         return {}
+    columns = compile_slice(algebra, weight)
     if check:
-        check_boundary_squares_to_zero(algebra, weight)
-    degrees = sorted(slice_)
+        _check_squares_to_zero(algebra, weight, columns)
     snf: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-
-    def snf_at(i: int) -> Tuple[Tuple[int, ...], int]:
-        if i not in snf:
-            if slice_.get(i) and slice_.get(i - 1):
-                snf[i] = smith_normal_form(boundary_matrix(algebra, weight, i))
-            else:
-                snf[i] = ((), 0)
-        return snf[i]
-
+    for i, cols in columns.items():
+        n_rows = len(slice_.get(i - 1, ()))
+        snf[i] = smith_normal_form(_dense(cols, n_rows)) if n_rows else ((), 0)
     out: Dict[int, AbelianGroup] = {}
-    for i in degrees:
-        free = len(slice_[i]) - snf_at(i)[1] - snf_at(i + 1)[1]
+    for i in slice_:
+        below = snf.get(i + 1, ((), 0))
+        free = len(slice_[i]) - snf[i][1] - below[1]
         if free < 0:
             raise InternalAssertionError(f"negative free rank at degree {i}")
-        torsion = [d for d in snf_at(i + 1)[0] if d > 1]
+        torsion = [d for d in below[0] if d > 1]
         group = AbelianGroup.from_invariant_factors(torsion, free_rank=free)
         if not group.is_trivial:
             out[i] = group
@@ -341,21 +394,16 @@ def homology_over_Fp(
     slice_ = algebra.weight_slice(weight)
     if not slice_:
         return {}
+    columns = compile_slice(algebra, weight)
     if check:
-        check_boundary_squares_to_zero(algebra, weight)
-    ranks: Dict[int, int] = {}
-
-    def rank_at(i: int) -> int:
-        if i not in ranks:
-            if slice_.get(i) and slice_.get(i - 1):
-                ranks[i] = rank_mod_p(boundary_matrix(algebra, weight, i), p)
-            else:
-                ranks[i] = 0
-        return ranks[i]
-
+        _check_squares_to_zero(algebra, weight, columns)
+    ranks = {
+        i: rank_of_columns_mod_p(cols, len(slice_.get(i - 1, ())), p)
+        for i, cols in columns.items()
+    }
     out: Dict[int, int] = {}
-    for i in sorted(slice_):
-        dim = len(slice_[i]) - rank_at(i) - rank_at(i + 1)
+    for i in slice_:
+        dim = len(slice_[i]) - ranks[i] - ranks.get(i + 1, 0)
         if dim < 0:
             raise InternalAssertionError(f"negative mod-{p} dimension at degree {i}")
         if dim:
@@ -411,22 +459,17 @@ class FpHomologyRing:
         self._reps: Dict[TableKey, np.ndarray] = {}
         self._bounds: Dict[TableKey, np.ndarray] = {}
         for d in range(weight_max + 1):
-            if check:
-                check_boundary_squares_to_zero(algebra, d)
             slice_ = algebra.weight_slice(d)
+            columns = compile_slice(algebra, d)
+            if check:
+                _check_squares_to_zero(algebra, d, columns)
             for i, basis in slice_.items():
                 self._basis[(i, d)] = basis
             for i, basis in slice_.items():
-                out_matrix = boundary_matrix(algebra, d, i)
-                cycles = nullspace_mod_p(
-                    out_matrix if out_matrix else [[0] * len(basis)], p
-                )
-                in_matrix = boundary_matrix(algebra, d, i + 1)
-                if in_matrix and slice_.get(i + 1):
-                    bounds = np.array(in_matrix, dtype=np.int64).T % p
-                    bounds = bounds[np.any(bounds, axis=1)]
-                else:
-                    bounds = np.zeros((0, len(basis)), dtype=np.int64)
+                out_matrix = columns_mod_p(columns[i], len(slice_.get(i - 1, ())), p)
+                cycles = nullspace_mod_p(out_matrix, p)
+                bounds = columns_mod_p(columns.get(i + 1, ()), len(basis), p).T
+                bounds = bounds[np.any(bounds, axis=1)]
                 self._bounds[(i, d)] = bounds
                 self._reps[(i, d)] = self._pick_representatives(cycles, bounds)
 

@@ -34,11 +34,11 @@ from .algebra import (
 from .homology import (
     AbelianGroup,
     TableKey,
-    boundary_matrix,
+    boundary_columns,
     kunneth_fold,
     p_primary_unitalize,
 )
-from .modp import rank_mod_p
+from .modp import rank_of_columns_mod_p
 from .rings import GF, Ring, ZZ, is_prime
 from .words import enumerate_p_pairs
 
@@ -172,7 +172,8 @@ def koszul_kernels_dims(
             if not 1 <= i <= max_degree:
                 continue
             if slice_.get(i + 1):
-                r = rank_mod_p(boundary_matrix(algebra, d, i + 1), p)
+                columns = boundary_columns(algebra, d, i + 1)
+                r = rank_of_columns_mod_p(columns, len(slice_[i]), p)
                 if r:
                     out[(i, d)] = r
     return out

@@ -9,13 +9,15 @@ ships in two interchangeable implementations:
 
 ``benchmarks/bench_modp.py`` compares the two.  Everything here works on
 ``int64`` arrays with entries already reduced into ``[0, p)``; the primes in
-play are tiny, so ``int64`` intermediate products cannot overflow.
+play are tiny, so ``int64`` intermediate products cannot overflow.  Homology
+builds those arrays straight from sparse boundary columns
+(:func:`columns_mod_p`), touching only the nonzero entries.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,10 +35,32 @@ def jit_enabled() -> bool:
 
 
 def as_modp_array(rows: Sequence[Sequence[int]], p: int) -> np.ndarray:
-    """Reduce arbitrary-precision integer rows into an ``int64`` array mod p."""
+    """Reduce arbitrary-precision integer rows into an ``int64`` array mod p.
+
+    An ``int64`` array is reduced in one numpy operation; the result is
+    always a new array.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+        return rows % p
     if not len(rows):
         return np.zeros((0, 0), dtype=np.int64)
     return np.array([[int(v) % p for v in row] for row in rows], dtype=np.int64)
+
+
+def columns_mod_p(columns: Sequence[Mapping[int, int]], n_rows: int, p: int) -> np.ndarray:
+    """The ``n_rows x len(columns)`` ``int64`` array mod p of a matrix given
+    by sparse columns (row index -> integer), filled entry by nonzero entry."""
+    rows: List[int] = []
+    cols: List[int] = []
+    vals: List[int] = []
+    for j, column in enumerate(columns):
+        for r, c in column.items():
+            rows.append(r)
+            cols.append(j)
+            vals.append(c % p)
+    a = np.zeros((n_rows, len(columns)), dtype=np.int64)
+    a[rows, cols] = vals
+    return a
 
 
 if _HAVE_NUMBA:
@@ -104,14 +128,23 @@ def _rank_kernel_numpy(a: np.ndarray, p: int) -> int:
     return rank
 
 
-def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of an integer matrix over F_p."""
-    a = as_modp_array(matrix, p)
+def _rank(a: np.ndarray, p: int) -> int:
+    """Rank of an ``int64`` array with entries in ``[0, p)``; overwrites it."""
     if a.size == 0:
         return 0
     if jit_enabled():
         return int(_rank_kernel_jit(a, p))
     return _rank_kernel_numpy(a, p)
+
+
+def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of an integer matrix over F_p."""
+    return _rank(as_modp_array(matrix, p), p)
+
+
+def rank_of_columns_mod_p(columns: Sequence[Mapping[int, int]], n_rows: int, p: int) -> int:
+    """Rank over F_p of a matrix given by sparse columns (see :func:`columns_mod_p`)."""
+    return _rank(columns_mod_p(columns, n_rows, p), p)
 
 
 def rref_mod_p(matrix: Sequence[Sequence[int]], p: int) -> Tuple[np.ndarray, Tuple[int, ...]]:

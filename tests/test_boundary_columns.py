@@ -1,0 +1,249 @@
+"""Tests for the compiled boundary columns of a weight slice: equivalence with
+a column-by-column evaluation of the differential, the bar construction's
+letter caches against the uncached formulas, and the d^2 = 0 check failing
+on differentials that do not square to zero."""
+
+import itertools
+import re
+
+import pytest
+
+from extbar import (
+    DIVIDED,
+    FreeAlgebra,
+    InternalAssertionError,
+    KoszulSpec,
+    ZZ,
+    bar,
+    bar_source_algebra,
+    build_koszul,
+    homology_over_Fp,
+    homology_over_Z,
+    homology_ring_over_Fp,
+    regrade,
+    tensor_signed,
+    weight_twist,
+)
+from extbar.bar import BarAlgebra
+from extbar.homology import (
+    boundary_columns,
+    boundary_matrix,
+    check_boundary_squares_to_zero,
+    compile_slice,
+)
+from extbar.koszul import DERHAM, KOSZUL
+
+GAMMA = FreeAlgebra(DIVIDED, [(2, 1, 1)], ZZ)
+BAR1 = bar(GAMMA)
+G1, G2 = (1,), (2,)
+
+
+# ----------------------------------------------------------------------
+# references: the differential evaluated straight from its definition
+# ----------------------------------------------------------------------
+
+
+def reference_matrix(algebra, weight, degree):
+    """Dense boundary matrix, one ``diff_monomial`` call per column."""
+    slice_ = algebra.weight_slice(weight)
+    dom = slice_.get(degree, ())
+    index = {m: r for r, m in enumerate(slice_.get(degree - 1, ()))}
+    rows = [[0] * len(dom) for _ in index]
+    for col, mono in enumerate(dom):
+        for m, c in algebra.diff_monomial(mono).items():
+            rows[index[m]][col] = c
+    return rows
+
+
+def reference_bar_diff(algebra, word):
+    """The bar differential computed from the base with no caching."""
+    base = algebra.base
+    prefix = [0]
+    for a in word:
+        prefix.append(prefix[-1] + 1 + base.bidegree(a).degree)
+    out = {}
+    for i in range(1, len(word)):
+        sign = -1 if prefix[i] % 2 else 1
+        for m, c in base.mul_monomials(word[i - 1], word[i]).items():
+            algebra.add_into(out, {word[: i - 1] + (m,) + word[i + 1 :]: sign * c})
+    for i in range(1, len(word) + 1):
+        sign = 1 if prefix[i - 1] % 2 else -1
+        for m, c in base.diff_monomial(word[i - 1]).items():
+            algebra.add_into(out, {word[: i - 1] + (m,) + word[i:]: sign * c})
+    return out
+
+
+def reference_shuffle(algebra, x, y):
+    """The signed shuffle product computed from the base with no caching."""
+    base = algebra.base
+    sx = [base.bidegree(a).degree + 1 for a in x]
+    sy = [base.bidegree(b).degree + 1 for b in y]
+    out = {}
+    for xpos in itertools.combinations(range(len(x) + len(y)), len(x)):
+        ypos = [k for k in range(len(x) + len(y)) if k not in xpos]
+        sign_exp = sum(
+            sx[i] * sy[j] for i, pa in enumerate(xpos) for j, pb in enumerate(ypos) if pb < pa
+        )
+        word = [None] * (len(x) + len(y))
+        for i, pa in enumerate(xpos):
+            word[pa] = x[i]
+        for j, pb in enumerate(ypos):
+            word[pb] = y[j]
+        algebra.add_into(out, {tuple(word): -1 if sign_exp % 2 else 1})
+    return out
+
+
+def _koszul(variant):
+    if variant == KOSZUL:
+        return build_koszul(KoszulSpec(((3, 1, 1), (5, 2, 1)), h=2, variant=KOSZUL))
+    return build_koszul(KoszulSpec(((2, 1, 1), (4, 2, 1)), h=3, variant=DERHAM))
+
+
+#: (id, algebra factory, largest weight checked)
+CASES = [
+    *[
+        (f"bar^{n} m={m}", lambda n=n, m=m: bar_source_algebra(n, m), w)
+        for (n, m), w in {(1, 1): 6, (1, 2): 4, (2, 1): 5, (2, 2): 3, (3, 1): 4, (3, 2): 3}.items()
+    ],
+    ("Koszul", lambda: _koszul(KOSZUL), 4),
+    ("DeRham", lambda: _koszul(DERHAM), 4),
+    ("bar(Koszul)", lambda: bar(_koszul(KOSZUL)), 4),
+    ("bar(DeRham)", lambda: bar(_koszul(DERHAM)), 4),
+    ("tensor eps=1", lambda: tensor_signed(BAR1, bar(BAR1), eps=1), 4),
+    ("regraded", lambda: regrade(bar(BAR1), 1), 4),
+    ("weight-twisted", lambda: weight_twist(bar(BAR1)), 4),
+    ("bar(weight-twisted)", lambda: bar(weight_twist(BAR1)), 4),
+]
+
+
+@pytest.mark.parametrize("factory, weight_max", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_compiled_columns_match_reference(factory, weight_max):
+    algebra = factory()
+    for w in range(weight_max + 1):
+        slice_ = algebra.weight_slice(w)
+        compiled = compile_slice(algebra, w)
+        assert sorted(compiled) == sorted(slice_)
+        for i in sorted(slice_) + [max(slice_, default=0) + 1]:
+            ref = reference_matrix(algebra, w, i)
+            assert boundary_matrix(algebra, w, i) == ref
+            ref_columns = [
+                {r: row[j] for r, row in enumerate(ref) if row[j]}
+                for j in range(len(slice_.get(i, ())))
+            ]
+            assert boundary_columns(algebra, w, i) == ref_columns
+            if i in slice_:
+                assert compiled[i] == ref_columns
+        check_boundary_squares_to_zero(algebra, w)
+
+
+BAR_CASES = [c for c in CASES if c[0].startswith("bar")]
+
+
+@pytest.mark.parametrize(
+    "factory, weight_max", [c[1:] for c in BAR_CASES], ids=[c[0] for c in BAR_CASES]
+)
+def test_cached_bar_operations_match_uncached_formulas(factory, weight_max):
+    algebra = factory()
+    words = [m for w in range(weight_max + 1) for b in algebra.weight_slice(w).values() for m in b]
+    for word in words:
+        assert algebra.diff_monomial(word) == reference_bar_diff(algebra, word)
+    small = [m for w in range(3) for b in algebra.weight_slice(w).values() for m in b]
+    for x in small:
+        for y in small:
+            assert algebra.mul_monomials(x, y) == reference_shuffle(algebra, x, y)
+
+
+def test_returned_elements_do_not_share_cached_state():
+    outer = bar(bar(GAMMA))
+    inner = outer.base
+    x, y = (G1, G1), (G2,)
+    calls = [
+        lambda: outer.diff_monomial(((G1,), (G1, G1), (G1,))),
+        lambda: outer.mul_monomials((x,), (y,)),
+        lambda: inner.diff_monomial(x),
+        lambda: inner.mul_monomials(x, y),
+    ]
+    expected = [dict(call()) for call in calls]
+    assert all(expected)
+    for call in calls:
+        got = call()
+        got.clear()
+        got[("junk",)] = 7
+    assert [call() for call in calls] == expected
+
+
+# ----------------------------------------------------------------------
+# the d^2 = 0 check on broken differentials
+# ----------------------------------------------------------------------
+
+
+class _SignFlipped(BarAlgebra):
+    """Bar(Gamma) with the sign of one differential term flipped:
+    d[g1|g1|g1] = 2[g2|g1] + 2[g1|g2], whose boundary is -12[g3]."""
+
+    def diff_monomial(self, word):
+        out = super().diff_monomial(word)
+        if word == (G1, G1, G1):
+            out[(G2, G1)] = -out[(G2, G1)]
+        return out
+
+
+class _CoefficientDoubled(BarAlgebra):
+    """Bar(Gamma) with one coefficient doubled:
+    d[g1|g1|g1] = -4[g2|g1] + 2[g1|g2], whose boundary is 6[g3]."""
+
+    def diff_monomial(self, word):
+        out = super().diff_monomial(word)
+        if word == (G1, G1, G1):
+            out[(G2, G1)] *= 2
+        return out
+
+
+class _LeavesSlice(BarAlgebra):
+    """Bar(Gamma) whose differential sends [g1|g1] out of weight 2."""
+
+    def diff_monomial(self, word):
+        if word == (G1, G1):
+            return {(G1,): 1}
+        return super().diff_monomial(word)
+
+
+BROKEN = [_SignFlipped, _CoefficientDoubled]
+SQUARE_FAILURE = re.escape(f"does not square to zero on {(G1, G1, G1)} (weight 3)")
+
+
+@pytest.mark.parametrize("cls", BROKEN)
+def test_square_check_names_the_failing_monomial(cls):
+    algebra = cls(GAMMA)
+    for w in range(3):
+        check_boundary_squares_to_zero(algebra, w)
+    with pytest.raises(InternalAssertionError, match=SQUARE_FAILURE):
+        check_boundary_squares_to_zero(algebra, 3)
+    with pytest.raises(InternalAssertionError, match=SQUARE_FAILURE):
+        homology_over_Z(algebra, 3)
+
+
+@pytest.mark.parametrize("cls", BROKEN)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_square_check_is_exact_over_Z_for_field_homology(cls, p):
+    # Both broken boundaries (-12 and 6) vanish mod 2 and mod 3; the check
+    # still sees them because it multiplies the integer columns.
+    algebra = cls(GAMMA)
+    with pytest.raises(InternalAssertionError, match=SQUARE_FAILURE):
+        homology_over_Fp(algebra, 3, p)
+    with pytest.raises(InternalAssertionError, match=SQUARE_FAILURE):
+        homology_ring_over_Fp(algebra, p, 3)
+    homology_over_Fp(algebra, 3, p, check=False)
+
+
+def test_differential_leaving_the_slice_is_reported():
+    algebra = _LeavesSlice(GAMMA)
+    leaves = re.escape(f"differential of {(G1, G1)} leaves slice (weight 2, degree 6)")
+    with pytest.raises(InternalAssertionError, match=leaves):
+        boundary_matrix(algebra, 2, 6)
+    with pytest.raises(InternalAssertionError, match=leaves):
+        check_boundary_squares_to_zero(algebra, 2)
+    with pytest.raises(InternalAssertionError, match=leaves):
+        homology_over_Z(algebra, 2, check=False)
+    with pytest.raises(InternalAssertionError, match=leaves):
+        homology_over_Fp(algebra, 2, 2, check=False)

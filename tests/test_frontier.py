@@ -1,0 +1,27 @@
+"""Frontier cross-checks: the bar route against the closed forms at the
+largest weights the suite reaches within a 10 s wall-time budget each."""
+
+import time
+
+import pytest
+
+from extbar.verify import run_suite
+
+BUDGET_S = 10.0
+
+
+@pytest.mark.parametrize(
+    "suite, p, n, weight_max",
+    [
+        ("cartan-field", 2, 2, 9),
+        ("cartan-field", 3, 2, 9),
+        ("exponential", 2, 2, 6),
+    ],
+    ids=["cartan-field-p2-n2-w9", "cartan-field-p3-n2-w9", "exponential-p2-n2-w6"],
+)
+def test_frontier_suite_passes_within_budget(suite, p, n, weight_max):
+    start = time.perf_counter()
+    result = run_suite(suite, p=p, n=n, weight_max=weight_max)
+    elapsed = time.perf_counter() - start
+    assert result.passed, result.summary()
+    assert elapsed < BUDGET_S, f"{suite} took {elapsed:.2f}s (budget {BUDGET_S:.0f}s)"
