@@ -18,6 +18,7 @@ import click
 from .algebra import InternalAssertionError
 from .extract import bar_source_algebra, ext_table_via_bar
 from .homology import AbelianGroup, TableKey, homology_over_Fp, homology_over_Z
+from .modp import MAX_PRIME
 from .predict import ext_integral_predict, ext_twisted_predict, poincare_dims
 from .rings import Ring, parse_ring
 from .verify import run_suite
@@ -302,6 +303,7 @@ def verify(
     suite: str, p: int, n: int, m: int, max_weight: int, max_s: int, max_t: int
 ) -> None:
     """Run a named cross-check suite; exit 1 on the first mismatch."""
+    _require(p <= MAX_PRIME, f"--p must be at most {MAX_PRIME}, got {p}")
     _require(is_prime(p), f"--p must be prime, got {p}")
     _require(n >= 0 and m >= 1 and max_weight >= 0, "bounds must be nonnegative")
     _require(max_s >= 0 and max_t >= 0, "--max-s/--max-t must be >= 0")

@@ -27,7 +27,6 @@ from .algebra import (
 )
 from .bar import iterate_bar
 from .homology import AbelianGroup, TableKey, homology_over_Fp, homology_over_Z
-from .parallel import map_ordered
 from .predict import ext_field_predict, poincare_dims
 from .rings import Ring, ZZ
 
@@ -84,8 +83,8 @@ def ext_table_via_bar(
     algebra = bar_source_algebra(n, m)
     shift = n + 2
 
-    def one_weight(d: int) -> Dict[TableKey, object]:
-        out: Dict[TableKey, object] = {}
+    merged: Dict[TableKey, object] = {}
+    for d in range(weight_max + 1):
         if ring.is_field:
             column = homology_over_Fp(algebra, d, ring.char)
         else:
@@ -96,12 +95,7 @@ def ext_table_via_bar(
                 raise InternalAssertionError(
                     f"homology class at ({j}, {d}) regrades below degree 0"
                 )
-            out[(i, d)] = value
-        return out
-
-    merged: Dict[TableKey, object] = {}
-    for column in map_ordered(one_weight, range(weight_max + 1)):
-        merged.update(column)
+            merged[(i, d)] = value
     merged = dict(sorted(merged.items()))
     if ring.is_field:
         return ExtTable(source, target, ring, 0, 0, m, weight_max, dims=merged)  # type: ignore[arg-type]

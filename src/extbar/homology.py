@@ -28,7 +28,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import Element, InternalAssertionError, Monomial, WdgAlgebra
-from .modp import columns_mod_p, nullspace_mod_p, rank_of_columns_mod_p, solve_mod_p
+from .modp import (
+    _echelon,
+    columns_mod_p,
+    nullspace_mod_p,
+    rank_of_columns_mod_p,
+    solve_mod_p,
+)
 
 Matrix = List[List[int]]
 TableKey = Tuple[int, int]
@@ -474,34 +480,12 @@ class FpHomologyRing:
                 self._reps[(i, d)] = self._pick_representatives(cycles, bounds)
 
     def _pick_representatives(self, cycles: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        p = self.p
-        pivots: Dict[int, np.ndarray] = {}
-
-        def reduce(v: np.ndarray) -> np.ndarray:
-            v = v.copy() % p
-            for col in sorted(pivots):
-                if v[col]:
-                    v = (v - v[col] * pivots[col]) % p
-            return v
-
-        def insert(v: np.ndarray) -> None:
-            lead = int(np.nonzero(v)[0][0])
-            pivots[lead] = (v * pow(int(v[lead]), p - 2, p)) % p
-
-        for b in bounds:
-            r = reduce(b)
-            if np.any(r):
-                insert(r)
-        reps: List[np.ndarray] = []
-        for c in cycles:
-            r = reduce(c)
-            if np.any(r):
-                insert(r)
-                reps.append(c % p)
-        if not reps:
-            n = cycles.shape[1] if cycles.ndim == 2 else 0
-            return np.zeros((0, n), dtype=np.int64)
-        return np.vstack(reps)
+        """The cycles independent of the boundaries and of the cycles before
+        them: those that are pivot columns of the matrix whose columns are
+        the boundaries, then the cycles."""
+        columns = np.hstack([bounds.T, cycles.T])
+        picked = [c - len(bounds) for c in _echelon(columns, self.p) if c >= len(bounds)]
+        return cycles[picked]
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .modp import MAX_PRIME
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division.
@@ -58,7 +60,8 @@ def GF(p: int) -> Ring:
 
 
 def parse_ring(text: str) -> Ring:
-    """Parse a command-line ring spec: ``"Z"`` or ``"Fp:<prime>"``."""
+    """Parse a command-line ring spec: ``"Z"`` or ``"Fp:<prime>"`` with the
+    prime at most :data:`extbar.modp.MAX_PRIME`."""
     if text == "Z":
         return ZZ
     if text.startswith("Fp:"):
@@ -66,6 +69,10 @@ def parse_ring(text: str) -> Ring:
             p = int(text[3:])
         except ValueError:
             raise ValueError(f"invalid ring {text!r}: expected 'Z' or 'Fp:<prime>'")
+        if p > MAX_PRIME:
+            raise ValueError(
+                f"invalid ring {text!r}: primes above {MAX_PRIME} are not supported"
+            )
         if not is_prime(p):
             raise ValueError(f"invalid ring {text!r}: {p} is not prime")
         return Ring(p)

@@ -5,6 +5,7 @@ combinators (Kunneth, unitalization, universal coefficients)."""
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,7 +27,9 @@ from extbar import (
     smith_normal_form,
     tensor_signed,
 )
-from extbar.homology import boundary_matrix, check_boundary_squares_to_zero
+from extbar.extract import bar_source_algebra
+from extbar.homology import boundary_matrix, check_boundary_squares_to_zero, compile_slice
+from extbar.modp import columns_mod_p, nullspace_mod_p
 
 GAMMA = FreeAlgebra(DIVIDED, [(2, 1, 1)], ZZ)
 BAR1 = bar(GAMMA)
@@ -337,3 +340,53 @@ def test_representative_express_round_trip():
     for (i, d), n in ring.dimensions().items():
         for cls in ring.classes(i, d):
             assert ring.express(ring.representative(cls), i, d) == cls
+
+
+def incremental_representatives(cycles, bounds, p):
+    """Reference choice of representatives: reduce each boundary, then each
+    cycle, against the pivot rows found so far, and keep the cycles that
+    leave a nonzero remainder."""
+    pivots = {}
+
+    def reduce(v):
+        v = v.copy() % p
+        for col in sorted(pivots):
+            if v[col]:
+                v = (v - v[col] * pivots[col]) % p
+        return v
+
+    def insert(v):
+        lead = int(np.nonzero(v)[0][0])
+        pivots[lead] = (v * pow(int(v[lead]), p - 2, p)) % p
+
+    for b in bounds:
+        r = reduce(b)
+        if np.any(r):
+            insert(r)
+    reps = []
+    for c in cycles:
+        r = reduce(c)
+        if np.any(r):
+            insert(r)
+            reps.append(c % p)
+    if not reps:
+        return np.zeros((0, cycles.shape[1]), dtype=np.int64)
+    return np.vstack(reps)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_ring_representatives_match_incremental_choice(n, p):
+    algebra = bar_source_algebra(n, 1)
+    ring = homology_ring_over_Fp(algebra, p, 5)
+    for d in range(6):
+        slice_ = algebra.weight_slice(d)
+        columns = compile_slice(algebra, d)
+        for i, basis in slice_.items():
+            cycles = nullspace_mod_p(
+                columns_mod_p(columns[i], len(slice_.get(i - 1, ())), p), p
+            )
+            bounds = columns_mod_p(columns.get(i + 1, ()), len(basis), p).T
+            expected = incremental_representatives(cycles, bounds, p)
+            assert ring._reps[(i, d)].shape == expected.shape
+            assert np.array_equal(ring._reps[(i, d)], expected)
