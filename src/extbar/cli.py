@@ -82,6 +82,7 @@ def main() -> None:
 @_internal_guard
 def words(p: int, height: int, max_degree: int, pairs: bool) -> None:
     """Enumerate admissible words (or their pairs) of one height."""
+    _require(p <= MAX_PRIME, f"--p must be at most {MAX_PRIME}, got {p}")
     _require(is_prime(p), f"--p must be prime, got {p}")
     _require(height >= 0, "--height must be >= 0")
     _require(max_degree >= 0, "--max-degree must be >= 0")

@@ -8,7 +8,8 @@ evaluated one time into sparse boundary columns, ``{row: coefficient}`` per
 basis monomial.  Everything downstream reads those columns: the d^2 = 0
 check is the exact sparse product ``D_{i-1} D_i = 0`` over the algebra's
 ring; mod-p ranks and kernels fill ``int64`` arrays straight from them; and
-only Smith normal form gets a dense matrix.  Columns live for one call and
+Smith normal form over Z eliminates on them as sparse dicts, never densifying
+(:func:`smith_normal_form_of_columns`).  Columns live for one call and
 are not kept across weights; what repeats across words and weights (letter
 products, letter differentials, letter bidegrees) is cached by
 :class:`extbar.bar.BarAlgebra`.
@@ -22,6 +23,7 @@ slice-by-slice computations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,78 +48,106 @@ TableKey = Tuple[int, int]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], int]:
-    """Invariant factors ``d_1 | d_2 | ...`` (including 1s) and the rank.
-
-    Classic gcd pivoting on arbitrary-precision integers: pick the smallest
-    nonzero entry, clear its row and column by division with remainder
-    (swapping in any smaller remainder), then absorb any entry the pivot
-    fails to divide.  Deterministic and exact.
+    """Invariant factors ``d_1 | d_2 | ...`` (including 1s) and the rank of a
+    dense matrix given as rows: :func:`smith_normal_form_of_columns` on its
+    nonzero entries.
 
     >>> smith_normal_form([[2, 4], [6, 8]])
     ((2, 4), 2)
     >>> smith_normal_form([[1]])
     ((1,), 1)
     """
-    a = [[int(v) for v in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
+    n = len(matrix[0]) if len(matrix) else 0
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix rows must have equal length")
-    factors: List[int] = []
-    t = 0
-    while t < min(m, n):
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q, r = divmod(a[i][t], a[t][t])
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if r:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q, r = divmod(a[t][j], a[t][t])
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if r:
-                        for i in range(t, m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        dirty = True
-            if not dirty:
-                break
-        stray = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    stray = i
-                    break
-            if stray is not None:
-                break
-        if stray is not None:
-            for j in range(t, n):
-                a[t][j] += a[stray][j]
+    columns: List[Column] = [{} for _ in range(n)]
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if v:
+                columns[j][i] = int(v)
+    return smith_normal_form_of_columns(columns)
+
+
+def smith_normal_form_of_columns(
+    columns: Sequence[Mapping[int, int]],
+) -> Tuple[Tuple[int, ...], int]:
+    """Invariant factors ``d_1 | d_2 | ...`` (including 1s) and the rank of
+    the integer matrix whose ``j``-th column is ``columns[j]``, a
+    ``{row: coefficient}`` map as :func:`compile_slice` makes them.
+
+    Sparse elimination over Z with rows and columns kept as dicts.  Each
+    step takes the entry of smallest absolute value in the whole remaining
+    matrix (ties broken by Markowitz cost ``(len(row) - 1) * (len(col) - 1)``,
+    then by row and column index), clears its column with row operations and
+    its row with column operations, using floor quotients.  A nonzero
+    remainder is smaller than the pivot and sends the loop back to choose a
+    new pivot; a pivot left alone in its row and column is recorded and
+    both are dropped.  The recorded diagonal becomes invariant factors by a
+    gcd/lcm pass.  Taking the globally smallest entry is what keeps the
+    coefficients small.  The input is not modified.
+    """
+    cols: Dict[int, Dict[int, int]] = {}
+    rows: Dict[int, Dict[int, int]] = {}
+    for j, column in enumerate(columns):
+        for i, v in column.items():
+            if v:
+                cols.setdefault(j, {})[i] = v
+                rows.setdefault(i, {})[j] = v
+    diagonal: List[int] = []
+    while cols:
+        best: tuple = (math.inf,)
+        for j, col in cols.items():
+            cost = len(col) - 1
+            for i, v in col.items():
+                a = v if v > 0 else -v
+                if a <= best[0]:
+                    key = (a, (len(rows[i]) - 1) * cost, i, j)
+                    if key < best:
+                        best = key
+        _, _, r, c = best
+        pivot_row, pivot_col = rows[r], cols[c]
+        v = pivot_row[c]
+        remainder = False
+        # clear column c: row_i -= q * row_r
+        for i in [i for i in pivot_col if i != r]:
+            q = pivot_col[i] // v
+            row = rows[i]
+            for j, e in pivot_row.items():
+                col = cols[j]
+                x = row.get(j, 0) - q * e
+                if x:
+                    row[j] = col[i] = x
+                else:
+                    del row[j], col[i]
+                    if not col:
+                        del cols[j]
+            if c in row:
+                remainder = True
+            elif not row:
+                del rows[i]
+        if remainder:
             continue
-        factors.append(abs(a[t][t]))
-        t += 1
-    return tuple(factors), len(factors)
+        # column c is now {r: v}, so col_j -= q * col_c only changes (r, j)
+        for j in [j for j in pivot_row if j != c]:
+            x = pivot_row[j] % v
+            if x:
+                pivot_row[j] = cols[j][r] = x
+                remainder = True
+            else:
+                del pivot_row[j], cols[j][r]
+                if not cols[j]:
+                    del cols[j]
+        if remainder:
+            continue
+        diagonal.append(abs(v))
+        del rows[r], cols[c]
+    ones = diagonal.count(1)
+    factors = [d for d in diagonal if d > 1]
+    for k in range(len(factors)):
+        for l in range(k + 1, len(factors)):
+            g = math.gcd(factors[k], factors[l])
+            factors[k], factors[l] = g, factors[k] // g * factors[l]
+    return (1,) * ones + tuple(factors), len(diagonal)
 
 
 # ----------------------------------------------------------------------
@@ -376,10 +406,7 @@ def homology_over_Z(
     columns = compile_slice(algebra, weight)
     if check:
         _check_squares_to_zero(algebra, weight, columns)
-    snf: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-    for i, cols in columns.items():
-        n_rows = len(slice_.get(i - 1, ()))
-        snf[i] = smith_normal_form(_dense(cols, n_rows)) if n_rows else ((), 0)
+    snf = {i: smith_normal_form_of_columns(cols) for i, cols in columns.items()}
     out: Dict[int, AbelianGroup] = {}
     for i in slice_:
         below = snf.get(i + 1, ((), 0))

@@ -273,25 +273,29 @@ def ext_twisted_predict(
     def fam(degree: int, twist: int) -> GeneratorFamily:
         return GeneratorFamily(degree, p**twist, twist, m)
 
+    def offsets(twist: int) -> range:
+        """The indices i < p**s of one parametrized family, none at all when
+        their common weight p**twist is past the truncation."""
+        return range(ps if p**twist <= W else 0)
+
     def single(flavor: str, fams: Iterable[GeneratorFamily]) -> FreeAlgebraSpec:
-        kept = tuple(f for f in fams if f.weight <= W)
-        return _spec(p, AlgebraFactor(flavor, kept))
+        return _spec(p, AlgebraFactor(flavor, tuple(fams)))
 
     # Pairs with symmetric target: the dual flavor of the source on one
     # parametrized family at even degrees.
     if target == SYMMETRIC:
         return single(
-            _DUAL[source], (fam(2 * i * p**t, t + s) for i in range(ps))
+            _DUAL[source], (fam(2 * i * p**t, t + s) for i in offsets(t + s))
         )
 
     # Pairs with source Gamma or the exterior-exterior pair: a single family.
     if source == DIVIDED or (source == EXTERIOR and target == EXTERIOR):
         if target == EXTERIOR:
             flavor = EXTERIOR if source == DIVIDED else DIVIDED
-            degrees = ((2 * i + 1) * p**t - 1 for i in range(ps))
+            degrees = ((2 * i + 1) * p**t - 1 for i in offsets(t + s))
         else:  # target Gamma, source Gamma
             flavor = DIVIDED
-            degrees = ((2 * i + 2) * p**t - 2 for i in range(ps))
+            degrees = ((2 * i + 2) * p**t - 2 for i in offsets(t + s))
         return single(flavor, (fam(a, t + s) for a in degrees))
 
     # Remaining sources: S with target Lambda/Gamma, Lambda with target Gamma.
@@ -300,23 +304,23 @@ def ext_twisted_predict(
             fams = [
                 fam((2 * i + 1) * 2 ** (k + t) - 1, k + t + s)
                 for k in _twist_range(2, W, offset=t + s)
-                for i in range(ps)
+                for i in offsets(k + t + s)
             ]
             return single(DIVIDED, fams)
         left = [
             fam((2 * i + 1) * p ** (k + t) - 1, k + t + s)
             for k in _twist_range(p, W, offset=t + s)
-            for i in range(ps)
+            for i in offsets(k + t + s)
         ]
         right = [
             fam((2 * i + 1) * p ** (k + 1 + t) - 2, k + 1 + t + s)
             for k in _twist_range(p, W, offset=1 + t + s)
-            for i in range(ps)
+            for i in offsets(k + 1 + t + s)
         ]
         return _spec(
             p,
-            AlgebraFactor(EXTERIOR, tuple(f for f in left if f.weight <= W)),
-            AlgebraFactor(DIVIDED, tuple(f for f in right if f.weight <= W), True),
+            AlgebraFactor(EXTERIOR, tuple(left)),
+            AlgebraFactor(DIVIDED, tuple(right), True),
             eps=(1,),
         )
 
@@ -325,23 +329,23 @@ def ext_twisted_predict(
             fams = [
                 fam((2 * i + 2) * 2 ** (k + t) - 2**k - 1, k + t + s)
                 for k in _twist_range(2, W, offset=t + s)
-                for i in range(ps)
+                for i in offsets(k + t + s)
             ]
             return single(DIVIDED, fams)
         left = [
             fam((2 * i + 2) * p ** (k + t) - p**k - 1, k + t + s)
             for k in _twist_range(p, W, offset=t + s)
-            for i in range(ps)
+            for i in offsets(k + t + s)
         ]
         right = [
             fam((2 * i + 2) * p ** (k + 1 + t) - p ** (k + 1) - 2, k + 1 + t + s)
             for k in _twist_range(p, W, offset=1 + t + s)
-            for i in range(ps)
+            for i in offsets(k + 1 + t + s)
         ]
         return _spec(
             p,
-            AlgebraFactor(EXTERIOR, tuple(f for f in left if f.weight <= W)),
-            AlgebraFactor(DIVIDED, tuple(f for f in right if f.weight <= W), True),
+            AlgebraFactor(EXTERIOR, tuple(left)),
+            AlgebraFactor(DIVIDED, tuple(right), True),
             eps=(1,),
         )
 
@@ -351,31 +355,31 @@ def ext_twisted_predict(
             fam((2 * i + 2) * 2 ** (k + l + t) - 2**k - 1, k + l + t + s)
             for k in _twist_range(2, W, offset=t + s)
             for l in _twist_range(2, W, offset=k + t + s)
-            for i in range(ps)
+            for i in offsets(k + l + t + s)
         ]
         return single(DIVIDED, fams)
     first = [
         fam((2 * i + 2) * p ** (k + t) - 2, k + t + s)
         for k in _twist_range(p, W, offset=t + s)
-        for i in range(ps)
+        for i in offsets(k + t + s)
     ]
     second = [
         fam((2 * i + 2) * p ** (k + l + 1 + t) - 2 * p**k - 1, k + l + 1 + t + s)
         for k in _twist_range(p, W, offset=1 + t + s)
         for l in _twist_range(p, W, offset=k + 1 + t + s)
-        for i in range(ps)
+        for i in offsets(k + l + 1 + t + s)
     ]
     third = [
         fam((2 * i + 2) * p ** (k + l + 2 + t) - 2 * p ** (k + 1) - 2, k + l + 2 + t + s)
         for k in _twist_range(p, W, offset=2 + t + s)
         for l in _twist_range(p, W, offset=k + 2 + t + s)
-        for i in range(ps)
+        for i in offsets(k + l + 2 + t + s)
     ]
     return _spec(
         p,
-        AlgebraFactor(DIVIDED, tuple(f for f in first if f.weight <= W)),
-        AlgebraFactor(EXTERIOR, tuple(f for f in second if f.weight <= W)),
-        AlgebraFactor(DIVIDED, tuple(f for f in third if f.weight <= W)),
+        AlgebraFactor(DIVIDED, tuple(first)),
+        AlgebraFactor(EXTERIOR, tuple(second)),
+        AlgebraFactor(DIVIDED, tuple(third)),
         eps=(0, 0),
     )
 

@@ -2,6 +2,7 @@
 subcommand, the documented exit codes, and byte-for-byte determinism."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -50,6 +51,15 @@ def test_words_rejects_composite_p(runner):
     result = runner.invoke(main, ["words", "--p", "4", "--height", "2", "--max-degree", "9"])
     assert result.exit_code == 2
     assert "--p must be prime, got 4" in result.output
+
+
+def test_words_rejects_primes_past_the_bound(runner):
+    result = runner.invoke(
+        main,
+        ["words", "--p", "1000000000000000000000007", "--height", "1", "--max-degree", "5"],
+    )
+    assert result.exit_code == 2
+    assert "--p must be at most 3037000493" in result.output
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +307,26 @@ def test_primes_past_the_int64_bound_are_usage_errors(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "3037000493" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--ring", "Fp:1000003", "--s", "2", "--max-weight", "4"],
+        ["--ring", "Fp:3037000493", "--s", "1", "--t", "1"],
+    ],
+)
+def test_twisted_tables_at_large_primes_finish_fast(runner, args):
+    # Every twisted family weighs at least p**(s+t), past the truncation, so
+    # only the unit is left; no family may be built just to be dropped.
+    start = time.perf_counter()
+    result = runner.invoke(
+        main, ["ext-table", "--source", "Gamma", "--target", "Lambda", *args]
+    )
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0
+    assert result.output.splitlines() == ["Ext^0 (weight 0) = dim 1"]
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
 def test_verify_failure_exits_one(runner, monkeypatch):

@@ -1,5 +1,8 @@
 """Frontier cross-checks: the bar route against the closed forms at the
-largest weights the suite reaches within a 10 s wall-time budget each."""
+largest weights the suite reaches within a 10 s wall-time budget each.
+
+Over Z the budget also guards Smith normal form against coefficient growth:
+a blow-up shows as a budget failure."""
 
 import time
 
@@ -16,8 +19,16 @@ BUDGET_S = 10.0
         ("cartan-field", 2, 2, 9),
         ("cartan-field", 3, 2, 9),
         ("exponential", 2, 2, 6),
+        ("cartan-integral", 2, 1, 12),
+        ("cartan-integral", 2, 2, 8),
     ],
-    ids=["cartan-field-p2-n2-w9", "cartan-field-p3-n2-w9", "exponential-p2-n2-w6"],
+    ids=[
+        "cartan-field-p2-n2-w9",
+        "cartan-field-p3-n2-w9",
+        "exponential-p2-n2-w6",
+        "cartan-integral-n1-w12",
+        "cartan-integral-n2-w8",
+    ],
 )
 def test_frontier_suite_passes_within_budget(suite, p, n, weight_max):
     start = time.perf_counter()

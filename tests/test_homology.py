@@ -2,14 +2,16 @@
 arithmetic, weight-slice homology, the mod-p homology ring, and the table
 combinators (Kunneth, unitalization, universal coefficients)."""
 
+import doctest
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import extbar.homology
 from extbar import (
     DIVIDED,
     AbelianGroup,
@@ -28,7 +30,12 @@ from extbar import (
     tensor_signed,
 )
 from extbar.extract import bar_source_algebra
-from extbar.homology import boundary_matrix, check_boundary_squares_to_zero, compile_slice
+from extbar.homology import (
+    boundary_matrix,
+    check_boundary_squares_to_zero,
+    compile_slice,
+    smith_normal_form_of_columns,
+)
 from extbar.modp import columns_mod_p, nullspace_mod_p
 
 GAMMA = FreeAlgebra(DIVIDED, [(2, 1, 1)], ZZ)
@@ -124,6 +131,129 @@ def test_snf_invariant_under_row_operation(rows, c):
     for j in range(3):
         moved[0][j] += c * moved[1][j]
     assert smith_normal_form(moved) == smith_normal_form(rows)
+
+
+def euclid_snf(matrix):
+    """Reference Smith normal form: dense Euclid-style gcd pivoting, the
+    routine the package used before its sparse elimination.  Picks the
+    smallest nonzero entry, clears its row and column by division with
+    remainder (swapping in any smaller remainder), then absorbs any entry the
+    pivot fails to divide."""
+    a = [[int(v) for v in row] for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    factors = []
+    t = 0
+    while t < min(m, n):
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best = v
+                    piv = (i, j)
+        if piv is None:
+            break
+        pi, pj = piv
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q, r = divmod(a[i][t], a[t][t])
+                    for j in range(t, n):
+                        a[i][j] -= q * a[t][j]
+                    if r:
+                        a[t], a[i] = a[i], a[t]
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q, r = divmod(a[t][j], a[t][t])
+                    for i in range(t, m):
+                        a[i][j] -= q * a[i][t]
+                    if r:
+                        for i in range(t, m):
+                            a[i][t], a[i][j] = a[i][j], a[i][t]
+                        dirty = True
+            if not dirty:
+                break
+        stray = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if a[i][j] % a[t][t]:
+                    stray = i
+                    break
+            if stray is not None:
+                break
+        if stray is not None:
+            for j in range(t, n):
+                a[t][j] += a[stray][j]
+            continue
+        factors.append(abs(a[t][t]))
+        t += 1
+    return tuple(factors), len(factors)
+
+
+_WITH_UNITS = tuple(range(-6, 7))
+_WITHOUT_UNITS = tuple(v for v in _WITH_UNITS if abs(v) != 1)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(n_columns, rows) of a sparse m x n integer matrix, m <= 8, n <= 10,
+    entries in [-6, 6], sometimes without any +-1 entry and sometimes with a
+    last row that is the sum of the first two (rank-deficient)."""
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 10))
+    values = draw(st.sampled_from([_WITH_UNITS, _WITHOUT_UNITS]))
+    zeros = draw(st.integers(0, 4))
+    entry = st.one_of([st.just(0)] * zeros + [st.sampled_from(values)])
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m >= 3 and draw(st.booleans()):
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    return n, rows
+
+
+def _columns_of(n, rows):
+    columns = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v:
+                columns[j][i] = v
+    return columns
+
+
+@given(sparse_matrices())
+@example((4, []))  # 0 x 4
+@example((0, [[], [], []]))  # 3 x 0
+@example((4, [[0] * 4] * 3))  # all zero
+@example((3, [[2, 4, 6], [1, 2, 3], [3, 6, 9]]))  # rank 1
+@example((3, [[2, 0, 4], [0, 6, 0], [4, 0, 2]]))  # no unit entry
+@example((2, [[2, 0], [0, 3]]))  # diagonal that is not yet normal
+def test_sparse_snf_matches_euclid_reference(case):
+    n, rows = case
+    columns = _columns_of(n, rows)
+    before = [dict(c) for c in columns]
+    expected = euclid_snf(rows)
+    assert smith_normal_form_of_columns(columns) == expected
+    assert columns == before
+    assert smith_normal_form(rows) == expected
+
+
+def test_snf_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="equal length"):
+        smith_normal_form([[1, 2], [3]])
+
+
+def test_homology_module_doctests_pass():
+    failed, attempted = doctest.testmod(extbar.homology)
+    assert attempted >= 2
+    assert failed == 0
 
 
 # ----------------------------------------------------------------------
