@@ -64,6 +64,12 @@ def _require(condition: bool, message: str) -> None:
         raise click.UsageError(message)
 
 
+def _echo_lines(lines: List[str]) -> None:
+    """Print the lines in one write; print nothing for no lines."""
+    if lines:
+        click.echo("\n".join(lines))
+
+
 @click.group()
 def main() -> None:
     """Exact tables for derived maps between twisted exponential functors."""
@@ -87,17 +93,20 @@ def words(p: int, height: int, max_degree: int, pairs: bool) -> None:
     _require(height >= 0, "--height must be >= 0")
     _require(max_degree >= 0, "--max-degree must be >= 0")
     if pairs:
-        click.echo("# gamma_word\tphi_word\tdegree\ttwisting\tweight")
-        for pair in enumerate_p_pairs(p, height, max_degree):
-            click.echo(
+        _echo_lines(
+            ["# gamma_word\tphi_word\tdegree\ttwisting\tweight"]
+            + [
                 f"{pair.gamma_word}\t{pair.phi_word}\t{pair.degree}"
                 f"\t{pair.twisting}\t{pair.weight}"
-            )
+                for pair in enumerate_p_pairs(p, height, max_degree)
+            ]
+        )
         return
-    click.echo("# word\tdegree\ttwisting\tweight")
+    lines = ["# word\tdegree\ttwisting\tweight"]
     for w in enumerate_words(p, height, max_degree):
         t = word_twisting(w)
-        click.echo(f"{w}\t{word_degree(w, p)}\t{t}\t{p ** t}")
+        lines.append(f"{w}\t{word_degree(w, p)}\t{t}\t{p ** t}")
+    _echo_lines(lines)
 
 
 # ----------------------------------------------------------------------
@@ -119,9 +128,7 @@ def _echo_json(payload: Dict) -> None:
 
 
 def _echo_csv(header: List[str], rows: List[List]) -> None:
-    click.echo(",".join(header))
-    for row in rows:
-        click.echo(",".join(str(v) for v in row))
+    _echo_lines([",".join(header)] + [",".join(str(v) for v in row) for row in rows])
 
 
 @main.command("bar-homology")
@@ -151,10 +158,10 @@ def bar_homology(
         elif as_csv:
             _echo_csv(["degree", "dimension"], [[g["degree"], g["dimension"]] for g in groups])
         else:
-            for g in groups:
-                click.echo(f"H_{g['degree']} (weight {weight}) = dim {g['dimension']}")
-            if not groups:
-                click.echo(f"weight {weight}: trivial")
+            _echo_lines(
+                [f"H_{g['degree']} (weight {weight}) = dim {g['dimension']}" for g in groups]
+                or [f"weight {weight}: trivial"]
+            )
         return
     column = homology_over_Z(algebra, weight)
     groups = [_group_entry(i, column[i]) for i in sorted(column)]
@@ -167,10 +174,10 @@ def bar_homology(
         ]
         _echo_csv(["degree", "free_rank", "torsion"], rows)
     else:
-        for i in sorted(column):
-            click.echo(f"H_{i} (weight {weight}) = {column[i]}")
-        if not column:
-            click.echo(f"weight {weight}: trivial")
+        _echo_lines(
+            [f"H_{i} (weight {weight}) = {column[i]}" for i in sorted(column)]
+            or [f"weight {weight}: trivial"]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +262,9 @@ def ext_table(
             ]
             _echo_csv(["degree", "weight", "free_rank", "torsion"], rows)
         else:
-            for (i, d), g in sorted(entries_groups.items()):
-                click.echo(f"Ext^{i} (weight {d}) = {g}")
+            _echo_lines(
+                [f"Ext^{i} (weight {d}) = {g}" for (i, d), g in sorted(entries_groups.items())]
+            )
         return
 
     p = ring.char
@@ -282,8 +290,7 @@ def ext_table(
             [[i, d, v] for (i, d), v in dims.items()],
         )
     else:
-        for (i, d), v in dims.items():
-            click.echo(f"Ext^{i} (weight {d}) = dim {v}")
+        _echo_lines([f"Ext^{i} (weight {d}) = dim {v}" for (i, d), v in dims.items()])
 
 
 # ----------------------------------------------------------------------

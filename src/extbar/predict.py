@@ -10,11 +10,18 @@ The exported builders produce, for any prime and any pair of the three
 classical functor flavors (symmetric ``S``, exterior ``Lambda``, divided
 power ``Gamma``), the generator description of the graded maps-algebra
 between their twisted versions; :func:`poincare_dims` turns any spec into
-exact bigraded dimension tables.  Two transforms implement the reduction of
-twisted pairs to untwisted ones: :func:`twist_shift` trades a source twist
-for a degree regrading of the target, and :func:`expand_by_even_offsets`
-spreads each generator into a family along even degree offsets.  Composing
-them from the untwisted tables must match the direct closed forms of
+exact bigraded dimension tables.  A table is the product of one factor per
+generator family, ``(1+y)^m`` for an exterior family and ``1/(1-y)^m`` for a
+symmetric or divided-power one, with ``y = x^(degree, weight)`` and ``m`` the
+multiplicity; each factor is applied in place by a recurrence over the
+table's weight rows, descending for ``(1+y)^m`` and ascending for
+``1/(1-y)^m``, so nothing past the weight cap is ever formed.
+
+Two transforms implement the reduction of twisted pairs to untwisted ones:
+:func:`twist_shift` trades a source twist for a degree regrading of the
+target, and :func:`expand_by_even_offsets` spreads each generator into a
+family along even degree offsets.  Composing them from the untwisted tables
+must match the direct closed forms of
 :func:`ext_twisted_predict` — that equality is this module's central
 self-consistency property, exercised by the verification suites.
 
@@ -131,51 +138,69 @@ def _spec(p: int, *factors: AlgebraFactor, eps: Iterable[int] = ()) -> FreeAlgeb
 # ----------------------------------------------------------------------
 
 
-def _family_series(
-    flavor: str, fam: GeneratorFamily, weight_max: int
-) -> Dict[TableKey, int]:
-    """Bigraded Hilbert series of a free algebra on a single family,
-    truncated by weight: binomials for an exterior generator, multiset
-    coefficients for symmetric/divided-power ones."""
-    if fam.weight < 1:
-        raise ValueError("generator weights must be >= 1")
-    out: Dict[TableKey, int] = {}
-    j = 0
-    while j * fam.weight <= weight_max:
-        if flavor == EXTERIOR:
-            if j > fam.multiplicity:
-                break
-            c = comb(fam.multiplicity, j)
-        else:
-            c = comb(fam.multiplicity + j - 1, j)
-        if c:
-            out[(j * fam.degree, j * fam.weight)] = c
-        j += 1
-    return out
-
-
-def _convolve(
-    a: Dict[TableKey, int], b: Dict[TableKey, int], weight_max: int
-) -> Dict[TableKey, int]:
-    out: Dict[TableKey, int] = {}
-    for (i1, d1), c1 in a.items():
-        for (i2, d2), c2 in b.items():
-            if d1 + d2 > weight_max:
-                continue
-            key = (i1 + i2, d1 + d2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
 def poincare_dims(spec: FreeAlgebraSpec, weight_max: int) -> Dict[TableKey, int]:
-    """Exact dimensions per (cohomological degree, weight), zeros omitted.
+    """Exact dimensions per (cohomological degree, weight) up to weight
+    ``weight_max``, zeros omitted, keys sorted.
 
+    The table is the product of one factor per generator family, with
+    ``y = x^(degree, weight)`` and ``m`` the multiplicity: ``(1+y)^m`` for an
+    exterior family and ``1/(1-y)^m`` for a symmetric or divided-power one.
     Weight twists and junction signs change products, never dimensions.
+    Each family is applied to the table in place, one ``{degree: count}``
+    row per weight ``d``, in a single pass over the rows:
+
+    * exterior, rows in descending weight:
+      ``row[d][i] += sum_{j=1..min(m, d//w)} C(m, j) * row[d-j*w][i-j*a]``;
+    * symmetric or divided power, rows in ascending weight, so the rows read
+      already carry the family (this divides by ``(1-y)^m``):
+      ``row[d][i] += sum_j (-1)^(j+1) C(m, j) * row[d-j*w][i-j*a]``, over the
+      same ``j``.
+
+    One exterior family of multiplicity 2 on a generator of degree 1 and
+    weight 1, times one divided-power family on a generator of degree 2 and
+    weight 1, is ``(1 + 2e + e^2)(1 + g + g^[2] + ...)``:
+
+    >>> spec = FreeAlgebraSpec(
+    ...     2,
+    ...     (
+    ...         AlgebraFactor(EXTERIOR, (GeneratorFamily(1, 1, 0, 2),)),
+    ...         AlgebraFactor(DIVIDED, (GeneratorFamily(2, 1, 0),)),
+    ...     ),
+    ...     (0,),
+    ... )
+    >>> poincare_dims(spec, 2)
+    {(0, 0): 1, (1, 1): 2, (2, 1): 1, (2, 2): 1, (3, 2): 2, (4, 2): 1}
+
+    Raises ``ValueError`` on a negative ``weight_max``, a generator of weight
+    below 1 (even one past the cap) or a negative multiplicity.
     """
-    table: Dict[TableKey, int] = {(0, 0): 1}
+    if weight_max < 0:
+        raise ValueError("weight_max must be >= 0")
+    rows: List[Dict[int, int]] = [{} for _ in range(weight_max + 1)]
+    rows[0][0] = 1
     for flavor, fam in spec.all_generators():
-        table = _convolve(table, _family_series(flavor, fam, weight_max), weight_max)
-    return dict(sorted(table.items()))
+        a, w, m = fam.degree, fam.weight, fam.multiplicity
+        if w < 1:
+            raise ValueError("generator weights must be >= 1")
+        if m < 0:
+            raise ValueError("generator multiplicities must be >= 0")
+        js = range(1, min(m, weight_max // w) + 1)
+        if flavor == EXTERIOR:
+            terms = [(j * w, j * a, comb(m, j)) for j in js]
+            order = range(weight_max, w - 1, -1)
+        else:
+            terms = [(j * w, j * a, (-1) ** (j + 1) * comb(m, j)) for j in js]
+            order = range(w, weight_max + 1)
+        for d in order:
+            row = rows[d]
+            for dw, da, c in terms:
+                if dw > d:
+                    break
+                for i, n in rows[d - dw].items():
+                    row[i + da] = row.get(i + da, 0) + c * n
+    # A count is only ever touched from a nonzero count of a lighter row, so
+    # its final value is positive: no zeros are stored.
+    return dict(sorted([((i, d), n) for d, row in enumerate(rows) for i, n in row.items()]))
 
 
 def build_spec_algebra(spec: FreeAlgebraSpec, ring: Optional[Ring] = None) -> WdgAlgebra:

@@ -151,9 +151,11 @@ def verify_twist_consistency(
                         weight_max,
                     )
                     base = ext_field_predict(source, target, p, weight_max)
+                    # Expansion multiplies weights by p**s and makes p**s
+                    # copies, so cut what would land past the cap first.
+                    shifted = twist_shift(base, t, target).truncate(weight_max // p**s)
                     composite = poincare_dims(
-                        expand_by_even_offsets(twist_shift(base, t, target), s),
-                        weight_max,
+                        expand_by_even_offsets(shifted, s), weight_max
                     )
                     bad = _compare_tables(
                         "twist-consistency",

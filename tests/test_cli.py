@@ -329,6 +329,40 @@ def test_twisted_tables_at_large_primes_finish_fast(runner, args):
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize("p", ["1000003", "3037000493"])
+def test_twist_consistency_at_large_primes_finishes_fast(runner, p):
+    # Expanding by even offsets makes p**s copies of each generator; the
+    # suite must cut the generators the expansion would push past the cap
+    # before it builds them.
+    start = time.perf_counter()
+    result = runner.invoke(
+        main,
+        ["verify", "--suite", "twist-consistency", "--p", p, "--max-s", "1", "--max-t", "0"],
+    )
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0
+    assert result.output.startswith("twist-consistency: PASS")
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["--ring", "Z"], ""),
+        (["--ring", "Fp:3"], ""),
+        (["--ring", "Z", "--csv"], "degree,weight,free_rank,torsion\n"),
+        (["--ring", "Fp:3", "--csv"], "degree,weight,dimension\n"),
+    ],
+)
+def test_ext_table_cut_to_nothing_prints_no_rows(runner, args, expected):
+    result = runner.invoke(
+        main,
+        ["ext-table", "--source", "S", "--target", "Gamma", "--max-codegree", "-1", *args],
+    )
+    assert result.exit_code == 0
+    assert result.output == expected
+
+
 def test_verify_failure_exits_one(runner, monkeypatch):
     fake = SuiteResult(
         suite="tables",

@@ -1,5 +1,6 @@
 """Frontier cross-checks: the bar route against the closed forms at the
-largest weights the suite reaches within a 10 s wall-time budget each.
+largest weights the suite reaches within a 10 s wall-time budget each, and
+the predict route on a table far past them within its own budget.
 
 Over Z the budget also guards Smith normal form against coefficient growth:
 a blow-up shows as a budget failure."""
@@ -7,7 +8,9 @@ a blow-up shows as a budget failure."""
 import time
 
 import pytest
+from click.testing import CliRunner
 
+from extbar.cli import main
 from extbar.verify import run_suite
 
 BUDGET_S = 10.0
@@ -36,3 +39,23 @@ def test_frontier_suite_passes_within_budget(suite, p, n, weight_max):
     elapsed = time.perf_counter() - start
     assert result.passed, result.summary()
     assert elapsed < BUDGET_S, f"{suite} took {elapsed:.2f}s (budget {BUDGET_S:.0f}s)"
+
+
+PREDICT_BUDGET_S = 1.5
+
+
+def test_predict_route_symmetric_to_divided_through_weight_200_within_budget():
+    start = time.perf_counter()
+    result = CliRunner().invoke(
+        main,
+        ["ext-table", "--source", "S", "--target", "Gamma", "--ring", "Fp:2",
+         "--max-weight", "200"],
+    )
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert lines[0] == "Ext^0 (weight 0) = dim 1"
+    assert len(lines) == 38931
+    assert elapsed < PREDICT_BUDGET_S, (
+        f"ext-table took {elapsed:.2f}s (budget {PREDICT_BUDGET_S}s)"
+    )

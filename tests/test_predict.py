@@ -2,10 +2,15 @@
 the nine functor-pair generator descriptions, the two twist-reduction
 transforms, duality, and the integral assembly."""
 
+import doctest
 import itertools
+from math import comb
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import extbar.predict
 from extbar import (
     DIVIDED,
     EXTERIOR,
@@ -50,6 +55,38 @@ def _convolve(a, b, weight_max):
     return out
 
 
+def _family_series(flavor, fam, weight_max):
+    """Bigraded Hilbert series of a free algebra on a single family,
+    truncated by weight: binomials for an exterior generator, multiset
+    coefficients for symmetric/divided-power ones (the unit alone at
+    multiplicity 0)."""
+    if fam.weight < 1:
+        raise ValueError("generator weights must be >= 1")
+    out = {}
+    j = 0
+    while j * fam.weight <= weight_max:
+        if flavor == EXTERIOR:
+            if j > fam.multiplicity:
+                break
+            c = comb(fam.multiplicity, j)
+        elif fam.multiplicity:
+            c = comb(fam.multiplicity + j - 1, j)
+        else:
+            c = int(j == 0)
+        if c:
+            out[(j * fam.degree, j * fam.weight)] = c
+        j += 1
+    return out
+
+
+def reference_poincare_dims(spec, weight_max):
+    """Every family convolved with its full truncated series, in turn."""
+    table = {(0, 0): 1}
+    for flavor, fam in spec.all_generators():
+        table = _convolve(table, _family_series(flavor, fam, weight_max), weight_max)
+    return dict(sorted(table.items()))
+
+
 # ----------------------------------------------------------------------
 # Poincare tables of free algebras
 # ----------------------------------------------------------------------
@@ -75,6 +112,80 @@ def test_divided_and_symmetric_share_hilbert_series():
 def test_poincare_dims_respect_generator_weight():
     spec = _single(2, DIVIDED, [GeneratorFamily(1, 2, 1, 1)])
     assert poincare_dims(spec, 5) == {(0, 0): 1, (1, 2): 1, (2, 4): 1}
+
+
+families = st.builds(
+    GeneratorFamily,
+    degree=st.integers(0, 9),
+    weight=st.integers(1, 6),
+    twist=st.just(0),
+    multiplicity=st.integers(0, 6),
+)
+
+
+@st.composite
+def specs(draw):
+    """Up to three factors of any flavor, each on up to three families."""
+    factors = draw(
+        st.lists(
+            st.builds(
+                lambda flavor, fams: AlgebraFactor(flavor, tuple(fams)),
+                st.sampled_from([SYMMETRIC, EXTERIOR, DIVIDED]),
+                st.lists(families, max_size=3),
+            ),
+            max_size=3,
+        )
+    )
+    eps = draw(st.lists(st.integers(0, 1), min_size=max(len(factors) - 1, 0),
+                        max_size=max(len(factors) - 1, 0)))
+    return FreeAlgebraSpec(2, tuple(factors), tuple(eps))
+
+
+def _spec_of(*factors):
+    return FreeAlgebraSpec(
+        2,
+        tuple(AlgebraFactor(flavor, tuple(GeneratorFamily(*g) for g in gens))
+              for flavor, gens in factors),
+        (0,) * max(len(factors) - 1, 0),
+    )
+
+
+@given(specs(), st.integers(0, 12))
+@example(_spec_of((DIVIDED, [(3, 6, 0, 2)]), (EXTERIOR, [(1, 5, 0, 1)])), 4)
+@example(_spec_of((SYMMETRIC, [(0, 1, 0, 6), (2, 1, 0, 0)])), 12)
+@example(_spec_of((EXTERIOR, [(0, 1, 0, 6), (0, 2, 0, 3)])), 12)
+@example(_spec_of((EXTERIOR, [(3, 4, 0, 2)]), (DIVIDED, [(1, 2, 0, 3), (0, 4, 0, 1)])), 4)
+@example(_spec_of(), 0)
+def test_poincare_dims_match_convolution_reference(spec, weight_max):
+    got = poincare_dims(spec, weight_max)
+    want = reference_poincare_dims(spec, weight_max)
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("flavor", [SYMMETRIC, EXTERIOR, DIVIDED])
+def test_poincare_dims_reject_bad_generators(flavor):
+    for gens in [
+        [(1, 0, 0, 1)],
+        [(1, -1, 0, 0)],
+        [(1, 50, 0, 1), (1, 0, 0, 1)],  # behind a generator past the cap
+    ]:
+        with pytest.raises(ValueError, match="weights"):
+            poincare_dims(_spec_of((flavor, gens)), 0)
+    for gens in [[(1, 1, 0, -1)], [(1, 50, 0, -1)]]:
+        with pytest.raises(ValueError, match="multiplicities"):
+            poincare_dims(_spec_of((flavor, gens)), 4)
+
+
+def test_poincare_dims_reject_negative_weight_cap():
+    for spec in [_spec_of(), _spec_of((DIVIDED, [(2, 1, 0, 1)]))]:
+        with pytest.raises(ValueError, match="weight_max"):
+            poincare_dims(spec, -1)
+
+
+def test_predict_module_doctests_pass():
+    failed, attempted = doctest.testmod(extbar.predict)
+    assert attempted >= 2
+    assert failed == 0
 
 
 def test_junction_count_validated():
