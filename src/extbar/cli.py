@@ -21,7 +21,7 @@ from .homology import AbelianGroup, TableKey, homology_over_Fp, homology_over_Z
 from .modp import MAX_PRIME
 from .predict import ext_integral_predict, ext_twisted_predict, poincare_dims
 from .rings import Ring, parse_ring
-from .verify import run_suite
+from .verify import SUITES_WITH_M, run_suite
 from .words import enumerate_p_pairs, enumerate_words, word_degree, word_twisting
 from .rings import is_prime
 
@@ -315,6 +315,11 @@ def verify(
     _require(is_prime(p), f"--p must be prime, got {p}")
     _require(n >= 0 and m >= 1 and max_weight >= 0, "bounds must be nonnegative")
     _require(max_s >= 0 and max_t >= 0, "--max-s/--max-t must be >= 0")
+    _require(
+        m == 1 or suite in SUITES_WITH_M,
+        f"--m is taken only by the {' and '.join(SUITES_WITH_M)} suites, "
+        f"got --m {m} with --suite {suite}",
+    )
     result = run_suite(
         suite, p=p, n=n, m=m, weight_max=max_weight, max_s=max_s, max_t=max_t
     )

@@ -7,12 +7,15 @@ Each homology computation compiles its weight slice once
 evaluated one time into sparse boundary columns, ``{row: coefficient}`` per
 basis monomial.  Everything downstream reads those columns: the d^2 = 0
 check is the exact sparse product ``D_{i-1} D_i = 0`` over the algebra's
-ring; mod-p ranks and kernels fill ``int64`` arrays straight from them; and
-Smith normal form over Z eliminates on them as sparse dicts, never densifying
-(:func:`smith_normal_form_of_columns`).  Columns live for one call and
-are not kept across weights; what repeats across words and weights (letter
-products, letter differentials, letter bidegrees) is cached by
-:class:`extbar.bar.BarAlgebra`.
+ring, and one sparse elimination routine (:func:`_eliminate`) reduces them
+over Z and over F_p alike, with rows and columns kept as dicts and nothing
+densified.  Smith normal form is a gcd/lcm pass over its diagonal
+(:func:`smith_normal_form_of_columns`); a mod-p rank is its pivot count
+(:func:`rank_of_columns_mod_p`).  Only the mod-p homology ring, which needs
+kernels and solutions, fills dense ``int64`` arrays (:mod:`extbar.modp`).
+Columns live for one call and are not kept across weights; what repeats
+across words and weights (letter products, letter differentials, letter
+bidegrees) is cached by :class:`extbar.bar.BarAlgebra`.
 
 A *weighted table* is a mapping ``(degree, weight) -> AbelianGroup`` holding
 the homology of a weighted complex, with trivial groups omitted.  Tables are
@@ -22,6 +25,7 @@ slice-by-slice computations.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,13 +34,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import Element, InternalAssertionError, Monomial, WdgAlgebra
-from .modp import (
-    _echelon,
-    columns_mod_p,
-    nullspace_mod_p,
-    rank_of_columns_mod_p,
-    solve_mod_p,
-)
+from .modp import _echelon, columns_mod_p, nullspace_mod_p, solve_mod_p
 
 Matrix = List[List[int]]
 TableKey = Tuple[int, int]
@@ -68,32 +66,101 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...],
     return smith_normal_form_of_columns(columns)
 
 
-def smith_normal_form_of_columns(
-    columns: Sequence[Mapping[int, int]],
-) -> Tuple[Tuple[int, ...], int]:
-    """Invariant factors ``d_1 | d_2 | ...`` (including 1s) and the rank of
-    the integer matrix whose ``j``-th column is ``columns[j]``, a
-    ``{row: coefficient}`` map as :func:`compile_slice` makes them.
+def _eliminate(columns: Sequence[Mapping[int, int]], p: int) -> Tuple[List[int], int]:
+    """Sparse elimination of the matrix whose ``j``-th column is
+    ``columns[j]``, over Z for ``p == 0`` and over F_p otherwise.  Returns
+    the diagonal it reduces the matrix to, one entry per pivot, and the bit
+    length of the largest entry the matrix ever held.
 
-    Sparse elimination over Z with rows and columns kept as dicts.  Each
-    step takes the entry of smallest absolute value in the whole remaining
-    matrix (ties broken by Markowitz cost ``(len(row) - 1) * (len(col) - 1)``,
-    then by row and column index), clears its column with row operations and
-    its row with column operations, using floor quotients.  A nonzero
-    remainder is smaller than the pivot and sends the loop back to choose a
-    new pivot; a pivot left alone in its row and column is recorded and
-    both are dropped.  The recorded diagonal becomes invariant factors by a
-    gcd/lcm pass.  Taking the globally smallest entry is what keeps the
-    coefficients small.  The input is not modified.
+    Rows and columns are kept as ``{index: entry}`` dicts; over F_p the
+    entries are reduced into ``[1, p)``.  The input is not modified.
+
+    Phase 1 pivots on units: +-1 over Z, every nonzero over F_p.  A heap
+    keyed by Markowitz cost ``(len(row) - 1) * (len(col) - 1)``, then row,
+    then column, holds them.  A popped entry that is gone or no longer a unit
+    is skipped; one whose cost has grown is pushed back with its new cost.
+    A pivot ``v`` at ``(r, c)`` takes the exact Schur complement: every other
+    row ``i`` of column ``c`` becomes ``row_i - a_ic v^-1 row_r``.  Then row
+    ``r`` and column ``c`` are dropped, because the column operations that
+    would clear row ``r`` change nothing else; the units that the update
+    creates are pushed.  A unit pivot contributes 1 to the diagonal, and no
+    unit is left once the heap is empty.  Over F_p that is the zero matrix,
+    so the pivot count is the rank.
+
+    Phase 2, over Z, works on the rest.  Each step takes the entry of
+    smallest absolute value in the whole remaining matrix (ties broken by
+    Markowitz cost, then by row and column index), clears its column with
+    row operations and its row with column operations, using floor
+    quotients.  A nonzero remainder is smaller than the pivot and sends the
+    loop back to choose a new pivot; a pivot left alone in its row and
+    column is recorded as ``|pivot|`` and both are dropped.  Taking the
+    globally smallest entry is what keeps the coefficients small.
     """
     cols: Dict[int, Dict[int, int]] = {}
     rows: Dict[int, Dict[int, int]] = {}
+    top = 0
     for j, column in enumerate(columns):
         for i, v in column.items():
+            if p:
+                v %= p
             if v:
                 cols.setdefault(j, {})[i] = v
                 rows.setdefault(i, {})[j] = v
+                top = max(top, abs(v))
     diagonal: List[int] = []
+    # ``v == 1 or v == -1 or p and v`` below tests "v is a unit", with 0 for
+    # an absent entry.
+    heap = [
+        ((len(rows[i]) - 1) * (len(col) - 1), i, j)
+        for j, col in cols.items()
+        for i, v in col.items()
+        if v == 1 or v == -1 or p
+    ]
+    heapq.heapify(heap)
+    while heap:
+        cost, r, c = heapq.heappop(heap)
+        pivot_row = rows.get(r)
+        v = pivot_row.get(c, 0) if pivot_row else 0
+        if not (v == 1 or v == -1 or p and v):
+            continue
+        pivot_col = cols[c]
+        now = (len(pivot_row) - 1) * (len(pivot_col) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, r, c))
+            continue
+        inverse = pow(v, -1, p) if p else v
+        for i in [i for i in pivot_col if i != r]:
+            row = rows[i]
+            f = row[c] * inverse
+            if p:
+                f %= p
+            fresh = []
+            for j, e in pivot_row.items():
+                old = row.get(j, 0)
+                x = old - f * e
+                if p:
+                    x %= p
+                elif not -top <= x <= top:
+                    top = abs(x)
+                if x:
+                    row[j] = cols[j][i] = x
+                    if (x == 1 or x == -1 or p) and not (old == 1 or old == -1 or p and old):
+                        fresh.append(j)
+                else:
+                    del row[j], cols[j][i]
+            if row:
+                for j in fresh:
+                    heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
+            else:
+                del rows[i]
+        for j in pivot_row:
+            col = cols[j]
+            del col[r]
+            if not col:
+                del cols[j]
+        del rows[r]
+        diagonal.append(1)
+    # phase 2: over F_p nothing is left
     while cols:
         best: tuple = (math.inf,)
         for j, col in cols.items():
@@ -115,6 +182,8 @@ def smith_normal_form_of_columns(
             for j, e in pivot_row.items():
                 col = cols[j]
                 x = row.get(j, 0) - q * e
+                if not -top <= x <= top:
+                    top = abs(x)
                 if x:
                     row[j] = col[i] = x
                 else:
@@ -141,6 +210,20 @@ def smith_normal_form_of_columns(
             continue
         diagonal.append(abs(v))
         del rows[r], cols[c]
+    return diagonal, top.bit_length()
+
+
+def smith_normal_form_of_columns(
+    columns: Sequence[Mapping[int, int]],
+) -> Tuple[Tuple[int, ...], int]:
+    """Invariant factors ``d_1 | d_2 | ...`` (including 1s) and the rank of
+    the integer matrix whose ``j``-th column is ``columns[j]``, a
+    ``{row: coefficient}`` map as :func:`compile_slice` makes them.
+
+    A gcd/lcm pass over the diagonal of :func:`_eliminate`.  The input is
+    not modified.
+    """
+    diagonal, _ = _eliminate(columns, 0)
     ones = diagonal.count(1)
     factors = [d for d in diagonal if d > 1]
     for k in range(len(factors)):
@@ -148,6 +231,12 @@ def smith_normal_form_of_columns(
             g = math.gcd(factors[k], factors[l])
             factors[k], factors[l] = g, factors[k] // g * factors[l]
     return (1,) * ones + tuple(factors), len(diagonal)
+
+
+def rank_of_columns_mod_p(columns: Sequence[Mapping[int, int]], p: int) -> int:
+    """Rank over F_p of the integer matrix whose ``j``-th column is
+    ``columns[j]``: the pivot count of :func:`_eliminate`."""
+    return len(_eliminate(columns, p)[0])
 
 
 # ----------------------------------------------------------------------
@@ -430,10 +519,7 @@ def homology_over_Fp(
     columns = compile_slice(algebra, weight)
     if check:
         _check_squares_to_zero(algebra, weight, columns)
-    ranks = {
-        i: rank_of_columns_mod_p(cols, len(slice_.get(i - 1, ())), p)
-        for i, cols in columns.items()
-    }
+    ranks = {i: rank_of_columns_mod_p(cols, p) for i, cols in columns.items()}
     out: Dict[int, int] = {}
     for i in slice_:
         dim = len(slice_[i]) - ranks[i] - ranks.get(i + 1, 0)

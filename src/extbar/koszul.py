@@ -37,8 +37,8 @@ from .homology import (
     boundary_columns,
     kunneth_fold,
     p_primary_unitalize,
+    rank_of_columns_mod_p,
 )
-from .modp import rank_of_columns_mod_p
 from .rings import GF, Ring, ZZ, is_prime
 from .words import enumerate_p_pairs
 
@@ -173,7 +173,7 @@ def koszul_kernels_dims(
                 continue
             if slice_.get(i + 1):
                 columns = boundary_columns(algebra, d, i + 1)
-                r = rank_of_columns_mod_p(columns, len(slice_[i]), p)
+                r = rank_of_columns_mod_p(columns, p)
                 if r:
                     out[(i, d)] = r
     return out

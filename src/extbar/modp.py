@@ -4,9 +4,11 @@ Everything here rests on one elimination routine, :func:`_echelon`: forward
 Gaussian elimination on an ``int64`` array with entries already reduced into
 ``[0, p)``, returning the pivot columns.  Ranks are its pivot count; the
 reduced row echelon form adds back-substitution over the pivot rows; kernels
-and solutions are read off the reduced form.  Homology builds those arrays
-straight from sparse boundary columns (:func:`columns_mod_p`), touching only
-the nonzero entries.
+and solutions are read off the reduced form.  The mod-p homology ring
+(:class:`extbar.homology.FpHomologyRing`) builds its arrays from sparse
+boundary columns (:func:`columns_mod_p`), because it needs kernels and
+solutions; mod-p homology dimensions take their ranks from the sparse
+elimination in :mod:`extbar.homology` and never fill an array.
 
 Products of two entries are formed in ``int64``, so the modulus is bounded by
 :data:`MAX_PRIME`; larger primes raise ``ValueError``.
@@ -84,11 +86,6 @@ def _echelon(a: np.ndarray, p: int) -> List[int]:
 def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
     """Rank of an integer matrix over F_p."""
     return len(_echelon(as_modp_array(matrix, p), p))
-
-
-def rank_of_columns_mod_p(columns: Sequence[Mapping[int, int]], n_rows: int, p: int) -> int:
-    """Rank over F_p of a matrix given by sparse columns (see :func:`columns_mod_p`)."""
-    return len(_echelon(columns_mod_p(columns, n_rows, p), p))
 
 
 def rref_mod_p(matrix: Sequence[Sequence[int]], p: int) -> Tuple[np.ndarray, Tuple[int, ...]]:

@@ -213,6 +213,10 @@ def verify_tables() -> SuiteResult:
     return SuiteResult("tables", True, checks)
 
 
+#: The suites that take a generator rank ``m``; every other suite runs at m = 1.
+SUITES_WITH_M = ("cartan-field", "cartan-integral")
+
+
 def run_suite(
     suite: str,
     p: int = 2,
@@ -222,7 +226,13 @@ def run_suite(
     max_s: int = 1,
     max_t: int = 1,
 ) -> SuiteResult:
-    """Dispatch a named suite with bounded parameters."""
+    """Dispatch a named suite with bounded parameters.
+
+    Raises ``ValueError`` for ``m != 1`` on a suite outside
+    :data:`SUITES_WITH_M`, which would otherwise ignore it.
+    """
+    if m != 1 and suite not in SUITES_WITH_M:
+        raise ValueError(f"suite {suite!r} runs at m = 1 only, got m = {m}")
     if suite == "cartan-field":
         return verify_cartan_field(p, n, weight_max, m)
     if suite == "cartan-integral":

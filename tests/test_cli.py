@@ -7,7 +7,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from extbar import InternalAssertionError, SuiteResult
+from extbar import InternalAssertionError, SuiteResult, run_suite
 from extbar.cli import main
 
 
@@ -293,6 +293,24 @@ def test_verify_rejects_unknown_suite_and_bad_prime(runner):
     result = runner.invoke(main, ["verify", "--suite", "tables", "--p", "6"])
     assert result.exit_code == 2
     assert "--p must be prime, got 6" in result.output
+
+
+@pytest.mark.parametrize("suite", ["exponential", "koszul", "twist-consistency", "tables"])
+def test_verify_rejects_m_for_suites_that_ignore_it(runner, suite):
+    result = runner.invoke(main, ["verify", "--suite", suite, "--m", "2"])
+    assert result.exit_code == 2
+    assert "--m is taken only by the cartan-field and cartan-integral suites" in result.output
+    with pytest.raises(ValueError, match="m = 1 only"):
+        run_suite(suite, m=2)
+
+
+def test_verify_takes_m_for_the_cartan_suites(runner):
+    for suite in ("cartan-field", "cartan-integral"):
+        result = runner.invoke(
+            main, ["verify", "--suite", suite, "--m", "2", "--max-weight", "3"]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(f"{suite}: PASS (")
 
 
 @pytest.mark.parametrize(

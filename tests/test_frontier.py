@@ -24,6 +24,11 @@ BUDGET_S = 10.0
         ("exponential", 2, 2, 6),
         ("cartan-integral", 2, 1, 12),
         ("cartan-integral", 2, 2, 8),
+        ("cartan-integral", 2, 2, 9),
+        ("cartan-integral", 2, 3, 8),
+        ("cartan-field", 2, 3, 8),
+        ("cartan-field", 2, 2, 10),
+        ("cartan-field", 3, 2, 10),
     ],
     ids=[
         "cartan-field-p2-n2-w9",
@@ -31,6 +36,11 @@ BUDGET_S = 10.0
         "exponential-p2-n2-w6",
         "cartan-integral-n1-w12",
         "cartan-integral-n2-w8",
+        "cartan-integral-n2-w9",
+        "cartan-integral-n3-w8",
+        "cartan-field-p2-n3-w8",
+        "cartan-field-p2-n2-w10",
+        "cartan-field-p3-n2-w10",
     ],
 )
 def test_frontier_suite_passes_within_budget(suite, p, n, weight_max):

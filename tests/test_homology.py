@@ -31,12 +31,14 @@ from extbar import (
 )
 from extbar.extract import bar_source_algebra
 from extbar.homology import (
+    _eliminate,
     boundary_matrix,
     check_boundary_squares_to_zero,
     compile_slice,
+    rank_of_columns_mod_p,
     smith_normal_form_of_columns,
 )
-from extbar.modp import columns_mod_p, nullspace_mod_p
+from extbar.modp import MAX_PRIME, columns_mod_p, nullspace_mod_p, rank_mod_p
 
 GAMMA = FreeAlgebra(DIVIDED, [(2, 1, 1)], ZZ)
 BAR1 = bar(GAMMA)
@@ -243,6 +245,83 @@ def test_sparse_snf_matches_euclid_reference(case):
     assert smith_normal_form_of_columns(columns) == expected
     assert columns == before
     assert smith_normal_form(rows) == expected
+
+
+# Each example names the path of the unit-pivot phase it takes first.
+ENGINE_EXAMPLES = {
+    # pivot (0, 0) turns the 2 at (1, 1) into a new unit -1
+    "update creates a unit": [[1, 3], [1, 2]],
+    # every entry costs 1; pivot (0, 1) fills the zero at (2, 2), which only
+    # the unit phase may take (mod 5 it ends up alone as 3)
+    "update fills a zero": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    # pivot (0, 0) cancels the 2 at (1, 1), and dropping row 0 empties columns
+    # 0 and 1; the 3 left over goes to the smallest-entry phase
+    "update cancels an entry and empties columns": [[1, 2, 0], [1, 2, 3]],
+    # pivot (0, 0) cancels all of row 1
+    "update empties a row": [[1, 2], [1, 2]],
+    # a unit pivot turns the rest into the non-unit -2
+    "all units, non-unit Schur complement": [[1, 1], [1, -1]],
+    "all units, Hadamard": [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
+    "all units, rank 1": [[1, -1, 1], [-1, 1, -1], [1, -1, 1]],
+    "units beside non-units": [[2, 1, 0, 4], [0, 3, 1, 0], [6, 0, 2, -1], [1, 0, 0, 2]],
+}
+
+
+@pytest.mark.parametrize("rows", ENGINE_EXAMPLES.values(), ids=ENGINE_EXAMPLES.keys())
+def test_elimination_examples_match_references(rows):
+    n = len(rows[0])
+    columns = _columns_of(n, rows)
+    before = [dict(c) for c in columns]
+    assert smith_normal_form_of_columns(columns) == euclid_snf(rows)
+    for p in (2, 3, 5, MAX_PRIME):
+        rank = rank_mod_p(rows, p)
+        assert rank_of_columns_mod_p(columns, p) == rank
+        assert _eliminate(columns, p)[0] == [1] * rank
+    assert columns == before
+
+
+def test_elimination_reports_its_largest_entry():
+    # the unit pivot at (0, 0) leaves -10 at (1, 1): 4 bits
+    columns = _columns_of(2, [[1, 5], [1, -5]])
+    assert _eliminate(columns, 0) == ([1, 10], 4)
+    # mod 7 the entries are 1, 5, 1, 2 and the update leaves 4
+    assert _eliminate(columns, 7) == ([1, 1], 3)
+
+
+@st.composite
+def unit_heavy_matrices(draw):
+    """(n_columns, rows) of an m x n integer matrix, m, n <= 9, whose entries
+    are mostly +-1 beside some zeros and some entries up to 5 in absolute
+    value, so that unit pivots and the smallest-entry phase both run."""
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 9))
+    entry = st.sampled_from([1, -1, 1, -1, 0, 0, 0, 2, -2, 3, -4, 5])
+    return n, [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@given(unit_heavy_matrices())
+def test_mixed_unit_matrices_match_euclid_reference(case):
+    n, rows = case
+    columns = _columns_of(n, rows)
+    diagonal, _ = _eliminate(columns, 0)
+    factors, rank = euclid_snf(rows)
+    assert smith_normal_form_of_columns(columns) == (factors, rank)
+    # the gcd/lcm pass keeps the product of the diagonal
+    assert len(diagonal) == rank and math.prod(diagonal) == math.prod(factors)
+    for p in (2, 3):
+        assert rank_of_columns_mod_p(columns, p) == rank_mod_p(rows, p)
+
+
+@pytest.mark.parametrize("n, weight_max", [(1, 10), (2, 9)])
+def test_integral_elimination_keeps_entries_within_64_bits(n, weight_max):
+    """No entry of the integral elimination on the boundary columns of the
+    n-fold bar construction grows past 64 bits (20 and 10 bits today)."""
+    algebra = bar_source_algebra(n, 1)
+    largest = 0
+    for d in range(weight_max + 1):
+        for columns in compile_slice(algebra, d).values():
+            largest = max(largest, _eliminate(columns, 0)[1])
+    assert 0 < largest <= 64
 
 
 def test_snf_rejects_ragged_rows():

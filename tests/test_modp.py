@@ -1,6 +1,6 @@
-"""Tests for dense linear algebra over F_p: ranks, reduced row echelon form,
-kernels and solutions against a small pure-Python reference, and the int64
-bound on the modulus."""
+"""Tests for linear algebra over F_p: dense ranks, reduced row echelon form,
+kernels and solutions and the sparse rank of boundary columns against a small
+pure-Python reference, and the int64 bound on the dense modulus."""
 
 from fractions import Fraction
 
@@ -15,11 +15,11 @@ from extbar import (
     homology_over_Fp,
     integral_homology_table,
 )
+from extbar.homology import _eliminate, rank_of_columns_mod_p
 from extbar.modp import (
     MAX_PRIME,
     nullspace_mod_p,
     rank_mod_p,
-    rank_of_columns_mod_p,
     rref_mod_p,
     solve_mod_p,
 )
@@ -82,7 +82,7 @@ def test_rank_matches_reference(case):
     p, a = case
     rank = len(reference_rref(a.tolist(), a.shape[1], p)[1])
     assert rank_mod_p(a, p) == rank
-    assert rank_of_columns_mod_p(_columns(a), a.shape[0], p) == rank
+    assert rank_of_columns_mod_p(_columns(a), p) == rank
     if a.shape[0]:
         assert rank_mod_p(a.tolist(), p) == rank
 
@@ -183,6 +183,34 @@ def test_rank_at_the_largest_supported_prime_matches_rank_over_q():
         if k % 2:
             a[:, 5] = a[:, 0] + a[:, 1]
         assert rank_mod_p(a.tolist(), MAX_PRIME) == rank_over_q(a.tolist())
+
+
+@st.composite
+def wide_entry_matrices(draw):
+    """An ``m x n`` integer matrix, 0 <= m, n <= 7, with entries anywhere in
+    ``(-2 MAX_PRIME, 2 MAX_PRIME)``, many of them multiples of MAX_PRIME or
+    one off one, so that entries vanish or turn into +-1 only mod p."""
+    m = draw(st.integers(0, 7))
+    n = draw(st.integers(0, 7))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.sampled_from([-MAX_PRIME, MAX_PRIME, MAX_PRIME - 1, MAX_PRIME + 1, 1 - MAX_PRIME]),
+        st.integers(-2 * MAX_PRIME + 1, 2 * MAX_PRIME - 1),
+    )
+    return [[draw(entry) for _ in range(n)] for _ in range(m)], n
+
+
+@example(([], 3))
+@example(([[MAX_PRIME, 2 * MAX_PRIME - 1], [MAX_PRIME + 1, 1]], 2))
+@given(wide_entry_matrices())
+def test_sparse_rank_at_the_largest_supported_prime_matches_reference(case):
+    rows, n = case
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
+    rank = len(reference_rref(rows, n, MAX_PRIME)[1])
+    assert rank_of_columns_mod_p(columns, MAX_PRIME) == rank
+    # every nonzero is a unit mod p, so no pivot is left to the integral phase
+    assert _eliminate(columns, MAX_PRIME)[0] == [1] * rank
 
 
 def test_bar_homology_at_the_largest_supported_prime_follows_universal_coefficients():
