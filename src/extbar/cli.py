@@ -20,10 +20,9 @@ from .extract import bar_source_algebra, ext_table_via_bar
 from .homology import AbelianGroup, TableKey, homology_over_Fp, homology_over_Z
 from .modp import MAX_PRIME
 from .predict import ext_integral_predict, ext_twisted_predict, poincare_dims
-from .rings import Ring, parse_ring
+from .rings import Ring, is_prime, parse_ring
 from .verify import SUITES_WITH_M, run_suite
 from .words import enumerate_p_pairs, enumerate_words, word_degree, word_twisting
-from .rings import is_prime
 
 SUITES = (
     "cartan-field",

@@ -12,7 +12,9 @@ over Z and over F_p alike, with rows and columns kept as dicts and nothing
 densified.  Smith normal form is a gcd/lcm pass over its diagonal
 (:func:`smith_normal_form_of_columns`); a mod-p rank is its pivot count
 (:func:`rank_of_columns_mod_p`).  Only the mod-p homology ring, which needs
-kernels and solutions, fills dense ``int64`` arrays (:mod:`extbar.modp`).
+kernels and solutions, fills dense ``int64`` arrays, and it reaches them only
+through the helpers of :mod:`extbar.modp`: this module does not import numpy,
+and numpy is loaded only once a ring is built.
 Columns live for one call and are not kept across weights; what repeats
 across words and weights (letter products, letter differentials, letter
 bidegrees) is cached by :class:`extbar.bar.BarAlgebra`.
@@ -29,12 +31,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Element, InternalAssertionError, Monomial, WdgAlgebra
-from .modp import _echelon, columns_mod_p, nullspace_mod_p, solve_mod_p
+from .modp import _echelon, columns_mod_p, nullspace_mod_p, rows_as_columns, solve_mod_p
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Matrix = List[List[int]]
 TableKey = Tuple[int, int]
@@ -587,8 +590,10 @@ class FpHomologyRing:
             for i, basis in slice_.items():
                 out_matrix = columns_mod_p(columns[i], len(slice_.get(i - 1, ())), p)
                 cycles = nullspace_mod_p(out_matrix, p)
-                bounds = columns_mod_p(columns.get(i + 1, ()), len(basis), p).T
-                bounds = bounds[np.any(bounds, axis=1)]
+                boundaries = [
+                    c for c in columns.get(i + 1, ()) if any(v % p for v in c.values())
+                ]
+                bounds = columns_mod_p(boundaries, len(basis), p).T
                 self._bounds[(i, d)] = bounds
                 self._reps[(i, d)] = self._pick_representatives(cycles, bounds)
 
@@ -596,7 +601,7 @@ class FpHomologyRing:
         """The cycles independent of the boundaries and of the cycles before
         them: those that are pivot columns of the matrix whose columns are
         the boundaries, then the cycles."""
-        columns = np.hstack([bounds.T, cycles.T])
+        columns = rows_as_columns([bounds, cycles], cycles.shape[1])
         picked = [c - len(bounds) for c in _echelon(columns, self.p) if c >= len(bounds)]
         return cycles[picked]
 
@@ -618,7 +623,7 @@ class FpHomologyRing:
     def classes(self, degree: int, weight: int) -> Tuple[HomologyClass, ...]:
         n = self.dimension(degree, weight)
         return tuple(
-            HomologyClass(degree, weight, tuple(int(v) for v in np.eye(n, dtype=np.int64)[k]))
+            HomologyClass(degree, weight, tuple(int(j == k) for j in range(n)))
             for k in range(n)
         )
 
@@ -645,23 +650,19 @@ class FpHomologyRing:
         key = self._key(degree, weight)
         basis = self._basis.get(key, ())
         index = {m: k for k, m in enumerate(basis)}
-        v = np.zeros(len(basis), dtype=np.int64)
+        v = [0] * len(basis)
         for m, c in element.items():
             k = index.get(m)
             if k is None:
                 raise ValueError(f"monomial {m} not in slice ({degree}, {weight})")
             v[k] = c % self.p
-        empty = np.zeros((0, len(basis)), dtype=np.int64)
-        reps = self._reps.get(key, empty)
-        bounds = self._bounds.get(key, empty)
-        stack = (
-            np.vstack([reps, bounds]) if len(bounds) else reps
-        )
-        if not len(stack):
-            if np.any(v):
+        reps = self._reps.get(key, ())
+        stack = rows_as_columns([reps, self._bounds.get(key, ())], len(basis))
+        if not stack.shape[1]:
+            if any(v):
                 raise ValueError("nonzero element in a slice with trivial homology")
             return HomologyClass(degree, weight, ())
-        sol = solve_mod_p(stack.T, v, self.p)
+        sol = solve_mod_p(stack, v, self.p)
         if sol is None:
             raise ValueError("element is not a cycle in this slice")
         return HomologyClass(degree, weight, tuple(int(x) for x in sol[: len(reps)]))

@@ -6,9 +6,13 @@ Gaussian elimination on an ``int64`` array with entries already reduced into
 reduced row echelon form adds back-substitution over the pivot rows; kernels
 and solutions are read off the reduced form.  The mod-p homology ring
 (:class:`extbar.homology.FpHomologyRing`) builds its arrays from sparse
-boundary columns (:func:`columns_mod_p`), because it needs kernels and
-solutions; mod-p homology dimensions take their ranks from the sparse
-elimination in :mod:`extbar.homology` and never fill an array.
+boundary columns (:func:`columns_mod_p`, :func:`rows_as_columns`), because it
+needs kernels and solutions; mod-p homology dimensions take their ranks from
+the sparse elimination in :mod:`extbar.homology` and never fill an array.
+
+numpy is loaded on first use, by the functions that build or read an array,
+and by nothing else: importing this module (for :data:`MAX_PRIME`, say)
+does not load it, so neither does any command-line run.
 
 Products of two entries are formed in ``int64``, so the modulus is bounded by
 :data:`MAX_PRIME`; larger primes raise ``ValueError``.
@@ -16,9 +20,10 @@ Products of two entries are formed in ``int64``, so the modulus is bounded by
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The largest prime p with (p - 1)^2 <= 2^63 - 1: above it, a product of two
 #: entries in ``[0, p)`` can overflow ``int64`` and ranks come out wrong.
@@ -31,6 +36,8 @@ def as_modp_array(rows: Sequence[Sequence[int]], p: int) -> np.ndarray:
     An ``int64`` array is reduced in one numpy operation; the result is
     always a new array.
     """
+    import numpy as np
+
     if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
         return rows % p
     if not len(rows):
@@ -41,6 +48,8 @@ def as_modp_array(rows: Sequence[Sequence[int]], p: int) -> np.ndarray:
 def columns_mod_p(columns: Sequence[Mapping[int, int]], n_rows: int, p: int) -> np.ndarray:
     """The ``n_rows x len(columns)`` ``int64`` array mod p of a matrix given
     by sparse columns (row index -> integer), filled entry by nonzero entry."""
+    import numpy as np
+
     rows: List[int] = []
     cols: List[int] = []
     vals: List[int] = []
@@ -54,12 +63,24 @@ def columns_mod_p(columns: Sequence[Mapping[int, int]], n_rows: int, p: int) -> 
     return a
 
 
+def rows_as_columns(blocks: Sequence[np.ndarray], length: int) -> np.ndarray:
+    """A new ``length x k`` ``int64`` array whose columns are the rows of the
+    ``int64`` arrays ``blocks``, one block after another; empty blocks (an
+    empty tuple too) add nothing."""
+    import numpy as np
+
+    rows = np.vstack([np.zeros((0, length), dtype=np.int64), *(b for b in blocks if len(b))])
+    return rows.T.copy()
+
+
 def _echelon(a: np.ndarray, p: int) -> List[int]:
     """Bring an ``int64`` array with entries in ``[0, p)`` to row echelon
     form in place, with unit pivots; return the pivot columns.
 
     The pivot columns are the greedy first independent columns of ``a``.
     """
+    import numpy as np
+
     if p > MAX_PRIME:
         raise ValueError(f"prime {p} exceeds {MAX_PRIME}, the largest supported modulus")
     m, n = a.shape
@@ -91,6 +112,8 @@ def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
 def rref_mod_p(matrix: Sequence[Sequence[int]], p: int) -> Tuple[np.ndarray, Tuple[int, ...]]:
     """Reduced row echelon form over F_p, zero rows dropped; returns
     (matrix, pivot columns)."""
+    import numpy as np
+
     a = as_modp_array(matrix, p)
     pivots = _echelon(a, p)
     for k in reversed(range(len(pivots))):
@@ -102,6 +125,8 @@ def rref_mod_p(matrix: Sequence[Sequence[int]], p: int) -> Tuple[np.ndarray, Tup
 
 def nullspace_mod_p(matrix: Sequence[Sequence[int]], p: int) -> np.ndarray:
     """Rows spanning the right kernel of the matrix over F_p."""
+    import numpy as np
+
     red, pivots = rref_mod_p(matrix, p)
     n = red.shape[1]
     pivot_set = set(pivots)
@@ -121,6 +146,8 @@ def solve_mod_p(
 
     Free variables are set to zero, so the answer is deterministic.
     """
+    import numpy as np
+
     a = as_modp_array(matrix, p)
     b = np.array([int(v) % p for v in rhs], dtype=np.int64)
     n = a.shape[1]

@@ -1,14 +1,36 @@
 """End-to-end tests of the command-line interface: golden outputs for every
-subcommand, the documented exit codes, and byte-for-byte determinism."""
+subcommand, the documented exit codes, byte-for-byte determinism, and what a
+fresh interpreter loads to run them."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import extbar
 from extbar import InternalAssertionError, SuiteResult, run_suite
 from extbar.cli import main
+
+#: The directory holding the ``extbar`` package under test, for fresh
+#: interpreters started by the tests below.
+SRC = str(Path(extbar.__file__).resolve().parents[1])
+
+
+def run_fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this ``extbar``; stdout as bytes."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=120,
+    )
 
 
 @pytest.fixture()
@@ -417,3 +439,63 @@ def test_identical_invocations_are_byte_identical(runner):
     second = runner.invoke(main, args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
+
+
+# ----------------------------------------------------------------------
+# start-up: python -m extbar, and no numpy outside the homology ring
+# ----------------------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_cli(runner):
+    args = ["ext-table", "--source", "S", "--target", "Gamma", "--ring", "Fp:2"]
+    args += ["--max-weight", "6"]
+    proc = run_fresh_python("-m", "extbar", *args)
+    result = runner.invoke(main, args)
+    assert proc.returncode == result.exit_code == 0, proc.stderr
+    assert proc.stdout == result.stdout_bytes
+    assert proc.stdout.startswith(b"Ext^0 (weight 0) = dim 1\n")
+
+
+GUARDED_COMMANDS = [
+    ["ext-table", "--source", "Gamma", "--target", "Lambda", "--ring", "Fp:3", "--s", "1"],
+    ["ext-table", "--source", "S", "--target", "Gamma", "--ring", "Z", "--method", "bar"],
+    ["ext-table", "--source", "S", "--target", "Lambda", "--ring", "Fp:2", "--method", "bar"],
+    ["bar-homology", "--ring", "Z", "--n", "2", "--weight", "4"],
+    ["bar-homology", "--ring", "Fp:3", "--n", "2", "--weight", "4"],
+    ["words", "--p", "3", "--height", "3", "--max-degree", "20"],
+    ["verify", "--suite", "cartan-field", "--max-weight", "4"],
+    ["verify", "--suite", "cartan-integral", "--max-weight", "4"],
+    ["verify", "--suite", "koszul"],
+    ["verify", "--suite", "tables"],
+    ["verify", "--suite", "twist-consistency"],
+    ["verify", "--suite", "exponential", "--max-weight", "3"],
+]
+
+
+def test_commands_do_not_load_numpy():
+    """No command imports numpy; the mod-p homology ring still does."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+
+        from click.testing import CliRunner
+
+        import extbar
+        from extbar.cli import main
+
+        runner = CliRunner()
+        for args in {GUARDED_COMMANDS!r}:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0 and result.output, (args, result.output)
+        assert "numpy" not in sys.modules, "numpy loaded by a command"
+
+        ring = extbar.homology_ring_over_Fp(extbar.bar_source_algebra(1, 1), 2, 3)
+        x, y = ring.classes(3, 1)[0], ring.classes(6, 2)[0]
+        assert ring.multiply(x, y).vector == (1,)
+        assert "numpy" in sys.modules
+        print("ok")
+        """
+    )
+    proc = run_fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"ok\n"

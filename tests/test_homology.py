@@ -544,11 +544,20 @@ def test_express_rejects_non_cycles():
         ring.express({(G1, G1): 1}, 6, 2)
 
 
-def test_representative_express_round_trip():
-    ring = homology_ring_over_Fp(BAR1, 2, 3)
-    for (i, d), n in ring.dimensions().items():
-        for cls in ring.classes(i, d):
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_classes_are_the_unit_vectors_and_round_trip(n, p):
+    ring = homology_ring_over_Fp(bar_source_algebra(n, 1), p, 4)
+    assert ring.dimensions()
+    for (i, d), dim in ring.dimensions().items():
+        classes = ring.classes(i, d)
+        assert [c.vector for c in classes] == [
+            tuple(1 if j == k else 0 for j in range(dim)) for k in range(dim)
+        ]
+        for cls in classes:
+            assert (cls.degree, cls.weight) == (i, d)
             assert ring.express(ring.representative(cls), i, d) == cls
+    assert ring.classes(0, 1) == ()
 
 
 def incremental_representatives(cycles, bounds, p):
