@@ -11,10 +11,9 @@ ring, and one sparse elimination routine (:func:`_eliminate`) reduces them
 over Z and over F_p alike, with rows and columns kept as dicts and nothing
 densified.  Smith normal form is a gcd/lcm pass over its diagonal
 (:func:`smith_normal_form_of_columns`); a mod-p rank is its pivot count
-(:func:`rank_of_columns_mod_p`).  Only the mod-p homology ring, which needs
-kernels and solutions, fills dense ``int64`` arrays, and it reaches them only
-through the helpers of :mod:`extbar.modp`: this module does not import numpy,
-and numpy is loaded only once a ring is built.
+(:func:`rank_of_columns_mod_p`).  The mod-p homology ring, which needs
+kernels and coordinates, reads the same columns as sparse vectors through
+:class:`extbar.modp.OrderedEchelon`.
 Columns live for one call and are not kept across weights; what repeats
 across words and weights (letter products, letter differentials, letter
 bidegrees) is cached by :class:`extbar.bar.BarAlgebra`.
@@ -31,13 +30,10 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Element, InternalAssertionError, Monomial, WdgAlgebra
-from .modp import _echelon, columns_mod_p, nullspace_mod_p, rows_as_columns, solve_mod_p
-
-if TYPE_CHECKING:
-    import numpy as np
+from .modp import OrderedEchelon
 
 Matrix = List[List[int]]
 TableKey = Tuple[int, int]
@@ -568,6 +564,8 @@ class FpHomologyRing:
 
     Representative cycles are chosen deterministically: kernel vectors of the
     boundary matrix, in order, that are independent of the boundaries.
+    Coordinates of a class are read off a walk over the representatives and
+    then the boundaries, built once per degree and weight on first use.
     Products whose weight would exceed the truncation raise ``ValueError``.
     """
 
@@ -578,8 +576,9 @@ class FpHomologyRing:
         self.p = p
         self.weight_max = weight_max
         self._basis: Dict[TableKey, Tuple[Monomial, ...]] = {}
-        self._reps: Dict[TableKey, np.ndarray] = {}
-        self._bounds: Dict[TableKey, np.ndarray] = {}
+        self._reps: Dict[TableKey, List[Column]] = {}
+        self._bounds: Dict[TableKey, List[Column]] = {}
+        self._spans: Dict[TableKey, OrderedEchelon] = {}
         for d in range(weight_max + 1):
             slice_ = algebra.weight_slice(d)
             columns = compile_slice(algebra, d)
@@ -587,23 +586,41 @@ class FpHomologyRing:
                 _check_squares_to_zero(algebra, d, columns)
             for i, basis in slice_.items():
                 self._basis[(i, d)] = basis
-            for i, basis in slice_.items():
-                out_matrix = columns_mod_p(columns[i], len(slice_.get(i - 1, ())), p)
-                cycles = nullspace_mod_p(out_matrix, p)
-                boundaries = [
-                    c for c in columns.get(i + 1, ()) if any(v % p for v in c.values())
-                ]
-                bounds = columns_mod_p(boundaries, len(basis), p).T
+                bounds = [c for c in columns.get(i + 1, ()) if any(v % p for v in c.values())]
                 self._bounds[(i, d)] = bounds
-                self._reps[(i, d)] = self._pick_representatives(cycles, bounds)
+                self._reps[(i, d)] = self._pick_representatives(self._cycles(columns[i]), bounds)
 
-    def _pick_representatives(self, cycles: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    def _cycles(self, columns: Sequence[Column]) -> List[Column]:
+        """The kernel basis in reduced echelon form: for each column that
+        depends on the columns before it, its relation to them, with 1 at
+        the column itself."""
+        walk = OrderedEchelon(self.p)
+        cycles: List[Column] = []
+        for j, column in enumerate(columns):
+            relation = walk.add(column)
+            if relation is not None:
+                cycle = {k: -relation[k] % self.p for k in sorted(relation)}
+                cycle[j] = 1
+                cycles.append(cycle)
+        return cycles
+
+    def _pick_representatives(
+        self, cycles: Sequence[Column], bounds: Sequence[Column]
+    ) -> List[Column]:
         """The cycles independent of the boundaries and of the cycles before
-        them: those that are pivot columns of the matrix whose columns are
-        the boundaries, then the cycles."""
-        columns = rows_as_columns([bounds, cycles], cycles.shape[1])
-        picked = [c - len(bounds) for c in _echelon(columns, self.p) if c >= len(bounds)]
-        return cycles[picked]
+        them.
+
+        A cycle ``c`` of :meth:`_cycles` is 1 at its own column ``max(c)``
+        and 0 at the other cycles' columns, so the entries of a kernel vector
+        at those columns are its coordinates in the cycle basis.  The walk
+        runs in those coordinates: the boundaries restricted to them, then
+        one unit vector per cycle.
+        """
+        free = {max(c) for c in cycles}
+        walk = OrderedEchelon(self.p)
+        for b in bounds:
+            walk.add({j: v for j, v in b.items() if j in free})
+        return [c for c in cycles if walk.add({max(c): 1}) is None]
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -618,7 +635,7 @@ class FpHomologyRing:
         return len(self._reps.get(self._key(degree, weight), ()))
 
     def dimensions(self) -> Dict[TableKey, int]:
-        return {k: len(r) for k, r in sorted(self._reps.items()) if len(r)}
+        return {k: len(r) for k, r in sorted(self._reps.items()) if r}
 
     def classes(self, degree: int, weight: int) -> Tuple[HomologyClass, ...]:
         n = self.dimension(degree, weight)
@@ -633,39 +650,43 @@ class FpHomologyRing:
         basis = self._basis.get(key, ())
         reps = self._reps[key]
         out: Dict[Monomial, int] = {}
-        for coeff, row in zip(cls.vector, reps):
+        for coeff, rep in zip(cls.vector, reps):
             if coeff % self.p == 0:
                 continue
-            for mono, c in zip(basis, row):
-                if c:
-                    v = (out.get(mono, 0) + coeff * int(c)) % self.p
-                    if v:
-                        out[mono] = v
-                    else:
-                        out.pop(mono, None)
+            for k, c in rep.items():
+                mono = basis[k]
+                v = (out.get(mono, 0) + coeff * c) % self.p
+                if v:
+                    out[mono] = v
+                else:
+                    out.pop(mono, None)
         return out
 
     def express(self, element: Mapping[Monomial, int], degree: int, weight: int) -> HomologyClass:
         """Coordinates of a cycle's class in the chosen homology basis."""
         key = self._key(degree, weight)
-        basis = self._basis.get(key, ())
-        index = {m: k for k, m in enumerate(basis)}
-        v = [0] * len(basis)
+        index = {m: k for k, m in enumerate(self._basis.get(key, ()))}
+        v: Column = {}
         for m, c in element.items():
             k = index.get(m)
             if k is None:
                 raise ValueError(f"monomial {m} not in slice ({degree}, {weight})")
-            v[k] = c % self.p
+            v[k] = c
         reps = self._reps.get(key, ())
-        stack = rows_as_columns([reps, self._bounds.get(key, ())], len(basis))
-        if not stack.shape[1]:
-            if any(v):
+        bounds = self._bounds.get(key, ())
+        if not reps and not bounds:
+            if any(c % self.p for c in v.values()):
                 raise ValueError("nonzero element in a slice with trivial homology")
             return HomologyClass(degree, weight, ())
-        sol = solve_mod_p(stack, v, self.p)
-        if sol is None:
+        span = self._spans.get(key)
+        if span is None:
+            span = self._spans[key] = OrderedEchelon(self.p)
+            for u in itertools.chain(reps, bounds):
+                span.add(u)
+        relation = span.relation(v)
+        if relation is None:
             raise ValueError("element is not a cycle in this slice")
-        return HomologyClass(degree, weight, tuple(int(x) for x in sol[: len(reps)]))
+        return HomologyClass(degree, weight, tuple(relation.get(k, 0) for k in range(len(reps))))
 
     # -- ring structure ------------------------------------------------------
 

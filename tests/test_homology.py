@@ -6,7 +6,6 @@ import doctest
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -38,7 +37,8 @@ from extbar.homology import (
     rank_of_columns_mod_p,
     smith_normal_form_of_columns,
 )
-from extbar.modp import MAX_PRIME, columns_mod_p, nullspace_mod_p, rank_mod_p
+from extbar.modp import MAX_PRIME
+from test_modp import reference_kernel, reference_rref
 
 GAMMA = FreeAlgebra(DIVIDED, [(2, 1, 1)], ZZ)
 BAR1 = bar(GAMMA)
@@ -274,7 +274,7 @@ def test_elimination_examples_match_references(rows):
     before = [dict(c) for c in columns]
     assert smith_normal_form_of_columns(columns) == euclid_snf(rows)
     for p in (2, 3, 5, MAX_PRIME):
-        rank = rank_mod_p(rows, p)
+        rank = len(reference_rref(rows, n, p)[1])
         assert rank_of_columns_mod_p(columns, p) == rank
         assert _eliminate(columns, p)[0] == [1] * rank
     assert columns == before
@@ -309,7 +309,7 @@ def test_mixed_unit_matrices_match_euclid_reference(case):
     # the gcd/lcm pass keeps the product of the diagonal
     assert len(diagonal) == rank and math.prod(diagonal) == math.prod(factors)
     for p in (2, 3):
-        assert rank_of_columns_mod_p(columns, p) == rank_mod_p(rows, p)
+        assert rank_of_columns_mod_p(columns, p) == len(reference_rref(rows, n, p)[1])
 
 
 @pytest.mark.parametrize("n, weight_max", [(1, 10), (2, 9)])
@@ -567,29 +567,29 @@ def incremental_representatives(cycles, bounds, p):
     pivots = {}
 
     def reduce(v):
-        v = v.copy() % p
+        v = [x % p for x in v]
         for col in sorted(pivots):
             if v[col]:
-                v = (v - v[col] * pivots[col]) % p
+                f = v[col]
+                v = [(x - f * y) % p for x, y in zip(v, pivots[col])]
         return v
 
     def insert(v):
-        lead = int(np.nonzero(v)[0][0])
-        pivots[lead] = (v * pow(int(v[lead]), p - 2, p)) % p
+        lead = next(k for k, x in enumerate(v) if x)
+        inverse = pow(v[lead], p - 2, p)
+        pivots[lead] = [x * inverse % p for x in v]
 
     for b in bounds:
         r = reduce(b)
-        if np.any(r):
+        if any(r):
             insert(r)
     reps = []
     for c in cycles:
         r = reduce(c)
-        if np.any(r):
+        if any(r):
             insert(r)
-            reps.append(c % p)
-    if not reps:
-        return np.zeros((0, cycles.shape[1]), dtype=np.int64)
-    return np.vstack(reps)
+            reps.append([x % p for x in c])
+    return reps
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -601,10 +601,29 @@ def test_ring_representatives_match_incremental_choice(n, p):
         slice_ = algebra.weight_slice(d)
         columns = compile_slice(algebra, d)
         for i, basis in slice_.items():
-            cycles = nullspace_mod_p(
-                columns_mod_p(columns[i], len(slice_.get(i - 1, ())), p), p
-            )
-            bounds = columns_mod_p(columns.get(i + 1, ()), len(basis), p).T
+            n_rows = len(slice_.get(i - 1, ()))
+            rows = [[c.get(r, 0) for c in columns[i]] for r in range(n_rows)]
+            cycles = reference_kernel(rows, len(basis), p)
+            bounds = [[c.get(r, 0) for r in range(len(basis))] for c in columns.get(i + 1, ())]
             expected = incremental_representatives(cycles, bounds, p)
-            assert ring._reps[(i, d)].shape == expected.shape
-            assert np.array_equal(ring._reps[(i, d)], expected)
+            got = [[rep.get(k, 0) for k in range(len(basis))] for rep in ring._reps[(i, d)]]
+            assert got == expected
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, weight_max", [(1, 6), (2, 5), (3, 4)])
+def test_ring_dimensions_match_homology_over_Fp(n, weight_max, p):
+    # the ring walks kernels in column order; homology_over_Fp counts ranks
+    # with the Markowitz-ordered elimination
+    algebra = bar_source_algebra(n, 1)
+    ring = homology_ring_over_Fp(algebra, p, weight_max)
+    assert ring.dimensions() == {
+        (i, d): dim
+        for d in range(weight_max + 1)
+        for i, dim in homology_over_Fp(algebra, d, p).items()
+    }
+
+
+def test_ring_rejects_primes_past_the_bound():
+    with pytest.raises(ValueError, match=str(MAX_PRIME)):
+        homology_ring_over_Fp(BAR1, 3037000507, 1)

@@ -1,10 +1,10 @@
-"""Tests for linear algebra over F_p: dense ranks, reduced row echelon form,
-kernels and solutions and the sparse rank of boundary columns against a small
-pure-Python reference, and the int64 bound on the dense modulus."""
+"""Tests for linear algebra over F_p: ranks, and the kernels and solutions of
+the ordered echelon walk, against a small pure-Python reference, and the
+bound on the supported modulus."""
 
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -16,13 +16,7 @@ from extbar import (
     integral_homology_table,
 )
 from extbar.homology import _eliminate, rank_of_columns_mod_p
-from extbar.modp import (
-    MAX_PRIME,
-    nullspace_mod_p,
-    rank_mod_p,
-    rref_mod_p,
-    solve_mod_p,
-)
+from extbar.modp import MAX_PRIME, OrderedEchelon, rank_mod_p
 
 
 def reference_rref(rows, n, p):
@@ -46,27 +40,54 @@ def reference_rref(rows, n, p):
     return a[: len(pivots)], pivots
 
 
+def reference_kernel(rows, n, p):
+    """The kernel basis mod p read off :func:`reference_rref`: one vector per
+    free column, 1 there, 0 at the other free columns."""
+    red, pivots = reference_rref(rows, n, p)
+    kernel = []
+    for free in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[free] = 1
+        for r, pc in enumerate(pivots):
+            x[pc] = -red[r][free] % p
+        kernel.append(x)
+    return kernel
+
+
+def columns_of(rows, n):
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
+
+
+def walk_kernel(rows, n, p):
+    """The relations of the columns that depend on the columns before them,
+    as kernel vectors: the columns of the matrix walked through
+    :class:`OrderedEchelon`."""
+    walk = OrderedEchelon(p)
+    kernel = []
+    for j, column in enumerate(columns_of(rows, n)):
+        relation = walk.add(column)
+        if relation is not None:
+            x = [-relation.get(k, 0) % p for k in range(n)]
+            x[j] = 1
+            kernel.append(x)
+    return kernel
+
+
 @st.composite
 def matrices(draw):
-    """``(p, a)`` with p in {2, 3, 5, 7} and a an ``m x n`` ``int64`` array,
-    0 <= m, n <= 5, biased toward zero entries."""
+    """``(p, n, rows)`` with p in {2, 3, 5, 7} and rows an ``m x n`` integer
+    matrix, 0 <= m, n <= 5, biased toward zero entries."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     m = draw(st.integers(0, 5))
     n = draw(st.integers(0, 5))
     entry = st.one_of(st.just(0), st.integers(-9, 9))
-    entries = draw(st.lists(entry, min_size=m * n, max_size=m * n))
-    return p, np.array(entries, dtype=np.int64).reshape(m, n)
-
-
-def _columns(a):
-    m, n = a.shape
-    return [{r: int(a[r, j]) for r in range(m) if a[r, j]} for j in range(n)]
+    return p, n, [[draw(entry) for _ in range(n)] for _ in range(m)]
 
 
 SHAPE_EDGES = [
-    (2, np.zeros((0, 3), dtype=np.int64)),
-    (3, np.zeros((3, 0), dtype=np.int64)),
-    (5, np.zeros((3, 4), dtype=np.int64)),
+    (2, 3, []),
+    (3, 0, [[], [], []]),
+    (5, 4, [[0] * 4] * 3),
 ]
 
 
@@ -79,75 +100,59 @@ def _with_edge_shapes(test):
 @_with_edge_shapes
 @given(matrices())
 def test_rank_matches_reference(case):
-    p, a = case
-    rank = len(reference_rref(a.tolist(), a.shape[1], p)[1])
-    assert rank_mod_p(a, p) == rank
-    assert rank_of_columns_mod_p(_columns(a), p) == rank
-    if a.shape[0]:
-        assert rank_mod_p(a.tolist(), p) == rank
-
-
-@_with_edge_shapes
-@given(matrices())
-def test_rref_matches_reference(case):
-    p, a = case
-    rows, pivots = reference_rref(a.tolist(), a.shape[1], p)
-    red, got = rref_mod_p(a, p)
-    assert red.shape == (len(pivots), a.shape[1])
-    assert red.tolist() == rows
-    assert got == tuple(pivots)
+    p, n, rows = case
+    rank = len(reference_rref(rows, n, p)[1])
+    assert rank_mod_p(rows, p) == rank
+    assert rank_of_columns_mod_p(columns_of(rows, n), p) == rank
 
 
 @_with_edge_shapes
 @given(matrices())
 def test_nullspace_spans_kernel(case):
-    p, a = case
-    n = a.shape[1]
-    rank = len(reference_rref(a.tolist(), n, p)[1])
-    kernel = nullspace_mod_p(a, p)
-    assert kernel.shape == (n - rank, n)
-    assert not np.any((a @ kernel.T) % p)
-    assert rank_mod_p(kernel, p) == n - rank
+    p, n, rows = case
+    kernel = walk_kernel(rows, n, p)
+    assert kernel == reference_kernel(rows, n, p)
+    for x in kernel:
+        assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in rows)
 
 
 @st.composite
 def systems(draw):
-    """``(p, a, b)`` for ``a x = b``: half consistent by construction, half
-    with a random right-hand side."""
-    p, a = draw(matrices())
-    m, n = a.shape
+    """``(p, n, rows, b)`` for ``rows x = b``: half consistent by
+    construction, half with a random right-hand side."""
+    p, n, rows = draw(matrices())
     if draw(st.booleans()):
         x0 = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
-        return p, a, [int(v) for v in (a @ np.array(x0, dtype=np.int64)) % p]
-    return p, a, draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+        return p, n, rows, [sum(a * b for a, b in zip(row, x0)) % p for row in rows]
+    return p, n, rows, draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
 
 
-@example((2, np.zeros((0, 3), dtype=np.int64), []))
-@example((3, np.zeros((3, 0), dtype=np.int64), [0, 1, 0]))
-@example((5, np.zeros((3, 4), dtype=np.int64), [0, 0, 0]))
+@example((2, 3, [], []))
+@example((3, 0, [[], [], []], [0, 1, 0]))
+@example((5, 4, [[0] * 4] * 3, [0, 0, 0]))
 @given(systems())
 def test_solve_finds_solution_or_reports_none(system):
-    p, a, b = system
-    n = a.shape[1]
-    rank_a = len(reference_rref(a.tolist(), n, p)[1])
-    augmented = [row + [v] for row, v in zip(a.tolist(), b)]
-    consistent = len(reference_rref(augmented, n + 1, p)[1]) == rank_a
-    x = solve_mod_p(a, b, p)
+    p, n, rows, b = system
+    _, pivots = reference_rref(rows, n, p)
+    augmented = [row + [v] for row, v in zip(rows, b)]
+    consistent = len(reference_rref(augmented, n + 1, p)[1]) == len(pivots)
+    walk = OrderedEchelon(p)
+    for column in columns_of(rows, n):
+        walk.add(column)
+    x = walk.relation({i: v for i, v in enumerate(b) if v})
+    assert walk.count == n
     if not consistent:
         assert x is None
         return
-    assert x is not None and x.shape == (n,)
-    assert not np.any((a @ x - np.array(b, dtype=np.int64)) % p)
-
-
-def test_solve_on_a_matrix_without_rows_has_one_entry_per_unknown():
-    x = solve_mod_p(np.zeros((0, 3), dtype=np.int64), [], 2)
-    assert x is not None and x.tolist() == [0, 0, 0]
-    assert nullspace_mod_p(np.zeros((0, 3), dtype=np.int64), 2).shape == (3, 3)
+    # only the independent columns take part, so the answer is deterministic
+    assert x is not None and set(x) <= set(pivots)
+    assert all(
+        (sum(row[k] * c for k, c in x.items()) - v) % p == 0 for row, v in zip(rows, b)
+    )
 
 
 # ----------------------------------------------------------------------
-# the int64 bound on the modulus
+# the bound on the modulus
 # ----------------------------------------------------------------------
 
 
@@ -171,18 +176,21 @@ def test_primes_past_the_bound_are_rejected():
     assert (MAX_PRIME - 1) ** 2 <= 2**63 - 1
     with pytest.raises(ValueError, match=str(MAX_PRIME)):
         rank_mod_p([[1, 2], [3, 4]], 3037000507)
+    with pytest.raises(ValueError, match=str(MAX_PRIME)):
+        OrderedEchelon(3037000507)
 
 
 def test_rank_at_the_largest_supported_prime_matches_rank_over_q():
     # Every minor of these 6x6 matrices is far below MAX_PRIME in absolute
     # value (Hadamard), so the two ranks must agree.  Every other matrix is
     # made singular.
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for k in range(200):
-        a = rng.integers(-3, 4, size=(6, 6))
+        a = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(6)]
         if k % 2:
-            a[:, 5] = a[:, 0] + a[:, 1]
-        assert rank_mod_p(a.tolist(), MAX_PRIME) == rank_over_q(a.tolist())
+            for row in a:
+                row[5] = row[0] + row[1]
+        assert rank_mod_p(a, MAX_PRIME) == rank_over_q(a)
 
 
 @st.composite
@@ -206,11 +214,12 @@ def wide_entry_matrices(draw):
 @given(wide_entry_matrices())
 def test_sparse_rank_at_the_largest_supported_prime_matches_reference(case):
     rows, n = case
-    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
+    columns = columns_of(rows, n)
     rank = len(reference_rref(rows, n, MAX_PRIME)[1])
     assert rank_of_columns_mod_p(columns, MAX_PRIME) == rank
     # every nonzero is a unit mod p, so no pivot is left to the integral phase
     assert _eliminate(columns, MAX_PRIME)[0] == [1] * rank
+    assert walk_kernel(rows, n, MAX_PRIME) == reference_kernel(rows, n, MAX_PRIME)
 
 
 def test_bar_homology_at_the_largest_supported_prime_follows_universal_coefficients():
