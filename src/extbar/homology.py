@@ -11,8 +11,12 @@ ring, and one sparse elimination routine (:func:`_eliminate`) reduces them
 over Z and over F_p alike, with rows and columns kept as dicts and nothing
 densified.  Smith normal form is a gcd/lcm pass over its diagonal
 (:func:`smith_normal_form_of_columns`); a mod-p rank is its pivot count
-(:func:`rank_of_columns_mod_p`).  The mod-p homology ring, which needs
-kernels and coordinates, reads the same columns as sparse vectors through
+(:func:`rank_of_columns_mod_p`).  Slice homology reduces a compiled slice
+once, from the top degree down (:func:`_reduce_slice`): before ``D_i`` is
+reduced, its columns at the rows of the unit pivots of ``D_{i+1}`` are
+cleared, because up to a unimodular change of basis they are boundaries and
+``D_i`` sends them to zero.  The mod-p homology ring, which needs kernels
+and coordinates, reads the same columns as sparse vectors through
 :class:`extbar.modp.OrderedEchelon`.
 Columns live for one call and are not kept across weights; what repeats
 across words and weights (letter products, letter differentials, letter
@@ -65,11 +69,14 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...],
     return smith_normal_form_of_columns(columns)
 
 
-def _eliminate(columns: Sequence[Mapping[int, int]], p: int) -> Tuple[List[int], int]:
+def _eliminate(
+    columns: Sequence[Mapping[int, int]], p: int
+) -> Tuple[List[int], int, List[int]]:
     """Sparse elimination of the matrix whose ``j``-th column is
     ``columns[j]``, over Z for ``p == 0`` and over F_p otherwise.  Returns
-    the diagonal it reduces the matrix to, one entry per pivot, and the bit
-    length of the largest entry the matrix ever held.
+    the diagonal it reduces the matrix to, one entry per pivot, the bit
+    length of the largest entry the matrix ever held, and the row of every
+    phase-1 (unit) pivot, in pivot order.
 
     Rows and columns are kept as ``{index: entry}`` dicts; over F_p the
     entries are reduced into ``[1, p)``.  The input is not modified.
@@ -82,9 +89,13 @@ def _eliminate(columns: Sequence[Mapping[int, int]], p: int) -> Tuple[List[int],
     row ``i`` of column ``c`` becomes ``row_i - a_ic v^-1 row_r``.  Then row
     ``r`` and column ``c`` are dropped, because the column operations that
     would clear row ``r`` change nothing else; the units that the update
-    creates are pushed.  A unit pivot contributes 1 to the diagonal, and no
-    unit is left once the heap is empty.  Over F_p that is the zero matrix,
-    so the pivot count is the rank.
+    creates are pushed.  A unit pivot contributes 1 to the diagonal and its
+    row to the unit-pivot rows, and no unit is left once the heap is empty.
+    Over F_p that is the zero matrix, so the pivot count is the rank and
+    every pivot row is a unit-pivot row.  The unit pivots are Schur
+    complements on units, so the block of the input on their rows and
+    columns has determinant +-1 (a unit mod p over F_p); that is what lets
+    :func:`_reduce_slice` clear those rows from the degree below.
 
     Phase 2, over Z, works on the rest.  Each step takes the entry of
     smallest absolute value in the whole remaining matrix (ties broken by
@@ -93,7 +104,8 @@ def _eliminate(columns: Sequence[Mapping[int, int]], p: int) -> Tuple[List[int],
     quotients.  A nonzero remainder is smaller than the pivot and sends the
     loop back to choose a new pivot; a pivot left alone in its row and
     column is recorded as ``|pivot|`` and both are dropped.  Taking the
-    globally smallest entry is what keeps the coefficients small.
+    globally smallest entry is what keeps the coefficients small.  Its
+    pivot rows are not reported: they span no unimodular block.
     """
     cols: Dict[int, Dict[int, int]] = {}
     rows: Dict[int, Dict[int, int]] = {}
@@ -107,6 +119,7 @@ def _eliminate(columns: Sequence[Mapping[int, int]], p: int) -> Tuple[List[int],
                 rows.setdefault(i, {})[j] = v
                 top = max(top, abs(v))
     diagonal: List[int] = []
+    units: List[int] = []
     # ``v == 1 or v == -1 or p and v`` below tests "v is a unit", with 0 for
     # an absent entry.
     heap = [
@@ -159,6 +172,7 @@ def _eliminate(columns: Sequence[Mapping[int, int]], p: int) -> Tuple[List[int],
                 del cols[j]
         del rows[r]
         diagonal.append(1)
+        units.append(r)
     # phase 2: over F_p nothing is left
     while cols:
         best: tuple = (math.inf,)
@@ -209,7 +223,7 @@ def _eliminate(columns: Sequence[Mapping[int, int]], p: int) -> Tuple[List[int],
             continue
         diagonal.append(abs(v))
         del rows[r], cols[c]
-    return diagonal, top.bit_length()
+    return diagonal, top.bit_length(), units
 
 
 def smith_normal_form_of_columns(
@@ -219,10 +233,15 @@ def smith_normal_form_of_columns(
     the integer matrix whose ``j``-th column is ``columns[j]``, a
     ``{row: coefficient}`` map as :func:`compile_slice` makes them.
 
-    A gcd/lcm pass over the diagonal of :func:`_eliminate`.  The input is
-    not modified.
+    :func:`_invariant_factors` of the diagonal of :func:`_eliminate`.  The
+    input is not modified.
     """
-    diagonal, _ = _eliminate(columns, 0)
+    return _invariant_factors(_eliminate(columns, 0)[0])
+
+
+def _invariant_factors(diagonal: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
+    """Invariant factors (including 1s) and rank of a matrix that reduces
+    to the given nonzero diagonal: a gcd/lcm pass over its entries."""
     ones = diagonal.count(1)
     factors = [d for d in diagonal if d > 1]
     for k in range(len(factors)):
@@ -484,17 +503,54 @@ def check_boundary_squares_to_zero(algebra: WdgAlgebra, weight: int) -> None:
 # ----------------------------------------------------------------------
 
 
+def _reduce_slice(columns: Mapping[int, Sequence[Column]], p: int) -> Dict[int, List[int]]:
+    """The :func:`_eliminate` diagonal of every boundary matrix ``D_i`` of a
+    complex, given as ``{degree: columns}``, over Z for ``p == 0`` and over
+    F_p otherwise, with the *clearing* of Chen and Kerber (*Persistent
+    homology computation with a twist*, 2011): the degrees are reduced from
+    the top down, and before ``D_i`` is reduced its columns at the
+    unit-pivot rows ``R`` of ``D_{i+1}`` are dropped.  The rows are keyed by
+    degree, so a gap in the degrees clears nothing.  Each diagonal has the
+    rank and the invariant factors of the whole ``D_i``, which is all that
+    homology needs.
+
+    Why this is exact, over Z too: the unit pivots come from Schur
+    complements on units, so the block ``D_{i+1}[R, K]`` on their rows ``R``
+    and columns ``K`` has determinant +-1, and the columns ``K`` of
+    ``D_{i+1}`` together with the unit vectors ``e_j`` for ``j`` not in ``R``
+    form a basis of ``C_i``.  Since ``D_i D_{i+1} = 0``, ``D_i`` has the
+    same image as ``D_i`` restricted to the columns outside ``R``; hence the
+    same cokernel, so the same rank and the same invariant factors.  This
+    relies on ``d^2 = 0``, which is why the check runs first by default.
+
+    It fails for the pivots of the smallest-entry phase, which span no
+    unimodular block: with ``D_{i+1}`` the column ``(2, 3)`` and ``D_i`` the
+    row ``(3, -2)`` the homology is 0, but ``D_i`` without column 0 has
+    cokernel Z/2, and without column 1, Z/3.
+    """
+    diagonals: Dict[int, List[int]] = {}
+    unit_rows: Dict[int, List[int]] = {}
+    for i in sorted(columns, reverse=True):
+        cleared = set(unit_rows.pop(i, ()))
+        kept = [c for j, c in enumerate(columns[i]) if j not in cleared]
+        diagonals[i], _, unit_rows[i - 1] = _eliminate(kept, p)
+    return diagonals
+
+
 def homology_over_Z(
     algebra: WdgAlgebra, weight: int, check: bool = True
 ) -> Dict[int, AbelianGroup]:
-    """Integral homology of one weight slice, trivial degrees omitted."""
+    """Integral homology of one weight slice, trivial degrees omitted.
+
+    ``check=False`` skips the d^2 = 0 check, which the clearing in
+    :func:`_reduce_slice` relies on."""
     slice_ = algebra.weight_slice(weight)
     if not slice_:
         return {}
     columns = compile_slice(algebra, weight)
     if check:
         _check_squares_to_zero(algebra, weight, columns)
-    snf = {i: smith_normal_form_of_columns(cols) for i, cols in columns.items()}
+    snf = {i: _invariant_factors(d) for i, d in _reduce_slice(columns, 0).items()}
     out: Dict[int, AbelianGroup] = {}
     for i in slice_:
         below = snf.get(i + 1, ((), 0))
@@ -511,14 +567,17 @@ def homology_over_Z(
 def homology_over_Fp(
     algebra: WdgAlgebra, weight: int, p: int, check: bool = True
 ) -> Dict[int, int]:
-    """Dimensions of mod-p homology of one weight slice (zeros omitted)."""
+    """Dimensions of mod-p homology of one weight slice (zeros omitted).
+
+    ``check=False`` skips the d^2 = 0 check, which the clearing in
+    :func:`_reduce_slice` relies on."""
     slice_ = algebra.weight_slice(weight)
     if not slice_:
         return {}
     columns = compile_slice(algebra, weight)
     if check:
         _check_squares_to_zero(algebra, weight, columns)
-    ranks = {i: rank_of_columns_mod_p(cols, p) for i, cols in columns.items()}
+    ranks = {i: len(d) for i, d in _reduce_slice(columns, p).items()}
     out: Dict[int, int] = {}
     for i in slice_:
         dim = len(slice_[i]) - ranks[i] - ranks.get(i + 1, 0)

@@ -31,6 +31,11 @@ BUDGET_S = 10.0
         ("cartan-field", 2, 3, 8),
         ("cartan-field", 2, 2, 10),
         ("cartan-field", 3, 2, 10),
+        ("cartan-field", 2, 2, 11),
+        ("cartan-field", 3, 2, 11),
+        ("cartan-integral", 2, 2, 10),
+        ("cartan-field", 2, 3, 9),
+        ("cartan-integral", 2, 3, 9),
     ],
     ids=[
         "cartan-field-p2-n2-w9",
@@ -43,6 +48,11 @@ BUDGET_S = 10.0
         "cartan-field-p2-n3-w8",
         "cartan-field-p2-n2-w10",
         "cartan-field-p3-n2-w10",
+        "cartan-field-p2-n2-w11",
+        "cartan-field-p3-n2-w11",
+        "cartan-integral-n2-w10",
+        "cartan-field-p2-n3-w9",
+        "cartan-integral-n3-w9",
     ],
 )
 def test_frontier_suite_passes_within_budget(suite, p, n, weight_max):

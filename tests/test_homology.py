@@ -31,6 +31,8 @@ from extbar import (
 from extbar.extract import bar_source_algebra
 from extbar.homology import (
     _eliminate,
+    _invariant_factors,
+    _reduce_slice,
     boundary_matrix,
     check_boundary_squares_to_zero,
     compile_slice,
@@ -283,9 +285,19 @@ def test_elimination_examples_match_references(rows):
 def test_elimination_reports_its_largest_entry():
     # the unit pivot at (0, 0) leaves -10 at (1, 1): 4 bits
     columns = _columns_of(2, [[1, 5], [1, -5]])
-    assert _eliminate(columns, 0) == ([1, 10], 4)
+    assert _eliminate(columns, 0)[:2] == ([1, 10], 4)
     # mod 7 the entries are 1, 5, 1, 2 and the update leaves 4
-    assert _eliminate(columns, 7) == ([1, 1], 3)
+    assert _eliminate(columns, 7)[:2] == ([1, 1], 3)
+
+
+def test_elimination_reports_only_unit_pivot_rows():
+    columns = _columns_of(2, [[1, 5], [1, -5]])
+    # the -10 left at (1, 1) is a smallest-entry pivot, so only row 0
+    assert _eliminate(columns, 0)[2] == [0]
+    # over F_p every pivot is a unit
+    assert sorted(_eliminate(columns, 7)[2]) == [0, 1]
+    # the 1 that the smallest-entry phase makes from 2 and 3 is no unit pivot
+    assert _eliminate([{0: 2, 1: 3}], 0) == ([1], 2, [])
 
 
 @st.composite
@@ -303,7 +315,7 @@ def unit_heavy_matrices(draw):
 def test_mixed_unit_matrices_match_euclid_reference(case):
     n, rows = case
     columns = _columns_of(n, rows)
-    diagonal, _ = _eliminate(columns, 0)
+    diagonal = _eliminate(columns, 0)[0]
     factors, rank = euclid_snf(rows)
     assert smith_normal_form_of_columns(columns) == (factors, rank)
     # the gcd/lcm pass keeps the product of the diagonal
@@ -313,15 +325,139 @@ def test_mixed_unit_matrices_match_euclid_reference(case):
 
 
 @pytest.mark.parametrize("n, weight_max", [(1, 10), (2, 9)])
-def test_integral_elimination_keeps_entries_within_64_bits(n, weight_max):
-    """No entry of the integral elimination on the boundary columns of the
-    n-fold bar construction grows past 64 bits (20 and 10 bits today)."""
+def test_integral_elimination_keeps_entries_within_64_bits(n, weight_max, monkeypatch):
+    """No entry of the cleared integral elimination that homology_over_Z
+    runs on the n-fold bar construction grows past 64 bits (20 and 9 bits
+    today)."""
+    bits = []
+
+    def recording(columns, p):
+        out = _eliminate(columns, p)
+        bits.append(out[1])
+        return out
+
+    monkeypatch.setattr(extbar.homology, "_eliminate", recording)
     algebra = bar_source_algebra(n, 1)
-    largest = 0
     for d in range(weight_max + 1):
-        for columns in compile_slice(algebra, d).values():
-            largest = max(largest, _eliminate(columns, 0)[1])
-    assert 0 < largest <= 64
+        homology_over_Z(algebra, d)
+    assert 0 < max(bits) <= 64
+
+
+@pytest.mark.parametrize(
+    "n, m, weight_max", [(1, 1, 8), (1, 2, 6), (2, 1, 7), (2, 2, 5), (3, 1, 6), (3, 2, 4)]
+)
+def test_cleared_reduction_matches_each_degree_alone(n, m, weight_max):
+    """Clearing keeps the rank and invariant factors of every boundary
+    matrix of the bar slices, over Z and F_p."""
+    algebra = bar_source_algebra(n, m)
+    for d in range(weight_max + 1):
+        columns = compile_slice(algebra, d)
+        integral = _reduce_slice(columns, 0)
+        assert integral.keys() == columns.keys()
+        for i, cols in columns.items():
+            assert _invariant_factors(integral[i]) == smith_normal_form_of_columns(cols)
+        for p in (2, 3, 5, MAX_PRIME):
+            cleared = _reduce_slice(columns, p)
+            for i, cols in columns.items():
+                assert cleared[i] == [1] * rank_of_columns_mod_p(cols, p)
+
+
+def test_clearing_ignores_smallest_entry_pivot_rows():
+    """D_2 = the column (2, 3) and D_1 = the row (3, -2) make an exact
+    complex.  The 1 that D_2 reduces to is a smallest-entry pivot in row 1,
+    and dropping either column of D_1 would leave torsion."""
+    columns = {2: [{0: 2, 1: 3}], 1: [{0: 3}, {0: -2}], 0: [{}]}
+    assert _reduce_slice(columns, 0) == {2: [1], 1: [1], 0: []}
+    assert smith_normal_form_of_columns([{0: -2}]) == ((2,), 1)
+    assert smith_normal_form_of_columns([{0: 3}]) == ((3,), 1)
+
+
+def _prime_powers(d):
+    out = []
+    q = 2
+    while d > 1:
+        power = 1
+        while d % q == 0:
+            d //= q
+            power *= q
+        if power > 1:
+            out.append(power)
+        q += 1
+    return out
+
+
+@st.composite
+def conjugated_complexes(draw):
+    """A chain complex ``{degree: columns}`` with known homology: a direct
+    sum of blocks Z --d--> Z (d in 0, 1, 2, 3, 4, 6) and free summands Z,
+    in the basis given by unimodular changes of basis in every degree.
+    Returns the columns, the elementary blocks ``(degree, d)`` and the
+    degrees of the free summands."""
+    top = draw(st.integers(1, 4))
+    blocks = draw(
+        st.lists(st.tuples(st.integers(1, top), st.sampled_from([0, 1, 2, 3, 4, 6])), max_size=7)
+    )
+    free = draw(st.lists(st.integers(0, top), max_size=3))
+    dims = [0] * (top + 1)
+    entries = []
+    for i, d in blocks:
+        entries.append((i, dims[i - 1], dims[i], d))
+        dims[i] += 1
+        dims[i - 1] += 1
+    for i in free:
+        dims[i] += 1
+    # dense[i] is D_i as rows, dims[i - 1] x dims[i]
+    dense = {i: [[0] * dims[i] for _ in range(dims[i - 1] if i else 0)] for i in range(top + 1)}
+    for i, r, c, d in entries:
+        dense[i][r][c] = d
+    for i in range(top + 1):
+        if dims[i] < 2:
+            continue
+        index = st.integers(0, dims[i] - 1)
+        step = st.tuples(index, index, st.sampled_from([-2, -1, 1, 2]))
+        for a, b, k in draw(st.lists(step, max_size=12)):
+            if a == b:
+                continue
+            # change of basis T = 1 + k E_ab of C_i: D_i T and T^-1 D_{i+1}
+            for row in dense[i]:
+                row[b] += k * row[a]
+            if i < top:
+                above = dense[i + 1]
+                above[a] = [x - k * y for x, y in zip(above[a], above[b])]
+    columns = {i: _columns_of(dims[i], rows) for i, rows in dense.items()}
+    for i in range(1, top + 1):
+        for column in columns[i]:
+            image = {}
+            for r, v in column.items():
+                for s, e in columns[i - 1][r].items():
+                    image[s] = image.get(s, 0) + v * e
+            assert not any(image.values())
+    return columns, blocks, free
+
+
+@given(conjugated_complexes())
+def test_cleared_reduction_finds_the_homology_of_conjugated_blocks(case):
+    columns, blocks, free = case
+    top = max(columns)
+    integral = _reduce_slice(columns, 0)
+    for i in range(top + 1):
+        expected_free = free.count(i) + sum(
+            1 for j, d in blocks if d == 0 and i in (j, j - 1)
+        )
+        expected_torsion = sorted(
+            q for j, d in blocks if j == i + 1 and d > 1 for q in _prime_powers(d)
+        )
+        below = integral.get(i + 1, [])
+        assert len(columns[i]) - len(integral[i]) - len(below) == expected_free
+        assert sorted(q for d in below for q in _prime_powers(d)) == expected_torsion
+    for p in (2, 3):
+        cleared = _reduce_slice(columns, p)
+        for i in range(top + 1):
+            expected = free.count(i) + sum(
+                1 for j, d in blocks if d % p == 0 and i in (j, j - 1)
+            )
+            dim = len(columns[i]) - len(cleared[i]) - len(cleared.get(i + 1, []))
+            assert dim == expected
 
 
 def test_snf_rejects_ragged_rows():
