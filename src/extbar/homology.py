@@ -5,19 +5,22 @@ Kunneth assembly of weighted homology tables.
 Each homology computation compiles its weight slice once
 (:func:`compile_slice`): the differential of every basis monomial is
 evaluated one time into sparse boundary columns, ``{row: coefficient}`` per
-basis monomial.  Everything downstream reads those columns: the d^2 = 0
-check is the exact sparse product ``D_{i-1} D_i = 0`` over the algebra's
-ring, and one sparse elimination routine (:func:`_eliminate`) reduces them
-over Z and over F_p alike, with rows and columns kept as dicts and nothing
-densified.  Smith normal form is a gcd/lcm pass over its diagonal
-(:func:`smith_normal_form_of_columns`); a mod-p rank is its pivot count
-(:func:`rank_of_columns_mod_p`).  Slice homology reduces a compiled slice
-once, from the top degree down (:func:`_reduce_slice`): before ``D_i`` is
-reduced, its columns at the rows of the unit pivots of ``D_{i+1}`` are
-cleared, because up to a unimodular change of basis they are boundaries and
-``D_i`` sends them to zero.  The mod-p homology ring, which needs kernels
-and coordinates, reads the same columns as sparse vectors through
-:class:`extbar.modp.OrderedEchelon`.
+basis monomial.  One helper (:func:`_checked_slice`) compiles a slice and
+checks d^2 = 0 on it, as the exact sparse product ``D_{i-1} D_i = 0`` over
+the algebra's ring; it is where integral and mod-p slice homology and the
+mod-p homology ring get their columns, so the check always runs.  One
+sparse elimination routine (:func:`_eliminate`) reduces the columns over Z
+and over F_p alike, with rows and columns kept as dicts and nothing
+densified: one pivot step, on units from a Markowitz queue while there are
+any and then, over Z, on the smallest entry.  Smith normal form is a
+gcd/lcm pass over its diagonal (:func:`smith_normal_form_of_columns`); a
+mod-p rank is its pivot count (:func:`rank_of_columns_mod_p`).  Slice
+homology reduces a compiled slice once, from the top degree down
+(:func:`_reduce_slice`): before ``D_i`` is reduced, its columns at the rows
+of the unit pivots of ``D_{i+1}`` are cleared, because up to a unimodular
+change of basis they are boundaries and ``D_i`` sends them to zero.  The
+mod-p homology ring, which needs kernels and coordinates, reads the same
+columns as sparse vectors through :class:`extbar.modp.OrderedEchelon`.
 Columns live for one call and are not kept across weights; what repeats
 across words and weights (letter products, letter differentials, letter
 bidegrees) is cached by :class:`extbar.bar.BarAlgebra`.
@@ -34,10 +37,10 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .algebra import Element, InternalAssertionError, Monomial, WdgAlgebra
-from .modp import OrderedEchelon
+from .modp import OrderedEchelon, check_prime
 
 Matrix = List[List[int]]
 TableKey = Tuple[int, int]
@@ -76,36 +79,40 @@ def _eliminate(
     ``columns[j]``, over Z for ``p == 0`` and over F_p otherwise.  Returns
     the diagonal it reduces the matrix to, one entry per pivot, the bit
     length of the largest entry the matrix ever held, and the row of every
-    phase-1 (unit) pivot, in pivot order.
+    unit pivot taken before the first non-unit one, in pivot order.
 
     Rows and columns are kept as ``{index: entry}`` dicts; over F_p the
     entries are reduced into ``[1, p)``.  The input is not modified.
 
-    Phase 1 pivots on units: +-1 over Z, every nonzero over F_p.  A heap
-    keyed by Markowitz cost ``(len(row) - 1) * (len(col) - 1)``, then row,
-    then column, holds them.  A popped entry that is gone or no longer a unit
-    is skipped; one whose cost has grown is pushed back with its new cost.
-    A pivot ``v`` at ``(r, c)`` takes the exact Schur complement: every other
-    row ``i`` of column ``c`` becomes ``row_i - a_ic v^-1 row_r``.  Then row
-    ``r`` and column ``c`` are dropped, because the column operations that
-    would clear row ``r`` change nothing else; the units that the update
-    creates are pushed.  A unit pivot contributes 1 to the diagonal and its
-    row to the unit-pivot rows, and no unit is left once the heap is empty.
-    Over F_p that is the zero matrix, so the pivot count is the rank and
-    every pivot row is a unit-pivot row.  The unit pivots are Schur
-    complements on units, so the block of the input on their rows and
-    columns has determinant +-1 (a unit mod p over F_p); that is what lets
-    :func:`_reduce_slice` clear those rows from the degree below.
+    Every step picks a pivot ``v`` at ``(r, c)`` and clears column ``c`` by
+    row operations: every other row ``i`` of it becomes ``row_i - f row_r``
+    with ``f = a_ic v^-1 mod p`` over F_p and the floor quotient
+    ``f = a_ic // v`` over Z.  The pivot is chosen one of two ways:
 
-    Phase 2, over Z, works on the rest.  Each step takes the entry of
-    smallest absolute value in the whole remaining matrix (ties broken by
-    Markowitz cost, then by row and column index), clears its column with
-    row operations and its row with column operations, using floor
-    quotients.  A nonzero remainder is smaller than the pivot and sends the
-    loop back to choose a new pivot; a pivot left alone in its row and
-    column is recorded as ``|pivot|`` and both are dropped.  Taking the
-    globally smallest entry is what keeps the coefficients small.  Its
-    pivot rows are not reported: they span no unimodular block.
+    * A *unit* (+-1 over Z, every nonzero over F_p) from a heap keyed by
+      Markowitz cost ``(len(row) - 1) * (len(col) - 1)``, then row, then
+      column.  A popped entry that is gone or no longer a unit is skipped;
+      one whose cost has grown is pushed back with its new cost.  Dividing
+      by a unit leaves no remainder, so the row update is the exact Schur
+      complement, and the column operations that would clear row ``r``
+      change nothing else: row ``r`` and column ``c`` are dropped and the
+      diagonal gets a 1.  The units the update creates are pushed.
+    * Once the heap is empty, which over F_p means the matrix is zero, the
+      entry of smallest absolute value in the whole remaining matrix (ties
+      broken by Markowitz cost, then by row and column index).  Its row is
+      then cleared by column operations too; a nonzero remainder in either
+      is smaller than the pivot and sends the loop back to choose again.  A
+      pivot left alone in its row and column is recorded as ``|pivot|`` and
+      both are dropped.  Taking the globally smallest entry is what keeps
+      the coefficients small.  From the first such pivot on, nothing is
+      pushed and no pivot row is reported.
+
+    The unit pivots taken before that are Schur complements on units, so
+    the block of the input on their rows and columns has determinant +-1 (a
+    unit mod p over F_p); that is what lets :func:`_reduce_slice` clear
+    their rows from the degree below.  Over F_p every pivot is one of them
+    and the pivot count is the rank.  Pivots of smallest entry span no
+    unimodular block, even when the entry is 1.
     """
     cols: Dict[int, Dict[int, int]] = {}
     rows: Dict[int, Dict[int, int]] = {}
@@ -129,23 +136,38 @@ def _eliminate(
         if v == 1 or v == -1 or p
     ]
     heapq.heapify(heap)
-    while heap:
-        cost, r, c = heapq.heappop(heap)
-        pivot_row = rows.get(r)
-        v = pivot_row.get(c, 0) if pivot_row else 0
-        if not (v == 1 or v == -1 or p and v):
-            continue
-        pivot_col = cols[c]
-        now = (len(pivot_row) - 1) * (len(pivot_col) - 1)
-        if now > cost:
-            heapq.heappush(heap, (now, r, c))
-            continue
-        inverse = pow(v, -1, p) if p else v
-        for i in [i for i in pivot_col if i != r]:
+    only_units = True  # no smallest-entry pivot yet: push new units, report rows
+    while cols:
+        if heap:
+            cost, r, c = heapq.heappop(heap)
+            pivot_row = rows.get(r)
+            v = pivot_row.get(c, 0) if pivot_row else 0
+            if not (v == 1 or v == -1 or p and v):
+                continue
+            now = (len(pivot_row) - 1) * (len(cols[c]) - 1)
+            if now > cost:
+                heapq.heappush(heap, (now, r, c))
+                continue
+        else:
+            only_units = False
+            best: tuple = (math.inf,)
+            for j, col in cols.items():
+                cost = len(col) - 1
+                for i, v in col.items():
+                    a = v if v > 0 else -v
+                    if a <= best[0]:
+                        key = (a, (len(rows[i]) - 1) * cost, i, j)
+                        if key < best:
+                            best = key
+            _, _, r, c = best
+            pivot_row = rows[r]
+            v = pivot_row[c]
+        unit = v == 1 or v == -1 or bool(p)
+        inverse = pow(v, -1, p) if p else 0
+        remainder = False
+        for i in [i for i in cols[c] if i != r]:
             row = rows[i]
-            f = row[c] * inverse
-            if p:
-                f %= p
+            f = row[c] * inverse % p if p else row[c] // v
             fresh = []
             for j, e in pivot_row.items():
                 old = row.get(j, 0)
@@ -156,73 +178,40 @@ def _eliminate(
                     top = abs(x)
                 if x:
                     row[j] = cols[j][i] = x
-                    if (x == 1 or x == -1 or p) and not (old == 1 or old == -1 or p and old):
+                    if only_units and (x == 1 or x == -1 or p) and not (
+                        old == 1 or old == -1 or p and old
+                    ):
                         fresh.append(j)
                 else:
                     del row[j], cols[j][i]
-            if row:
-                for j in fresh:
-                    heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
-            else:
+            if c in row:
+                remainder = True
+            elif not row:
                 del rows[i]
+            for j in fresh:
+                heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
+        if not (unit or remainder):
+            # column c is now {r: v}, so col_j -= q * col_c only changes (r, j)
+            for j in [j for j in pivot_row if j != c]:
+                x = pivot_row[j] % v
+                if x:
+                    pivot_row[j] = cols[j][r] = x
+                    remainder = True
+                else:
+                    del pivot_row[j], cols[j][r]
+                    if not cols[j]:
+                        del cols[j]
+        if remainder:
+            continue
         for j in pivot_row:
             col = cols[j]
             del col[r]
             if not col:
                 del cols[j]
         del rows[r]
-        diagonal.append(1)
-        units.append(r)
-    # phase 2: over F_p nothing is left
-    while cols:
-        best: tuple = (math.inf,)
-        for j, col in cols.items():
-            cost = len(col) - 1
-            for i, v in col.items():
-                a = v if v > 0 else -v
-                if a <= best[0]:
-                    key = (a, (len(rows[i]) - 1) * cost, i, j)
-                    if key < best:
-                        best = key
-        _, _, r, c = best
-        pivot_row, pivot_col = rows[r], cols[c]
-        v = pivot_row[c]
-        remainder = False
-        # clear column c: row_i -= q * row_r
-        for i in [i for i in pivot_col if i != r]:
-            q = pivot_col[i] // v
-            row = rows[i]
-            for j, e in pivot_row.items():
-                col = cols[j]
-                x = row.get(j, 0) - q * e
-                if not -top <= x <= top:
-                    top = abs(x)
-                if x:
-                    row[j] = col[i] = x
-                else:
-                    del row[j], col[i]
-                    if not col:
-                        del cols[j]
-            if c in row:
-                remainder = True
-            elif not row:
-                del rows[i]
-        if remainder:
-            continue
-        # column c is now {r: v}, so col_j -= q * col_c only changes (r, j)
-        for j in [j for j in pivot_row if j != c]:
-            x = pivot_row[j] % v
-            if x:
-                pivot_row[j] = cols[j][r] = x
-                remainder = True
-            else:
-                del pivot_row[j], cols[j][r]
-                if not cols[j]:
-                    del cols[j]
-        if remainder:
-            continue
-        diagonal.append(abs(v))
-        del rows[r], cols[c]
+        diagonal.append(1 if unit else abs(v))
+        if only_units:
+            units.append(r)
     return diagonal, top.bit_length(), units
 
 
@@ -254,6 +243,7 @@ def _invariant_factors(diagonal: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
 def rank_of_columns_mod_p(columns: Sequence[Mapping[int, int]], p: int) -> int:
     """Rank over F_p of the integer matrix whose ``j``-th column is
     ``columns[j]``: the pivot count of :func:`_eliminate`."""
+    check_prime(p)
     return len(_eliminate(columns, p)[0])
 
 
@@ -459,11 +449,12 @@ def _dense(columns: Sequence[Column], n_rows: int) -> Matrix:
     return rows
 
 
-def _check_squares_to_zero(
-    algebra: WdgAlgebra, weight: int, columns: Mapping[int, Sequence[Column]]
-) -> None:
-    """The exact sparse product ``D_{i-1} D_i`` is zero for every degree,
-    checked column by column, i.e. on every basis monomial of the slice."""
+def _checked_slice(algebra: WdgAlgebra, weight: int) -> Dict[int, List[Column]]:
+    """:func:`compile_slice` with d^2 = 0 checked on the result: the exact
+    sparse product ``D_{i-1} D_i`` is zero for every degree, checked column
+    by column, i.e. on every basis monomial of the slice.  Every homology
+    computation reads its columns from here."""
+    columns = compile_slice(algebra, weight)
     slice_ = algebra.weight_slice(weight)
     char = algebra.ring.char
     for i, cols in columns.items():
@@ -479,6 +470,7 @@ def _check_squares_to_zero(
                     f"differential does not square to zero on {mono} "
                     f"(weight {weight})"
                 )
+    return columns
 
 
 def boundary_matrix(algebra: WdgAlgebra, weight: int, degree: int) -> Matrix:
@@ -495,7 +487,7 @@ def boundary_matrix(algebra: WdgAlgebra, weight: int, degree: int) -> Matrix:
 
 def check_boundary_squares_to_zero(algebra: WdgAlgebra, weight: int) -> None:
     """Verify d(d(m)) = 0 for every basis monomial of the slice."""
-    _check_squares_to_zero(algebra, weight, compile_slice(algebra, weight))
+    _checked_slice(algebra, weight)
 
 
 # ----------------------------------------------------------------------
@@ -521,12 +513,13 @@ def _reduce_slice(columns: Mapping[int, Sequence[Column]], p: int) -> Dict[int, 
     form a basis of ``C_i``.  Since ``D_i D_{i+1} = 0``, ``D_i`` has the
     same image as ``D_i`` restricted to the columns outside ``R``; hence the
     same cokernel, so the same rank and the same invariant factors.  This
-    relies on ``d^2 = 0``, which is why the check runs first by default.
+    relies on ``d^2 = 0``, which is why the check always runs first
+    (:func:`_checked_slice`).
 
-    It fails for the pivots of the smallest-entry phase, which span no
-    unimodular block: with ``D_{i+1}`` the column ``(2, 3)`` and ``D_i`` the
-    row ``(3, -2)`` the homology is 0, but ``D_i`` without column 0 has
-    cokernel Z/2, and without column 1, Z/3.
+    It fails for smallest-entry pivots, which span no unimodular block: with
+    ``D_{i+1}`` the column ``(2, 3)`` and ``D_i`` the row ``(3, -2)`` the
+    homology is 0, but ``D_i`` without column 0 has cokernel Z/2, and
+    without column 1, Z/3.
     """
     diagonals: Dict[int, List[int]] = {}
     unit_rows: Dict[int, List[int]] = {}
@@ -537,20 +530,11 @@ def _reduce_slice(columns: Mapping[int, Sequence[Column]], p: int) -> Dict[int, 
     return diagonals
 
 
-def homology_over_Z(
-    algebra: WdgAlgebra, weight: int, check: bool = True
-) -> Dict[int, AbelianGroup]:
-    """Integral homology of one weight slice, trivial degrees omitted.
-
-    ``check=False`` skips the d^2 = 0 check, which the clearing in
-    :func:`_reduce_slice` relies on."""
+def homology_over_Z(algebra: WdgAlgebra, weight: int) -> Dict[int, AbelianGroup]:
+    """Integral homology of one weight slice, trivial degrees omitted."""
     slice_ = algebra.weight_slice(weight)
-    if not slice_:
-        return {}
-    columns = compile_slice(algebra, weight)
-    if check:
-        _check_squares_to_zero(algebra, weight, columns)
-    snf = {i: _invariant_factors(d) for i, d in _reduce_slice(columns, 0).items()}
+    diagonals = _reduce_slice(_checked_slice(algebra, weight), 0)
+    snf = {i: _invariant_factors(d) for i, d in diagonals.items()}
     out: Dict[int, AbelianGroup] = {}
     for i in slice_:
         below = snf.get(i + 1, ((), 0))
@@ -564,20 +548,12 @@ def homology_over_Z(
     return out
 
 
-def homology_over_Fp(
-    algebra: WdgAlgebra, weight: int, p: int, check: bool = True
-) -> Dict[int, int]:
-    """Dimensions of mod-p homology of one weight slice (zeros omitted).
-
-    ``check=False`` skips the d^2 = 0 check, which the clearing in
-    :func:`_reduce_slice` relies on."""
+def homology_over_Fp(algebra: WdgAlgebra, weight: int, p: int) -> Dict[int, int]:
+    """Dimensions of mod-p homology of one weight slice (zeros omitted)."""
+    check_prime(p)
     slice_ = algebra.weight_slice(weight)
-    if not slice_:
-        return {}
-    columns = compile_slice(algebra, weight)
-    if check:
-        _check_squares_to_zero(algebra, weight, columns)
-    ranks = {i: len(d) for i, d in _reduce_slice(columns, p).items()}
+    diagonals = _reduce_slice(_checked_slice(algebra, weight), p)
+    ranks = {i: len(d) for i, d in diagonals.items()}
     out: Dict[int, int] = {}
     for i in slice_:
         dim = len(slice_[i]) - ranks[i] - ranks.get(i + 1, 0)
@@ -589,12 +565,12 @@ def homology_over_Fp(
 
 
 def integral_homology_table(
-    algebra: WdgAlgebra, weight_max: int, check: bool = True
+    algebra: WdgAlgebra, weight_max: int
 ) -> Dict[TableKey, AbelianGroup]:
     """Weighted table of integral homology for all weights up to the cap."""
     out: Dict[TableKey, AbelianGroup] = {}
     for d in range(weight_max + 1):
-        for i, g in homology_over_Z(algebra, d, check=check).items():
+        for i, g in homology_over_Z(algebra, d).items():
             out[(i, d)] = g
     return out
 
@@ -628,9 +604,8 @@ class FpHomologyRing:
     Products whose weight would exceed the truncation raise ``ValueError``.
     """
 
-    def __init__(
-        self, algebra: WdgAlgebra, p: int, weight_max: int, check: bool = True
-    ) -> None:
+    def __init__(self, algebra: WdgAlgebra, p: int, weight_max: int) -> None:
+        check_prime(p)
         self.algebra = algebra
         self.p = p
         self.weight_max = weight_max
@@ -639,11 +614,8 @@ class FpHomologyRing:
         self._bounds: Dict[TableKey, List[Column]] = {}
         self._spans: Dict[TableKey, OrderedEchelon] = {}
         for d in range(weight_max + 1):
-            slice_ = algebra.weight_slice(d)
-            columns = compile_slice(algebra, d)
-            if check:
-                _check_squares_to_zero(algebra, d, columns)
-            for i, basis in slice_.items():
+            columns = _checked_slice(algebra, d)
+            for i, basis in algebra.weight_slice(d).items():
                 self._basis[(i, d)] = basis
                 bounds = [c for c in columns.get(i + 1, ()) if any(v % p for v in c.values())]
                 self._bounds[(i, d)] = bounds
@@ -763,11 +735,9 @@ class FpHomologyRing:
         return self.express(product, degree, weight)
 
 
-def homology_ring_over_Fp(
-    algebra: WdgAlgebra, p: int, weight_max: int, check: bool = True
-) -> FpHomologyRing:
+def homology_ring_over_Fp(algebra: WdgAlgebra, p: int, weight_max: int) -> FpHomologyRing:
     """Mod-p homology of all weight slices up to ``weight_max`` as a ring."""
-    return FpHomologyRing(algebra, p, weight_max, check=check)
+    return FpHomologyRing(algebra, p, weight_max)
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .homology import (
     rank_of_columns_mod_p,
 )
 from .rings import GF, Ring, ZZ, is_prime
-from .words import enumerate_p_pairs
+from .words import enumerate_p_pairs, word_degree_bound
 
 GeneratorTriple = Tuple[int, int, int]  # (degree, weight, multiplicity)
 
@@ -184,26 +184,13 @@ def koszul_kernels_dims(
 # ----------------------------------------------------------------------
 
 
-def _pair_degree_bound(p: int, height: int, weight_max: int) -> int:
-    """Degree bound covering every pair of weight <= weight_max.
-
-    A word of twisting t has degree at most ``(height + 2t) * p**t`` (each
-    additive contribution is multiplied by at most ``p**t``), and weights
-    ``p**t <= weight_max`` force ``t <= log_p(weight_max)``.
-    """
-    t_max = 0
-    while p ** (t_max + 1) <= weight_max:
-        t_max += 1
-    return (height + 2 * t_max) * p**t_max
-
-
 def build_Xp(p: int, height: int, weight_max: int, m: int = 1) -> KoszulAlgebra | TensorAlgebra:
     """The product of parameter-p complexes attached to the pairs of the
     given height: Koszul variant over the odd-degree pairs tensor De Rham
     variant over the even-degree pairs, each pair taken with multiplicity
     ``m`` at weight ``p**twisting``.  Pairs heavier than ``weight_max`` are
     dropped (they cannot touch the computed slices)."""
-    bound = _pair_degree_bound(p, height, weight_max)
+    bound = word_degree_bound(p, height, weight_max)
     odd: List[GeneratorTriple] = []
     even: List[GeneratorTriple] = []
     for pair in enumerate_p_pairs(p, height, bound):
@@ -229,7 +216,7 @@ def xp_homology_table(
     """Homology of :func:`build_Xp` assembled from the single-generator
     closed forms by Kunneth (exact: the factors are complexes of free
     finitely generated Z-modules)."""
-    bound = _pair_degree_bound(p, height, weight_max)
+    bound = word_degree_bound(p, height, weight_max)
     tables = []
     for pair in enumerate_p_pairs(p, height, bound):
         if pair.weight > weight_max:

@@ -9,8 +9,12 @@ its representatives and the coordinates of a class.  Mod-p ranks, which need
 no relations, come from the sparse elimination in :mod:`extbar.homology`;
 :func:`rank_mod_p` is its entry point for a matrix given as dense rows.
 
-Every routine here rejects a modulus above :data:`MAX_PRIME` with
-``ValueError``.
+The public entry points that take a modulus (:func:`rank_mod_p`,
+:func:`extbar.homology.rank_of_columns_mod_p`,
+:func:`extbar.homology.homology_over_Fp` and the mod-p homology ring) reject
+with ``ValueError`` any modulus that is not a prime in 2..:data:`MAX_PRIME`
+(:func:`check_prime`); :class:`OrderedEchelon` rejects one outside that
+range.
 """
 
 from __future__ import annotations
@@ -26,16 +30,32 @@ MAX_PRIME = 3037000493
 Vector = Dict[int, int]
 
 
-def _check_prime(p: int) -> None:
-    if p > MAX_PRIME:
-        raise ValueError(f"prime {p} exceeds {MAX_PRIME}, the largest supported modulus")
+def is_prime(n: int) -> bool:
+    """Deterministic primality test by trial division: about 27,500 odd
+    trial divisors at :data:`MAX_PRIME`."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def check_prime(p: int) -> None:
+    """Raise ``ValueError``, naming ``p``, unless it is a prime in
+    2..:data:`MAX_PRIME`."""
+    if not (p <= MAX_PRIME and is_prime(p)):
+        raise ValueError(f"modulus {p} is not a prime in 2..{MAX_PRIME}")
 
 
 def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
     """Rank of an integer matrix, given as rows, over F_p."""
     from .homology import rank_of_columns_mod_p  # homology imports this module
 
-    _check_prime(p)
     n = len(matrix[0]) if len(matrix) else 0
     columns = [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(n)]
     return rank_of_columns_mod_p(columns, p)
@@ -57,7 +77,8 @@ class OrderedEchelon:
     """
 
     def __init__(self, p: int) -> None:
-        _check_prime(p)
+        if not 2 <= p <= MAX_PRIME:  # primality is the caller's check
+            check_prime(p)
         self.p = p
         self.count = 0
         self._basis: Dict[int, Tuple[Vector, Vector]] = {}

@@ -248,16 +248,12 @@ def cartan_field_generators(
     an exterior factor and even-degree words a divided-power factor; at
     p = 2 everything is divided-power.  Words heavier than the cap are cut.
     """
-    from .words import enumerate_words, word_degree, word_twisting
+    from .words import enumerate_words, word_degree, word_degree_bound, word_twisting
 
     height = n + 2
-    t_max = 0
-    while p ** (t_max + 1) <= weight_max:
-        t_max += 1
-    bound = (height + 2 * t_max) * p**t_max
     ext: List[GeneratorFamily] = []
     div: List[GeneratorFamily] = []
-    for w in enumerate_words(p, height, bound):
+    for w in enumerate_words(p, height, word_degree_bound(p, height, weight_max)):
         t = word_twisting(w)
         if p**t > weight_max:
             continue

@@ -9,25 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modp import MAX_PRIME
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division.
-
-    The moduli used in this package are small (single or double digits), so
-    trial division is both simple and fast enough.
-    """
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+from .modp import MAX_PRIME, is_prime
 
 
 @dataclass(frozen=True)

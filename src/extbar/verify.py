@@ -121,10 +121,7 @@ def verify_koszul(
         for variant, degree in ((KOSZUL, 3), (DERHAM, 2)):
             algebra = build_koszul(KoszulSpec(((degree, 1, 1),), h, variant))
             closed = koszul_homology_closed_form(degree, h, weight_max)
-            computed: Dict[TableKey, AbelianGroup] = {}
-            for d in range(weight_max + 1):
-                for i, g in homology_over_Z(algebra, d).items():
-                    computed[(i, d)] = g
+            computed = integral_homology_table(algebra, weight_max)
             bad = _compare_tables(
                 "koszul", computed, closed, f"variant={variant} h={h}"
             )

@@ -58,6 +58,20 @@ def word_height(word: Word) -> int:
     return sum(1 for c in word if c in (SUSPENSION, TWISTED_POWER))
 
 
+def word_degree_bound(p: int, height: int, weight_max: int) -> int:
+    """Degree bound covering every word of the given height whose weight
+    ``p**twisting`` is at most ``weight_max``.
+
+    A word of twisting t has degree at most ``(height + 2t) * p**t`` (each
+    additive contribution is multiplied by at most ``p**t``), and weights
+    ``p**t <= weight_max`` force ``t <= log_p(weight_max)``.
+    """
+    t_max = 0
+    while p ** (t_max + 1) <= weight_max:
+        t_max += 1
+    return (height + 2 * t_max) * p**t_max
+
+
 def is_admissible(word: Word) -> bool:
     """General admissibility: starts with s or f, ends with s, and every
     f or g has an even number of s strictly to its right."""

@@ -233,7 +233,6 @@ def test_square_check_is_exact_over_Z_for_field_homology(cls, p):
         homology_over_Fp(algebra, 3, p)
     with pytest.raises(InternalAssertionError, match=SQUARE_FAILURE):
         homology_ring_over_Fp(algebra, p, 3)
-    homology_over_Fp(algebra, 3, p, check=False)
 
 
 def test_differential_leaving_the_slice_is_reported():
@@ -244,6 +243,6 @@ def test_differential_leaving_the_slice_is_reported():
     with pytest.raises(InternalAssertionError, match=leaves):
         check_boundary_squares_to_zero(algebra, 2)
     with pytest.raises(InternalAssertionError, match=leaves):
-        homology_over_Z(algebra, 2, check=False)
+        homology_over_Z(algebra, 2)
     with pytest.raises(InternalAssertionError, match=leaves):
-        homology_over_Fp(algebra, 2, 2, check=False)
+        homology_over_Fp(algebra, 2, 2)

@@ -2,6 +2,7 @@
 subcommand, the documented exit codes, byte-for-byte determinism, and what a
 fresh interpreter loads to run them."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -294,18 +295,26 @@ def test_ext_table_usage_errors(runner):
 # ----------------------------------------------------------------------
 
 
-def test_verify_passing_suites(runner):
-    result = runner.invoke(
-        main, ["verify", "--suite", "cartan-field", "--max-weight", "4"]
-    )
-    assert result.exit_code == 0
-    assert result.output.startswith("cartan-field: PASS (")
+#: ``verify`` arguments and the exact summary line each prints; the check
+#: count is part of the output the benchmark compares.
+VERIFY_SUMMARIES = [
+    ("--suite cartan-field", "cartan-field: PASS (10 checks)"),
+    ("--suite cartan-integral", "cartan-integral: PASS (8 checks)"),
+    ("--suite koszul", "koszul: PASS (30 checks)"),
+    ("--suite twist-consistency", "twist-consistency: PASS (280 checks)"),
+    ("--suite exponential", "exponential: PASS (10 checks)"),
+    ("--suite tables", "tables: PASS (8 checks)"),
+    ("--suite cartan-field --p 3 --n 2 --max-weight 7", "cartan-field: PASS (22 checks)"),
+    ("--suite cartan-integral --n 2 --m 2 --max-weight 5", "cartan-integral: PASS (18 checks)"),
+    ("--suite exponential --p 2 --n 2 --max-weight 5", "exponential: PASS (22 checks)"),
+]
 
-    result = runner.invoke(
-        main, ["verify", "--suite", "cartan-integral", "--max-weight", "4"]
-    )
-    assert result.exit_code == 0
-    assert result.output.startswith("cartan-integral: PASS (")
+
+def test_verify_passing_suites(runner):
+    for args, summary in VERIFY_SUMMARIES:
+        result = runner.invoke(main, ["verify", *args.split()])
+        assert result.exit_code == 0, args
+        assert result.output == summary + "\n"
 
 
 def test_verify_rejects_unknown_suite_and_bad_prime(runner):
@@ -439,6 +448,67 @@ def test_identical_invocations_are_byte_identical(runner):
     second = runner.invoke(main, args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
+
+
+# ----------------------------------------------------------------------
+# golden digests: the bar route's exact output bytes
+# ----------------------------------------------------------------------
+
+#: ``(arguments, exit code, sha256 of stdout)`` for bar-route invocations
+#: over Z, F_2 and F_3: slice homology must keep these output bytes.
+GOLDEN_DIGESTS = [
+    ("bar-homology --ring Z --n 0 --m 1 --weight 8", 0, "facef771d67d2a22dfae277459f78acb74123aec34d6562687e3fe3f638b0923"),
+    ("bar-homology --ring Z --n 0 --m 2 --weight 8", 0, "7ec15672d214f139da363252832eb1ca897082504f1c3100b5b35d7b5dc8e62a"),
+    ("bar-homology --ring Z --n 1 --m 1 --weight 10", 0, "99e8553430ae775eec20d10909e7e3bdfd8b0343133a02714e9af1a44d54ec6e"),
+    ("bar-homology --ring Z --n 1 --m 2 --weight 6", 0, "c633237684a40e71e0ab628995dd9a6de28a4eda6080f0cda62d7efd79f1370d"),
+    ("bar-homology --ring Z --n 2 --m 1 --weight 7", 0, "6fe755996f9b35f0006b24aa44dfd99fba3ee65eb0b6e775cf4234e5913cf0a8"),
+    ("bar-homology --ring Z --n 2 --m 2 --weight 5", 0, "3a9ace5a2f4cce52f7f11ae7140963e043d5e62daa07929c229dfb817e5e0638"),
+    ("bar-homology --ring Z --n 3 --m 1 --weight 5", 0, "00c2fc5489beb97887bd44890838f917b1833ca6bfa423a29788bff91ca036ab"),
+    ("bar-homology --ring Z --n 3 --m 2 --weight 4", 0, "8565feddb8dbfb76a6e3d5953719c18d99a1c3011c6b7d2948f9689ecded9221"),
+    ("bar-homology --ring Fp:2 --n 0 --m 1 --weight 8", 0, "daf21fd9de78f00b1ceab11517c3014e15ad50e001395ff23c9745a7bd5abcff"),
+    ("bar-homology --ring Fp:2 --n 0 --m 2 --weight 8", 0, "a807dc84ae576c387e6d1c8e8747c55858b63d1f5801fa9085b8715e7cf16371"),
+    ("bar-homology --ring Fp:2 --n 1 --m 1 --weight 10", 0, "ba27f7063fb0b54e1e4765807caf6e5647c1c58b87d192c3898f9bd079be4819"),
+    ("bar-homology --ring Fp:2 --n 1 --m 2 --weight 6", 0, "0ced840404eea859347c40eb295961849b16d3d9116d6da9ec26e797d4d451d0"),
+    ("bar-homology --ring Fp:2 --n 2 --m 1 --weight 7", 0, "9a638088441fdfaffa5c11e18d6d37a99fc53cdc917bd30d5b34bdf8181c86de"),
+    ("bar-homology --ring Fp:2 --n 2 --m 2 --weight 5", 0, "491c41d7e41e027ca9f440875fa90eb8be77c8b34db24bd0da63c7732f111e16"),
+    ("bar-homology --ring Fp:2 --n 3 --m 1 --weight 5", 0, "ae7d6053a5602531fd00c1776aad4b82cd9b565c2f333cd09cb968a6d2a2e6bb"),
+    ("bar-homology --ring Fp:2 --n 3 --m 2 --weight 4", 0, "f50b9d40d2cc67b00871804e81b9394366b0e8c5d0b2211ef714a44746910b4d"),
+    ("bar-homology --ring Fp:3 --n 0 --m 1 --weight 8", 0, "daf21fd9de78f00b1ceab11517c3014e15ad50e001395ff23c9745a7bd5abcff"),
+    ("bar-homology --ring Fp:3 --n 0 --m 2 --weight 8", 0, "a807dc84ae576c387e6d1c8e8747c55858b63d1f5801fa9085b8715e7cf16371"),
+    ("bar-homology --ring Fp:3 --n 1 --m 1 --weight 10", 0, "2f30ac4b5b4f5f4115a6e9a3e2b0357b06c42d68963395aafa5b548ab1247256"),
+    ("bar-homology --ring Fp:3 --n 1 --m 2 --weight 6", 0, "cebd985e9846d3bed57b620f7604038e55da8b8823eaa8b4faccaac372a211b8"),
+    ("bar-homology --ring Fp:3 --n 2 --m 1 --weight 7", 0, "79d8c001b60f16dd3f36b6def701952b009ba4398f5d90d28eaf93834e654bbd"),
+    ("bar-homology --ring Fp:3 --n 2 --m 2 --weight 5", 0, "85cbc2c372b04a31352d2131073bfcdd4438726adecdec6a7a79663c0d2d8174"),
+    ("bar-homology --ring Fp:3 --n 3 --m 1 --weight 5", 0, "fa7a2d530889835dc8f23b95723f13128470dad84b33cd75c994f4ac86d09fc0"),
+    ("bar-homology --ring Fp:3 --n 3 --m 2 --weight 4", 0, "852412755347db9787ea40a8c3c78e60dab98daa42702d8d0e5a5683415a01fc"),
+    ("ext-table --source S --target Gamma --ring Z --method bar --max-weight 8", 0, "9e567c2d817c281d3df0dd0b40aa653227e5269268fd18798dc793663df6d319"),
+    ("ext-table --source S --target Gamma --ring Z --method bar --max-weight 8 --json", 0, "bb6f7ed31841fe5f214cc3d25843970bb1a2b30e5576e80d025752e8a7e02c39"),
+    ("ext-table --source S --target Gamma --ring Z --method bar --max-weight 8 --csv", 0, "7bc4de49cec2a7af0282a74674c8a71a27cac0433575deb38ba42b8020bb472b"),
+    ("ext-table --source S --target Gamma --ring Fp:2 --method bar --max-weight 8", 0, "5c27bb9c286e49d5c6c0842d4ea3ecfe3e5d16d45f3f43e99337b3495393ff2f"),
+    ("ext-table --source S --target Gamma --ring Fp:2 --method bar --max-weight 8 --json", 0, "2d590420fc7f0f6140805dc76eab3332998311913b6e4d880ff649ebe0b840d2"),
+    ("ext-table --source S --target Gamma --ring Fp:2 --method bar --max-weight 8 --csv", 0, "5e8ce1e34cb4b8f27605d4fe7ba2dd71ad9ebf5adde04b6b94291982563fcf4f"),
+    ("ext-table --source S --target Gamma --ring Fp:3 --method bar --max-weight 8", 0, "85a708c894834bdda658a6a819f5170b64e96b34dba5db8f3b0b55e356eccd80"),
+    ("ext-table --source S --target Gamma --ring Fp:3 --method bar --max-weight 8 --json", 0, "2340afe8655a80dd6179ea8aa222d4260a4c6091d4f807667795c6a778824455"),
+    ("ext-table --source S --target Gamma --ring Fp:3 --method bar --max-weight 8 --csv", 0, "de1a3d9fb60a169362e515a784ab43ca5289cef33a8821ebd364cd480a1622f2"),
+    ("ext-table --source S --target Lambda --ring Z --method bar --max-weight 8", 0, "31d60eb1f0338eab866e5c7eda6d8a26acbc6acfafb047d537a5b6c1aa58f0e4"),
+    ("ext-table --source S --target Lambda --ring Z --method bar --max-weight 8 --json", 0, "f26d9db3a720affc4036c41ebfb721b8ab4aab1990481d3ababe7a969783ff2e"),
+    ("ext-table --source S --target Lambda --ring Z --method bar --max-weight 8 --csv", 0, "def4b759c6e69f48acf51e842cc34274ccef56eb3f9cad99f9a49f2815c37151"),
+    ("ext-table --source S --target Lambda --ring Fp:2 --method bar --max-weight 8", 0, "635bed7750308ffd562460f3b36b119c4a0f637fe70b19a9b001a5747faa55b6"),
+    ("ext-table --source S --target Lambda --ring Fp:2 --method bar --max-weight 8 --json", 0, "6c2eddc8226931661194e1d5278da4892a1a1459e018282163fac5e6cc6618e0"),
+    ("ext-table --source S --target Lambda --ring Fp:2 --method bar --max-weight 8 --csv", 0, "03c74fc00d98da092607c171fc11675c4ee404bc483233de7f4367ab0b1a2402"),
+    ("ext-table --source S --target Lambda --ring Fp:3 --method bar --max-weight 8", 0, "793655da2099a44ecbbcfc122f38aca1d80c913b6042015f088adb079b8d8765"),
+    ("ext-table --source S --target Lambda --ring Fp:3 --method bar --max-weight 8 --json", 0, "aa7c7ced93dc1d4c087003d6739adb2cb75895b12ef390447017e707a421e43c"),
+    ("ext-table --source S --target Lambda --ring Fp:3 --method bar --max-weight 8 --csv", 0, "7e2bbb300ab3b7bae3edbc6f0246c85f57a5c8ef95cb88773b4c693131fe41c2"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, exit_code, digest", GOLDEN_DIGESTS, ids=[a for a, _, _ in GOLDEN_DIGESTS]
+)
+def test_bar_route_output_matches_its_golden_digest(runner, args, exit_code, digest):
+    result = runner.invoke(main, args.split())
+    assert result.exit_code == exit_code
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------

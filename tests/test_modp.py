@@ -3,6 +3,7 @@ the ordered echelon walk, against a small pure-Python reference, and the
 bound on the supported modulus."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from extbar import (
     bar_source_algebra,
     dimensions_mod_p_from_integral,
     homology_over_Fp,
+    homology_ring_over_Fp,
     integral_homology_table,
 )
 from extbar.homology import _eliminate, rank_of_columns_mod_p
@@ -178,6 +180,22 @@ def test_primes_past_the_bound_are_rejected():
         rank_mod_p([[1, 2], [3, 4]], 3037000507)
     with pytest.raises(ValueError, match=str(MAX_PRIME)):
         OrderedEchelon(3037000507)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_moduli_that_are_not_primes_are_rejected(p):
+    algebra = bar_source_algebra(1, 1)
+    calls = [
+        lambda: homology_over_Fp(algebra, 4, p),
+        lambda: homology_ring_over_Fp(algebra, p, 1),
+        lambda: rank_of_columns_mod_p([{0: 2, 1: 1}, {0: 1, 1: 1}], p),
+        lambda: rank_mod_p([[2, 1], [1, 1]], p),
+    ]
+    if p < 2:
+        calls.append(lambda: OrderedEchelon(p))
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"modulus {p} is not a prime")):
+            call()
 
 
 def test_rank_at_the_largest_supported_prime_matches_rank_over_q():

@@ -16,7 +16,7 @@ from extbar import (
     word_height,
     word_twisting,
 )
-from extbar.words import enumerate_general_words
+from extbar.words import enumerate_general_words, word_degree_bound
 
 
 # ----------------------------------------------------------------------
@@ -213,3 +213,14 @@ def test_pair_degree_is_g_side_degree():
     for q in enumerate_p_pairs(3, 5, 40):
         assert q.degree == word_degree(q.gamma_word, 3)
         assert word_degree(q.phi_word, 3) == q.degree + 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("height", [2, 3, 4])
+def test_word_degree_bound_covers_every_word_under_the_weight_cap(p, height):
+    for weight_max in (1, p - 1, p, p + 1, p * p, p * p + 1):
+        bound = word_degree_bound(p, height, weight_max)
+        for alphabet in (enumerate_words, enumerate_general_words):
+            for w in alphabet(p, height, 2 * bound):
+                if p ** word_twisting(w) <= weight_max:
+                    assert word_degree(w, p) <= bound, (w, weight_max)
