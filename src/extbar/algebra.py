@@ -49,6 +49,8 @@ class Bidegree(NamedTuple):
 # A monomial is a nested tuple of ints; an element is a sparse monomial->coeff map.
 Monomial = tuple
 Element = Dict[Monomial, int]
+#: One column of a boundary matrix: codomain row index -> nonzero coefficient.
+Column = Dict[int, int]
 
 #: Flavors of free algebras on weighted graded generators.
 DIVIDED = "Gamma"
@@ -85,12 +87,14 @@ class WdgAlgebra:
 
     Subclasses implement :meth:`weight_slice`, :meth:`bidegree`,
     :meth:`mul_monomials`, :meth:`diff_monomial` and :attr:`unit`.  The base
-    class provides linear-algebra plumbing over elements.  Instances are
-    immutable after construction; their caches (weight slices here, letter
-    products, differentials and bidegrees in
-    :class:`~extbar.bar.BarAlgebra`) are filled idempotently, so sharing an
-    instance across threads is safe.  Elements returned by products and
-    differentials are never shared with a cache, so callers may mutate them.
+    class provides linear-algebra plumbing over elements and the boundary
+    columns of a weight slice (:meth:`slice_columns`).  Instances are
+    immutable after construction; their caches (weight slices here; letter
+    products, differentials and bidegrees, shuffle products and compiled
+    boundary columns in :class:`~extbar.bar.BarAlgebra`) are filled
+    idempotently, so sharing an instance across threads is safe.  Elements
+    returned by products and differentials are never shared with a cache, so
+    callers may mutate them; compiled columns are shared and must not be.
     """
 
     ring: Ring
@@ -138,6 +142,18 @@ class WdgAlgebra:
             got = {i: tuple(sorted(raw[i])) for i in sorted(raw) if raw[i]}
             self._slice_cache[weight] = got
         return got
+
+    def slice_columns(self, weight: int) -> Dict[int, List[Column]]:
+        """Boundary columns out of every degree of the weight slice, keyed by
+        degree: column ``j`` of degree ``i`` holds the differential of the
+        ``j``-th basis monomial of degree ``i`` as ``{row: coefficient}``,
+        rows indexing the degree-``i - 1`` basis.
+
+        Here :func:`boundary_columns` evaluates ``diff_monomial`` once per
+        basis monomial; an algebra that can do better overrides this.  The
+        result may be cached by the algebra, so callers must not mutate it.
+        """
+        return {i: boundary_columns(self, weight, i) for i in self.weight_slice(weight)}
 
     def basis(self, bidegree: Bidegree) -> Tuple[Monomial, ...]:
         return self.weight_slice(bidegree.weight).get(bidegree.degree, ())
@@ -201,6 +217,32 @@ class WdgAlgebra:
             elif bid != b:
                 raise ValueError(f"inhomogeneous element: bidegrees {bid} and {b}")
         return bid
+
+
+def boundary_columns(algebra: WdgAlgebra, weight: int, degree: int) -> List[Column]:
+    """Sparse columns of the differential out of ``degree`` in the given
+    weight slice.
+
+    Column ``j`` holds the differential of the ``j``-th basis monomial of
+    degree ``degree``, keyed by row index in the degree-``degree - 1`` basis.
+    ``diff_monomial`` is evaluated once per basis monomial.  Raises
+    :class:`InternalAssertionError` if a differential leaves the slice.
+    """
+    slice_ = algebra.weight_slice(weight)
+    index = {m: r for r, m in enumerate(slice_.get(degree - 1, ()))}
+    columns: List[Column] = []
+    for mono in slice_.get(degree, ()):
+        column: Column = {}
+        for m, c in algebra.diff_monomial(mono).items():
+            r = index.get(m)
+            if r is None:
+                raise InternalAssertionError(
+                    f"differential of {mono} leaves slice (weight {weight}, "
+                    f"degree {degree})"
+                )
+            column[r] = c
+        columns.append(column)
+    return columns
 
 
 def check_one_eps_commutative(

@@ -16,13 +16,14 @@ construction can be iterated (:func:`iterate_bar`).
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
-from .algebra import Bidegree, Element, Monomial, WdgAlgebra
+from .algebra import Bidegree, Column, Element, InternalAssertionError, Monomial, WdgAlgebra
 
 #: A cached element: its ``(monomial, coefficient)`` pairs, immutable.
 Terms = Tuple[Tuple[Monomial, int], ...]
+#: The runs of one degree of a weight slice: first letter -> (start, length).
+Runs = Dict[Monomial, Tuple[int, int]]
 
 
 class BarAlgebra(WdgAlgebra):
@@ -34,8 +35,16 @@ class BarAlgebra(WdgAlgebra):
     letter(s), the first time it is asked for.  Products and differentials
     are stored as tuples of ``(monomial, coefficient)`` pairs, so every
     element this algebra returns is built afresh and a caller may mutate it.
-    The word-level differential itself is not cached: a homology run
-    evaluates it once per basis word (see :func:`extbar.homology.compile_slice`).
+    Shuffle products are memoized on pairs of word suffixes.
+
+    A word is ``[a | r]`` with ``r`` a word of lower weight, and the basis
+    lists the words that start with ``a`` as one contiguous *run*, ordered as
+    ``r`` is in its own slice.  So :meth:`slice_columns` builds the boundary
+    columns of a weight slice from the columns of the slices below it by
+    run-offset arithmetic (:meth:`_compile`), without building a word, and
+    keeps them for the life of the algebra.  :meth:`diff_monomial` evaluates
+    the same differential one word at a time; it is the reference the
+    compiled columns are tested against.
     """
 
     def __init__(self, base: WdgAlgebra) -> None:
@@ -44,6 +53,9 @@ class BarAlgebra(WdgAlgebra):
         self._letter_bidegree: Dict[Monomial, Bidegree] = {}
         self._letter_product: Dict[Tuple[Monomial, Monomial], Terms] = {}
         self._letter_diff: Dict[Monomial, Terms] = {}
+        self._shuffles: Dict[Tuple[Monomial, Monomial], Terms] = {}
+        self._run_cache: Dict[int, Dict[int, Runs]] = {}
+        self._columns: Dict[int, Dict[int, List[Column]]] = {}
 
     def __repr__(self) -> str:
         return f"Bar({self.base!r})"
@@ -83,25 +95,166 @@ class BarAlgebra(WdgAlgebra):
             weight += b.weight
         return Bidegree(degree, weight)
 
+    def _prefixed(self, weight: int) -> Iterator[Tuple[Monomial, int, Tuple[Monomial, ...]]]:
+        """``(a, i, rest)`` for each letter ``a`` of weight 1..``weight`` in
+        sorted order and each degree of the slice of weight ``weight - w(a)``
+        in increasing order: the words ``[a | r]`` for ``r`` in ``rest`` are
+        the words of degree ``i`` that start with ``a``."""
+        letters = sorted(
+            letter
+            for c in range(1, weight + 1)
+            for basis in self.base.weight_slice(c).values()
+            for letter in basis
+        )
+        for a in letters:
+            b = self._bidegree_of(a)
+            for j, rest in self.weight_slice(weight - b.weight).items():
+                yield a, j + 1 + b.degree, rest
+
     def _build_weight_slice(self, weight: int) -> Dict[int, Tuple[Monomial, ...]]:
+        # Each run ``[a | rest]`` is sorted and the runs come in letter
+        # order, so the output is already sorted.
         if weight == 0:
             return {0: ((),)}
         out: Dict[int, List[Monomial]] = {}
-        word: List[Monomial] = []
+        for a, i, rest in self._prefixed(weight):
+            out.setdefault(i, []).extend([(a,) + r for r in rest])
+        return {i: tuple(ws) for i, ws in out.items()}
 
-        def go(remaining: int, degree: int) -> None:
-            if remaining == 0:
-                out.setdefault(len(word) + degree, []).append(tuple(word))
-                return
-            for c in range(1, remaining + 1):
-                for i, basis in self.base.weight_slice(c).items():
-                    for letter in basis:
-                        word.append(letter)
-                        go(remaining - c, degree + i)
-                        word.pop()
+    def _runs(self, weight: int) -> Dict[int, Runs]:
+        """For every degree ``i`` of the weight slice, ``{a: (start, length)}``
+        in basis order: the words ``[a | r]`` of degree ``i`` are the basis
+        words ``start .. start + length - 1``, with ``r`` running over the
+        slice of weight ``weight - w(a)`` and degree ``i - 1 - |a|`` in
+        order.  The weight-0 slice, the empty word alone, has no runs.
 
-        go(weight, 0)
-        return {i: tuple(ms) for i, ms in out.items()}
+        Raises :class:`InternalAssertionError` unless each first letter
+        starts exactly one run whose length is the size of its lower slice.
+        """
+        got = self._run_cache.get(weight)
+        if got is not None:
+            return got
+        slice_ = self.weight_slice(weight)
+        sizes: Dict[int, Dict[Monomial, int]] = {}
+        for a, i, rest in self._prefixed(weight):
+            sizes.setdefault(i, {})[a] = len(rest)
+        got = {}
+        for i in sorted(slice_.keys() | sizes.keys()):
+            words = slice_.get(i, ())
+            runs = got[i] = {}
+            start = 0
+            for a, n in sizes.get(i, {}).items():
+                end = start + n
+                if not (
+                    end <= len(words)
+                    and words[start][0] == a
+                    and words[end - 1][0] == a
+                    and (end == len(words) or words[end][0] != a)
+                ):
+                    raise InternalAssertionError(
+                        f"the words starting with {a} are not one run of {n} in "
+                        f"slice (weight {weight}, degree {i})"
+                    )
+                runs[a] = (start, n)
+                start = end
+            if weight and start != len(words):
+                raise InternalAssertionError(
+                    f"runs cover {start} of {len(words)} words in slice "
+                    f"(weight {weight}, degree {i})"
+                )
+        self._run_cache[weight] = got
+        return got
+
+    def slice_columns(self, weight: int) -> Dict[int, List[Column]]:
+        """The columns :meth:`_compile` builds, cached per weight."""
+        got = self._columns.get(weight)
+        if got is None:
+            got = self._columns[weight] = self._compile(weight)
+        return got
+
+    def _compile(self, weight: int) -> Dict[int, List[Column]]:
+        """Boundary columns of the weight slice from the columns of the
+        slices below it.
+
+        Column ``start(a) + k`` of degree ``i`` is ``d[a | r]`` for the
+        ``k``-th word ``r`` of its lower slice, and with ``s = (-1)**(1 +
+        |a|)``, ``d[a | r] = -[da | r] + s [a r_1 | r'] + s [a | dr]`` where
+        ``r = [r_1 | r']``.  Rows, in the runs of degree ``i - 1``:
+
+        * ``-c`` at ``start(m) + k`` for each term ``c m`` of ``da``;
+        * ``s c`` at ``start(m) + k - start'(r_1)`` for each term ``c m`` of
+          ``a r_1``, where ``start'(r_1)`` is the run of ``r_1`` in the lower
+          slice, so ``k - start'(r_1)`` is the index of ``r'`` in its slice;
+        * ``s c`` at ``start(a) + row`` for each entry of ``r``'s column.
+
+        Each term letter ``m`` is checked to have the bidegree of ``da``, or
+        of ``a r_1``, and a run in degree ``i - 1``; otherwise
+        :class:`InternalAssertionError` names the first word whose
+        differential leaves the slice.  That makes the three parts land in
+        the runs of distinct letters (``m`` of ``da`` is one degree below
+        ``a``, ``m`` of ``a r_1`` heavier than ``a``), so their coefficients,
+        normalized by the ring, never need summing.
+        """
+        if weight == 0:
+            return {0: [{}]}  # the empty word, a cycle
+        p = self.ring.char
+        runs = self._runs(weight)
+        out: Dict[int, List[Column]] = {}
+        slice_ = self.weight_slice(weight)
+        for i, words in slice_.items():
+            below = runs.get(i - 1, {})
+            # the columns take their row keys from here, so that they share
+            # one int object per row rather than each holding its own
+            rows = list(range(len(slice_.get(i - 1, ()))))
+
+            def row_of(m: Monomial, bidegree: Bidegree, word: Monomial) -> int:
+                run = below.get(m)
+                if run is None or self._bidegree_of(m) != bidegree:
+                    raise InternalAssertionError(
+                        f"differential of {word} leaves slice (weight {weight}, "
+                        f"degree {i})"
+                    )
+                return run[0]
+
+            columns: List[Column] = []
+            for a, (start, _) in runs[i].items():
+                ba = self._bidegree_of(a)
+                lw, lj = weight - ba.weight, i - 1 - ba.degree
+                lower = self.slice_columns(lw)[lj]
+                s = -1 if ba.degree % 2 == 0 else 1
+                da_bidegree = Bidegree(ba.degree - 1, ba.weight)
+                da = [
+                    (row_of(m, da_bidegree, words[start]), self.ring.normalize(-c))
+                    for m, c in self._diff_of(a)
+                ]
+                run = below.get(a)
+                # rows of [a | dr]; without a run the columns below are empty
+                a_rows = rows[run[0] : run[0] + run[1]] if run else []
+                # the weight-0 slice is the empty word alone, with no first letter
+                lower_runs = self._runs(lw)[lj].items() if lw else [(None, (0, 1))]
+                for r1, (lstart, n) in lower_runs:
+                    terms = list(da)
+                    if r1 is not None:
+                        product_bidegree = ba + self._bidegree_of(r1)
+                        terms.extend(
+                            (
+                                row_of(m, product_bidegree, words[start + lstart]) - lstart,
+                                self.ring.normalize(s * c),
+                            )
+                            for m, c in self._product_of(a, r1)
+                        )
+                    for k in range(lstart, lstart + n):
+                        if s == 1:
+                            col = {a_rows[r]: c for r, c in lower[k].items()}
+                        elif p:
+                            col = {a_rows[r]: p - c for r, c in lower[k].items()}
+                        else:
+                            col = {a_rows[r]: -c for r, c in lower[k].items()}
+                        for off, c in terms:
+                            col[rows[off + k]] = c
+                        columns.append(col)
+            out[i] = columns
+        return out
 
     def diff_monomial(self, word: Monomial) -> Element:
         # With prefix = k + |a_1| + ... + |a_k|, the suspended degree of the
@@ -128,26 +281,28 @@ class BarAlgebra(WdgAlgebra):
         return self.element(out)
 
     def mul_monomials(self, x: Monomial, y: Monomial) -> Element:
-        p, q = len(x), len(y)
-        sx = [self._bidegree_of(a).degree + 1 for a in x]  # suspended degrees
-        sy = [self._bidegree_of(b).degree + 1 for b in y]
-        out: Element = {}
-        for xpos in itertools.combinations(range(p + q), p):
-            in_x = set(xpos)
-            ypos = [k for k in range(p + q) if k not in in_x]
-            sign_exp = 0
-            for i, pa in enumerate(xpos):
-                for j, pb in enumerate(ypos):
-                    if pb < pa:
-                        sign_exp += sx[i] * sy[j]
-            word: List[Monomial] = [None] * (p + q)  # type: ignore[list-item]
-            for i, pa in enumerate(xpos):
-                word[pa] = x[i]
-            for j, pb in enumerate(ypos):
-                word[pb] = y[j]
-            key = tuple(word)
-            out[key] = out.get(key, 0) + (-1 if sign_exp % 2 else 1)
-        return self.element(out)
+        return dict(self._shuffle(x, y))
+
+    def _shuffle(self, x: Monomial, y: Monomial) -> Terms:
+        """The signed shuffle product ``x ⧢ y``, memoized on ``(x, y)``:
+        ``x_0 (x' ⧢ y) + (-1)**(s(y_0) * sum s(x)) y_0 (x ⧢ y')`` with ``s``
+        the suspended degree ``1 + |letter|``."""
+        if not x or not y:
+            return ((x or y, 1),)
+        got = self._shuffles.get((x, y))
+        if got is None:
+            out: Element = {}
+            a = x[0]
+            for word, c in self._shuffle(x[1:], y):
+                out[(a,) + word] = c
+            b = y[0]
+            sx = sum(1 + self._bidegree_of(letter).degree for letter in x)
+            odd = (1 + self._bidegree_of(b).degree) * sx % 2
+            for word, c in self._shuffle(x, y[1:]):
+                key = (b,) + word
+                out[key] = out.get(key, 0) + (-c if odd else c)
+            got = self._shuffles[(x, y)] = tuple(self.element(out).items())
+        return got
 
 
 def bar(base: WdgAlgebra) -> BarAlgebra:

@@ -2,28 +2,33 @@
 generated abelian groups, mod-p dimensions and ring structure, and the
 Kunneth assembly of weighted homology tables.
 
-Each homology computation compiles its weight slice once
-(:func:`compile_slice`): the differential of every basis monomial is
-evaluated one time into sparse boundary columns, ``{row: coefficient}`` per
-basis monomial.  One helper (:func:`_checked_slice`) compiles a slice and
-checks d^2 = 0 on it, as the exact sparse product ``D_{i-1} D_i = 0`` over
-the algebra's ring; it is where integral and mod-p slice homology and the
-mod-p homology ring get their columns, so the check always runs.  One
-sparse elimination routine (:func:`_eliminate`) reduces the columns over Z
-and over F_p alike, with rows and columns kept as dicts and nothing
-densified: one pivot step, on units from a Markowitz queue while there are
-any and then, over Z, on the smallest entry.  Smith normal form is a
-gcd/lcm pass over its diagonal (:func:`smith_normal_form_of_columns`); a
-mod-p rank is its pivot count (:func:`rank_of_columns_mod_p`).  Slice
-homology reduces a compiled slice once, from the top degree down
-(:func:`_reduce_slice`): before ``D_i`` is reduced, its columns at the rows
-of the unit pivots of ``D_{i+1}`` are cleared, because up to a unimodular
-change of basis they are boundaries and ``D_i`` sends them to zero.  The
-mod-p homology ring, which needs kernels and coordinates, reads the same
-columns as sparse vectors through :class:`extbar.modp.OrderedEchelon`.
-Columns live for one call and are not kept across weights; what repeats
-across words and weights (letter products, letter differentials, letter
-bidegrees) is cached by :class:`extbar.bar.BarAlgebra`.
+Each homology computation reads its weight slice's sparse boundary columns,
+``{row: coefficient}`` per basis monomial, from :func:`compile_slice`, which
+asks the algebra for them
+(:meth:`~extbar.algebra.WdgAlgebra.slice_columns`).  By default the
+differential of every basis monomial is evaluated one time
+(:func:`boundary_columns`); the bar construction instead builds each slice's
+columns from those of the slices below it.  One helper
+(:func:`_checked_slice`) compiles a slice and checks d^2 = 0 on it, as the
+exact sparse product ``D_{i-1} D_i = 0`` over the algebra's ring; it is
+where integral and mod-p slice homology and the mod-p homology ring get
+their columns, so the check always runs.  One sparse elimination routine
+(:func:`_eliminate`) reduces the columns over Z and over F_p alike, with
+rows and columns kept as dicts and nothing densified: one pivot step, on
+units from a Markowitz queue while there are any and then, over Z, on the
+smallest entry.  Smith normal form is a gcd/lcm pass over its diagonal
+(:func:`smith_normal_form_of_columns`); a mod-p rank is its pivot count
+(:func:`rank_of_columns_mod_p`).  Slice homology reduces a compiled slice
+once, from the top degree down (:func:`_reduce_slice`): before ``D_i`` is
+reduced, its columns at the rows of the unit pivots of ``D_{i+1}`` are
+cleared, because up to a unimodular change of basis they are boundaries and
+``D_i`` sends them to zero.  The mod-p homology ring, which needs kernels
+and coordinates, reads the same columns as sparse vectors through
+:class:`extbar.modp.OrderedEchelon`.  :class:`extbar.bar.BarAlgebra` keeps
+the columns of every slice it has compiled, since the slices above are built
+from them, together with what repeats across words and weights (letter
+products, letter differentials, letter bidegrees, shuffle products); nothing
+here mutates them.
 
 A *weighted table* is a mapping ``(degree, weight) -> AbelianGroup`` holding
 the homology of a weighted complex, with trivial groups omitted.  Tables are
@@ -39,7 +44,14 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .algebra import Element, InternalAssertionError, Monomial, WdgAlgebra
+from .algebra import (
+    Column,
+    Element,
+    InternalAssertionError,
+    Monomial,
+    WdgAlgebra,
+    boundary_columns,
+)
 from .modp import OrderedEchelon, check_prime
 
 Matrix = List[List[int]]
@@ -405,40 +417,12 @@ class AbelianGroup:
 # boundary columns of a weight slice
 # ----------------------------------------------------------------------
 
-#: One column of a boundary matrix: codomain row index -> nonzero coefficient.
-Column = Dict[int, int]
-
-
-def boundary_columns(algebra: WdgAlgebra, weight: int, degree: int) -> List[Column]:
-    """Sparse columns of the differential out of ``degree`` in the given
-    weight slice.
-
-    Column ``j`` holds the differential of the ``j``-th basis monomial of
-    degree ``degree``, keyed by row index in the degree-``degree - 1`` basis.
-    ``diff_monomial`` is evaluated once per basis monomial.  Raises
-    :class:`InternalAssertionError` if a differential leaves the slice.
-    """
-    slice_ = algebra.weight_slice(weight)
-    index = {m: r for r, m in enumerate(slice_.get(degree - 1, ()))}
-    columns: List[Column] = []
-    for mono in slice_.get(degree, ()):
-        column: Column = {}
-        for m, c in algebra.diff_monomial(mono).items():
-            r = index.get(m)
-            if r is None:
-                raise InternalAssertionError(
-                    f"differential of {mono} leaves slice (weight {weight}, "
-                    f"degree {degree})"
-                )
-            column[r] = c
-        columns.append(column)
-    return columns
-
 
 def compile_slice(algebra: WdgAlgebra, weight: int) -> Dict[int, List[Column]]:
-    """Boundary columns out of every degree of the weight slice: the one
-    evaluation of the differential that a homology computation makes."""
-    return {i: boundary_columns(algebra, weight, i) for i in algebra.weight_slice(weight)}
+    """Boundary columns out of every degree of the weight slice
+    (:meth:`~extbar.algebra.WdgAlgebra.slice_columns`): what a homology
+    computation reads of the differential.  Not to be mutated."""
+    return algebra.slice_columns(weight)
 
 
 def _dense(columns: Sequence[Column], n_rows: int) -> Matrix:

@@ -14,11 +14,17 @@ from .modp import MAX_PRIME, is_prime
 
 @dataclass(frozen=True)
 class Ring:
-    """The integers (``char == 0``) or the prime field F_p (``char == p``)."""
+    """The integers (``char == 0``) or the prime field F_p (``char == p``)
+    for a prime ``p`` at most :data:`extbar.modp.MAX_PRIME`."""
 
     char: int = 0
 
     def __post_init__(self) -> None:
+        # the bound first: is_prime trial-divides up to sqrt(char)
+        if self.char > MAX_PRIME:
+            raise ValueError(
+                f"characteristic must be 0 or a prime at most {MAX_PRIME}, got {self.char}"
+            )
         if self.char != 0 and not is_prime(self.char):
             raise ValueError(f"characteristic must be 0 or a prime, got {self.char}")
 

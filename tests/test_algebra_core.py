@@ -3,6 +3,7 @@ flavors, sign conventions, regrading, weight twisting, and signed tensor
 products."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from extbar import (
     SYMMETRIC,
     Bidegree,
     FreeAlgebra,
+    GF,
     ZZ,
     algebras_agree,
     check_one_eps_commutative,
@@ -243,6 +245,18 @@ def test_tensor_preserves_commutativity_with_matching_eps():
 # ----------------------------------------------------------------------
 # element arithmetic
 # ----------------------------------------------------------------------
+
+
+def test_ring_rejects_a_prime_past_the_bound_without_testing_it():
+    # 10**18 + 3 is prime; trial division up to its square root would not
+    # finish in any reasonable time
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at most 3037000493"):
+        GF(1000000000000000003)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="prime"):
+        GF(3037000491)  # = 3 * 1012333497, below the bound
+    assert GF(3037000493).char == 3037000493
 
 
 def test_element_normalizes_and_drops_zeros():

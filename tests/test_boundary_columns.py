@@ -1,8 +1,10 @@
 """Tests for the compiled boundary columns of a weight slice: equivalence with
 a column-by-column evaluation of the differential, the bar construction's
-letter caches against the uncached formulas, and the d^2 = 0 check failing
-on differentials that do not square to zero."""
+letter caches and memoized shuffle against the uncached formulas, the safety
+of the compiled-column cache, and the d^2 = 0 check failing on differentials
+that do not square to zero."""
 
+import copy
 import itertools
 import re
 
@@ -11,6 +13,7 @@ import pytest
 from extbar import (
     DIVIDED,
     FreeAlgebra,
+    GF,
     InternalAssertionError,
     KoszulSpec,
     ZZ,
@@ -20,6 +23,7 @@ from extbar import (
     homology_over_Fp,
     homology_over_Z,
     homology_ring_over_Fp,
+    iterate_bar,
     regrade,
     tensor_signed,
     weight_twist,
@@ -103,8 +107,11 @@ def _koszul(variant):
 CASES = [
     *[
         (f"bar^{n} m={m}", lambda n=n, m=m: bar_source_algebra(n, m), w)
-        for (n, m), w in {(1, 1): 6, (1, 2): 4, (2, 1): 5, (2, 2): 3, (3, 1): 4, (3, 2): 3}.items()
+        for (n, m), w in {
+            (1, 1): 9, (1, 2): 4, (1, 3): 4, (2, 1): 7, (2, 2): 3, (3, 1): 4, (3, 2): 3
+        }.items()
     ],
+    ("bar^2 over F3", lambda: iterate_bar(FreeAlgebra(DIVIDED, [(2, 1, 1)], GF(3)), 2), 6),
     ("Koszul", lambda: _koszul(KOSZUL), 4),
     ("DeRham", lambda: _koszul(DERHAM), 4),
     ("bar(Koszul)", lambda: bar(_koszul(KOSZUL)), 4),
@@ -138,16 +145,20 @@ def test_compiled_columns_match_reference(factory, weight_max):
 
 BAR_CASES = [c for c in CASES if c[0].startswith("bar")]
 
+#: Largest weight of the words whose pairwise shuffles are checked, by case;
+#: 2 if absent.  The odd letters of bar(Koszul) and bar(DeRham) make shuffle
+#: terms cancel, and the memoized shuffle must drop them.
+SHUFFLE_WEIGHT = {"bar(Koszul)": 4, "bar(DeRham)": 4}
 
-@pytest.mark.parametrize(
-    "factory, weight_max", [c[1:] for c in BAR_CASES], ids=[c[0] for c in BAR_CASES]
-)
-def test_cached_bar_operations_match_uncached_formulas(factory, weight_max):
+
+@pytest.mark.parametrize("name, factory, weight_max", BAR_CASES, ids=[c[0] for c in BAR_CASES])
+def test_cached_bar_operations_match_uncached_formulas(name, factory, weight_max):
     algebra = factory()
     words = [m for w in range(weight_max + 1) for b in algebra.weight_slice(w).values() for m in b]
     for word in words:
         assert algebra.diff_monomial(word) == reference_bar_diff(algebra, word)
-    small = [m for w in range(3) for b in algebra.weight_slice(w).values() for m in b]
+    top = SHUFFLE_WEIGHT.get(name, 2)
+    small = [m for w in range(top + 1) for b in algebra.weight_slice(w).values() for m in b]
     for x in small:
         for y in small:
             assert algebra.mul_monomials(x, y) == reference_shuffle(algebra, x, y)
@@ -173,39 +184,139 @@ def test_returned_elements_do_not_share_cached_state():
 
 
 # ----------------------------------------------------------------------
+# the compiled-column cache of the bar construction
+# ----------------------------------------------------------------------
+
+
+def test_compiled_columns_are_cached_and_survive_homology_runs():
+    algebra = bar_source_algebra(2, 1)
+    weight_max = 5
+    weights = range(weight_max + 1)
+    for w in weights:
+        assert compile_slice(algebra, w) is compile_slice(algebra, w)
+    before = copy.deepcopy({w: compile_slice(algebra, w) for w in weights})
+
+    def run():
+        out = [homology_over_Z(algebra, w) for w in weights]
+        out += [homology_over_Fp(algebra, w, p) for p in (2, 3) for w in weights]
+        for p in (2, 3):
+            ring = homology_ring_over_Fp(algebra, p, weight_max)
+            classes = [c for (i, d) in ring.dimensions() for c in ring.classes(i, d)]
+            out.append(ring.dimensions())
+            out.append(
+                [
+                    ring.multiply(a, b).vector
+                    for a in classes
+                    for b in classes
+                    if a.weight + b.weight <= weight_max
+                ]
+            )
+        return out
+
+    first = run()
+    assert run() == first
+    assert {w: compile_slice(algebra, w) for w in weights} == before
+
+
+class _MissingWord(BarAlgebra):
+    """Bar(Gamma) whose weight-3 basis lacks [g2|g1]."""
+
+    def _build_weight_slice(self, weight):
+        out = super()._build_weight_slice(weight)
+        return {i: tuple(w for w in ws if w != (G2, G1)) for i, ws in out.items()}
+
+
+def test_compile_checks_the_runs_of_the_basis():
+    algebra = _MissingWord(GAMMA)
+    for w in range(3):
+        compile_slice(algebra, w)
+    not_a_run = re.escape(
+        f"the words starting with {G2} are not one run of 1 in slice (weight 3, degree 8)"
+    )
+    with pytest.raises(InternalAssertionError, match=not_a_run):
+        compile_slice(algebra, 3)
+
+
+def test_bar_compile_does_not_evaluate_the_word_differential():
+    algebra = bar_source_algebra(2, 1)
+    calls = []
+    evaluate = algebra.diff_monomial
+
+    def counted(word):
+        calls.append(word)
+        return evaluate(word)
+
+    algebra.diff_monomial = counted
+    for w in range(7):
+        compile_slice(algebra, w)
+    assert calls == []
+    boundary_columns(algebra, 2, 6)  # the per-word reference does call it
+    assert calls
+
+
+# ----------------------------------------------------------------------
 # the d^2 = 0 check on broken differentials
 # ----------------------------------------------------------------------
 
 
-class _SignFlipped(BarAlgebra):
-    """Bar(Gamma) with the sign of one differential term flipped:
-    d[g1|g1|g1] = 2[g2|g1] + 2[g1|g2], whose boundary is -12[g3]."""
+def _with_entry_changed(algebra, columns, weight, change):
+    """``columns`` of ``weight`` with the entry of d[g1|g1|g1] at [g2|g1]
+    replaced by ``change(entry)``; copied, so the algebra's cache keeps the
+    true columns."""
+    word = (G1, G1, G1)
+    if weight != algebra.bidegree(word).weight:
+        return columns
+    degree = algebra.bidegree(word).degree
+    slice_ = algebra.weight_slice(weight)
+    j = slice_[degree].index(word)
+    r = slice_[degree - 1].index((G2, G1))
+    column = dict(columns[degree][j])
+    column[r] = change(column[r])
+    out = dict(columns)
+    out[degree] = list(columns[degree])
+    out[degree][j] = column
+    return out
 
-    def diff_monomial(self, word):
-        out = super().diff_monomial(word)
-        if word == (G1, G1, G1):
-            out[(G2, G1)] = -out[(G2, G1)]
-        return out
+
+class _SignFlipped(BarAlgebra):
+    """Bar(Gamma) with the sign of one differential term flipped in the
+    compiled columns: d[g1|g1|g1] = 2[g2|g1] + 2[g1|g2], whose boundary is
+    -12[g3]."""
+
+    def slice_columns(self, weight):
+        return _with_entry_changed(self, super().slice_columns(weight), weight, lambda c: -c)
 
 
 class _CoefficientDoubled(BarAlgebra):
-    """Bar(Gamma) with one coefficient doubled:
+    """Bar(Gamma) with one coefficient doubled in the compiled columns:
     d[g1|g1|g1] = -4[g2|g1] + 2[g1|g2], whose boundary is 6[g3]."""
 
-    def diff_monomial(self, word):
-        out = super().diff_monomial(word)
-        if word == (G1, G1, G1):
-            out[(G2, G1)] *= 2
-        return out
+    def slice_columns(self, weight):
+        return _with_entry_changed(self, super().slice_columns(weight), weight, lambda c: 2 * c)
 
 
 class _LeavesSlice(BarAlgebra):
-    """Bar(Gamma) whose differential sends [g1|g1] out of weight 2."""
+    """Bar(Gamma) whose letter product g1.g1 is g1 instead of 2 g2, so the
+    differential sends [g1|g1] out of weight 2."""
 
-    def diff_monomial(self, word):
-        if word == (G1, G1):
-            return {(G1,): 1}
-        return super().diff_monomial(word)
+    def _product_of(self, a, b):
+        if a == b == G1:
+            return ((G1, 1),)
+        return super()._product_of(a, b)
+
+
+class _ProductOfWrongWeight(BarAlgebra):
+    """Bar of Gamma regraded by 3, where the letter g_k has degree -k, whose
+    letter product g1.g1 is g1 instead of 2 g2 once ``broken`` is set.  Then
+    d[g1|g1|g1] has a term [g1|g1] of weight 2, and the weight-3 slice has a
+    run [g1|g2] of degree -1 for it to be misfiled in."""
+
+    broken = False
+
+    def _product_of(self, a, b):
+        if self.broken and a == b == G1:
+            return ((G1, 1),)
+        return super()._product_of(a, b)
 
 
 BROKEN = [_SignFlipped, _CoefficientDoubled]
@@ -233,6 +344,18 @@ def test_square_check_is_exact_over_Z_for_field_homology(cls, p):
         homology_over_Fp(algebra, 3, p)
     with pytest.raises(InternalAssertionError, match=SQUARE_FAILURE):
         homology_ring_over_Fp(algebra, p, 3)
+
+
+def test_term_letter_of_the_wrong_bidegree_is_reported():
+    algebra = _ProductOfWrongWeight(regrade(GAMMA, 3))
+    for w in range(3):
+        compile_slice(algebra, w)
+    algebra.broken = True
+    leaves = re.escape(f"differential of {(G1, G1, G1)} leaves slice (weight 3, degree 0)")
+    with pytest.raises(InternalAssertionError, match=leaves):
+        compile_slice(algebra, 3)
+    with pytest.raises(InternalAssertionError, match=leaves):
+        boundary_columns(algebra, 3, 0)
 
 
 def test_differential_leaving_the_slice_is_reported():
