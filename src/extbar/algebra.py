@@ -155,6 +155,21 @@ class WdgAlgebra:
         """
         return {i: boundary_columns(self, weight, i) for i in self.weight_slice(weight)}
 
+    def block_keys(self, weight: int) -> Optional[Dict[int, List[int]]]:
+        """A key for every basis monomial of the weight slice, by degree in
+        basis order, such that the differential sends each *block* (the
+        monomials sharing a key) into itself; ``None`` when the slice is one
+        block.  Here ``None``: an algebra with a finer grading overrides
+        this, and homology checks that no boundary entry crosses a block."""
+        return None
+
+    def block_multiplicity(self, key: int) -> int:
+        """How many blocks of :meth:`block_keys` the block ``key`` stands
+        for: the size of its orbit under automorphisms of the algebra if it
+        is the one block of that orbit to reduce, 0 if another block is.
+        Here every block stands for itself alone."""
+        return 1
+
     def basis(self, bidegree: Bidegree) -> Tuple[Monomial, ...]:
         return self.weight_slice(bidegree.weight).get(bidegree.degree, ())
 
@@ -397,6 +412,13 @@ class FreeAlgebra(WdgAlgebra):
                 yield from go(i + 1, remaining - e * w, exps + (e,))
 
         yield from go(0, weight, ())
+
+    def exponents(self, mono: Monomial) -> Tuple[int, ...]:
+        """The exponent of each generator in ``mono``, its multi-weight,
+        which products add; for Lambda the indicator of its indices."""
+        if self.flavor == EXTERIOR:
+            return tuple(int(g in mono) for g in range(len(self.generators)))
+        return mono
 
     def mul_monomials(self, x: Monomial, y: Monomial) -> Element:
         if self.flavor == EXTERIOR:

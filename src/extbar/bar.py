@@ -12,18 +12,42 @@ differentials, signed by the running suspended degree of the prefix; the
 product is the signed shuffle.  When ``A`` is (1,1)-commutative its bar
 construction is again a weighted dg-algebra of the same kind, so the
 construction can be iterated (:func:`iterate_bar`).
+
+Over a free algebra on ``m >= 2`` generators every word also has a
+multi-weight, the exponent of each generator summed over its letters, and
+the differential keeps it, so each weight slice splits into blocks
+(:meth:`BarAlgebra.block_keys`).  When the generators share degree and
+weight, permuting them is an automorphism of the free algebra, hence of
+every iterated bar construction on it, and blocks whose multi-weights are
+permutations of one another have isomorphic complexes
+(:meth:`BarAlgebra.block_multiplicity`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Tuple
+from collections import Counter
+from math import factorial
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .algebra import Bidegree, Column, Element, InternalAssertionError, Monomial, WdgAlgebra
+from .algebra import (
+    Bidegree,
+    Column,
+    Element,
+    FreeAlgebra,
+    InternalAssertionError,
+    Monomial,
+    WdgAlgebra,
+)
 
 #: A cached element: its ``(monomial, coefficient)`` pairs, immutable.
 Terms = Tuple[Tuple[Monomial, int], ...]
 #: The runs of one degree of a weight slice: first letter -> (start, length).
 Runs = Dict[Monomial, Tuple[int, int]]
+#: Bits per generator in a block key: the multi-weight packed into one int,
+#: the exponent of generator ``g`` in bits ``16 g .. 16 g + 15``, so that
+#: keys add as multi-weights do.  A weight below ``2**16`` bounds every
+#: exponent below it.
+KEY_BITS = 16
 
 
 class BarAlgebra(WdgAlgebra):
@@ -45,6 +69,10 @@ class BarAlgebra(WdgAlgebra):
     keeps them for the life of the algebra.  :meth:`diff_monomial` evaluates
     the same differential one word at a time; it is the reference the
     compiled columns are tested against.
+
+    Over a free algebra on two or more generators, :meth:`block_keys` gives
+    each word its multi-weight, built run by run from the slices below as
+    ``key[a | r] = key(a) + key(r)`` and kept beside the runs.
     """
 
     def __init__(self, base: WdgAlgebra) -> None:
@@ -56,6 +84,16 @@ class BarAlgebra(WdgAlgebra):
         self._shuffles: Dict[Tuple[Monomial, Monomial], Terms] = {}
         self._run_cache: Dict[int, Dict[int, Runs]] = {}
         self._columns: Dict[int, Dict[int, List[Column]]] = {}
+        self._key_cache: Dict[int, Dict[int, List[int]]] = {}
+        self._letter_keys: Dict[Monomial, int] = {}
+        # key fields: the innermost free algebra's generators, or 0 for no
+        # keys; one generator gives every word the same key
+        if isinstance(base, BarAlgebra):
+            self._fields, self._symmetric = base._fields, base._symmetric
+        else:
+            gens = base.generators if isinstance(base, FreeAlgebra) else ()
+            self._fields = len(gens) if len(gens) > 1 else 0
+            self._symmetric = len(set(gens)) == 1
 
     def __repr__(self) -> str:
         return f"Bar({self.base!r})"
@@ -254,6 +292,57 @@ class BarAlgebra(WdgAlgebra):
                             col[rows[off + k]] = c
                         columns.append(col)
             out[i] = columns
+        return out
+
+    def _key_of(self, letter: Monomial) -> int:
+        got = self._letter_keys.get(letter)
+        if got is None:
+            base = self.base
+            if isinstance(base, BarAlgebra):
+                got = sum(map(base._key_of, letter))
+            else:
+                exponents = base.exponents(letter)  # type: ignore[attr-defined]
+                got = sum(e << (KEY_BITS * g) for g, e in enumerate(exponents))
+            self._letter_keys[letter] = got
+        return got
+
+    def block_keys(self, weight: int) -> Optional[Dict[int, List[int]]]:
+        """The multi-weight of every word of the weight slice, packed as
+        :data:`KEY_BITS` describes, by degree in basis order; ``None`` unless
+        the innermost algebra is free on two or more generators (or the
+        weight is too large to pack).  Word ``start(a) + k`` of a run gets
+        ``key(a)`` plus the key of the ``k``-th word of its lower slice.
+        Cached per weight."""
+        if not self._fields or weight >> KEY_BITS:
+            return None
+        got = self._key_cache.get(weight)
+        if got is None:
+            got = {} if weight else {0: [0]}  # the empty word
+            lower = [self.block_keys(w) for w in range(weight)]
+            for i, runs in self._runs(weight).items() if weight else ():
+                keys = got[i] = []
+                for a in runs:
+                    ba = self._bidegree_of(a)
+                    ka = self._key_of(a)
+                    keys.extend([ka + k for k in lower[weight - ba.weight][i - 1 - ba.degree]])
+            self._key_cache[weight] = got
+        return got
+
+    def block_multiplicity(self, key: int) -> int:
+        """With generators of one degree and weight, the block whose
+        exponents do not increase stands for its orbit under permutations of
+        the generators, ``m! / prod_e k_e!`` blocks where ``k_e`` generators
+        have exponent ``e``, and every other block for none.  Otherwise each
+        block stands for itself."""
+        if not self._symmetric:
+            return 1
+        mask = (1 << KEY_BITS) - 1
+        exponents = [key >> (KEY_BITS * g) & mask for g in range(self._fields)]
+        if any(x < y for x, y in zip(exponents, exponents[1:])):
+            return 0
+        out = factorial(self._fields)
+        for k in Counter(exponents).values():
+            out //= factorial(k)
         return out
 
     def diff_monomial(self, word: Monomial) -> Element:

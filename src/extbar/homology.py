@@ -22,9 +22,15 @@ smallest entry.  Smith normal form is a gcd/lcm pass over its diagonal
 once, from the top degree down (:func:`_reduce_slice`): before ``D_i`` is
 reduced, its columns at the rows of the unit pivots of ``D_{i+1}`` are
 cleared, because up to a unimodular change of basis they are boundaries and
-``D_i`` sends them to zero.  The mod-p homology ring, which needs kernels
-and coordinates, reads the same columns as sparse vectors through
-:class:`extbar.modp.OrderedEchelon`.  :class:`extbar.bar.BarAlgebra` keeps
+``D_i`` sends them to zero.  When the algebra grades a slice more finely
+than by weight (:meth:`~extbar.algebra.WdgAlgebra.block_keys`, the
+multi-weight of a bar construction on several generators), the slice is a
+direct sum of blocks: the check also asserts that no entry leaves its
+column's block, and the reduction runs block by block, one block for each
+orbit of blocks with isomorphic complexes, its diagonal counted once per
+block of the orbit (:func:`_slice_blocks`).  The mod-p homology ring, which
+needs kernels and coordinates, reads the same whole-slice columns as sparse
+vectors through :class:`extbar.modp.OrderedEchelon`.  :class:`extbar.bar.BarAlgebra` keeps
 the columns of every slice it has compiled, since the slices above are built
 from them, together with what repeats across words and weights (letter
 products, letter differentials, letter bidegrees, shuffle products); nothing
@@ -42,7 +48,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     Column,
@@ -56,6 +62,9 @@ from .modp import OrderedEchelon, check_prime
 
 Matrix = List[List[int]]
 TableKey = Tuple[int, int]
+#: One block of a weight slice as :func:`_reduce_slice` takes it: its column
+#: indices by degree, and how many blocks with its homology it stands for.
+Block = Tuple[Mapping[int, Sequence[int]], int]
 
 
 # ----------------------------------------------------------------------
@@ -436,13 +445,25 @@ def _dense(columns: Sequence[Column], n_rows: int) -> Matrix:
 def _checked_slice(algebra: WdgAlgebra, weight: int) -> Dict[int, List[Column]]:
     """:func:`compile_slice` with d^2 = 0 checked on the result: the exact
     sparse product ``D_{i-1} D_i`` is zero for every degree, checked column
-    by column, i.e. on every basis monomial of the slice.  Every homology
-    computation reads its columns from here."""
+    by column, i.e. on every basis monomial of the slice.  When the algebra
+    splits the slice into blocks (:meth:`~extbar.algebra.WdgAlgebra.block_keys`),
+    every entry is also checked to lie in its column's block.  Every
+    homology computation reads its columns from here."""
     columns = compile_slice(algebra, weight)
     slice_ = algebra.weight_slice(weight)
+    keys = algebra.block_keys(weight)
     char = algebra.ring.char
     for i, cols in columns.items():
         below = columns.get(i - 1, ())
+        if keys is not None:
+            row_keys = keys.get(i - 1, ())
+            for mono, key, column in zip(slice_[i], keys[i], cols):
+                for r in column:
+                    if row_keys[r] != key:
+                        raise InternalAssertionError(
+                            f"differential of {mono} leaves its block (weight {weight}, "
+                            f"degree {i})"
+                        )
         for mono, column in zip(slice_[i], cols):
             acc: Dict[int, int] = {}
             for r, c in column.items():
@@ -479,16 +500,44 @@ def check_boundary_squares_to_zero(algebra: WdgAlgebra, weight: int) -> None:
 # ----------------------------------------------------------------------
 
 
-def _reduce_slice(columns: Mapping[int, Sequence[Column]], p: int) -> Dict[int, List[int]]:
+def _slice_blocks(algebra: WdgAlgebra, weight: int) -> Optional[List[Block]]:
+    """The blocks of the weight slice that :func:`_reduce_slice` reduces:
+    for each key of :meth:`~extbar.algebra.WdgAlgebra.block_keys` with a
+    nonzero :meth:`~extbar.algebra.WdgAlgebra.block_multiplicity`, the
+    indices of its words by degree and that multiplicity.  ``None`` when the
+    algebra reports no keys, for the whole slice as one block."""
+    keys = algebra.block_keys(weight)
+    if keys is None:
+        return None
+    multiplicity: Dict[int, int] = {}
+    indices: Dict[int, Dict[int, List[int]]] = {}
+    for i, ks in keys.items():
+        for k in set(ks).difference(multiplicity):
+            multiplicity[k] = algebra.block_multiplicity(k)
+        for j, k in enumerate(ks):
+            if multiplicity[k]:
+                indices.setdefault(k, {}).setdefault(i, []).append(j)
+    return [(block, multiplicity[k]) for k, block in indices.items()]
+
+
+def _reduce_slice(
+    columns: Mapping[int, Sequence[Column]], p: int, blocks: Optional[Sequence[Block]] = None
+) -> Dict[int, List[int]]:
     """The :func:`_eliminate` diagonal of every boundary matrix ``D_i`` of a
     complex, given as ``{degree: columns}``, over Z for ``p == 0`` and over
-    F_p otherwise, with the *clearing* of Chen and Kerber (*Persistent
-    homology computation with a twist*, 2011): the degrees are reduced from
-    the top down, and before ``D_i`` is reduced its columns at the
-    unit-pivot rows ``R`` of ``D_{i+1}`` are dropped.  The rows are keyed by
-    degree, so a gap in the degrees clears nothing.  Each diagonal has the
-    rank and the invariant factors of the whole ``D_i``, which is all that
-    homology needs.
+    F_p otherwise, reduced one block at a time and with the *clearing* of
+    Chen and Kerber (*Persistent homology computation with a twist*, 2011).
+
+    ``blocks`` lists ``(indices, multiplicity)``: the columns of a block by
+    degree, which the differential must send into the rows of the same
+    block, and the number of blocks with its homology it stands for; its
+    diagonal is counted that many times.  ``None`` is the whole complex as
+    one block.  Within a block the degrees are reduced from the top down,
+    and before ``D_i`` is reduced its columns at the unit-pivot rows ``R``
+    of ``D_{i+1}`` are dropped.  The rows are keyed by degree, so a gap in
+    the degrees clears nothing.  Each diagonal has the rank and the
+    invariant factors of the whole ``D_i``, which is all that homology
+    needs.
 
     Why this is exact, over Z too: the unit pivots come from Schur
     complements on units, so the block ``D_{i+1}[R, K]`` on their rows ``R``
@@ -504,20 +553,29 @@ def _reduce_slice(columns: Mapping[int, Sequence[Column]], p: int) -> Dict[int, 
     ``D_{i+1}`` the column ``(2, 3)`` and ``D_i`` the row ``(3, -2)`` the
     homology is 0, but ``D_i`` without column 0 has cokernel Z/2, and
     without column 1, Z/3.
+
+    The argument holds block by block: the unit pivots of a block's
+    ``D_{i+1}`` lie in its rows, and ``D_i`` restricted to the block is
+    again a differential that squares to zero.
     """
-    diagonals: Dict[int, List[int]] = {}
-    unit_rows: Dict[int, List[int]] = {}
-    for i in sorted(columns, reverse=True):
-        cleared = set(unit_rows.pop(i, ()))
-        kept = [c for j, c in enumerate(columns[i]) if j not in cleared]
-        diagonals[i], _, unit_rows[i - 1] = _eliminate(kept, p)
+    if blocks is None:
+        blocks = [({i: range(len(cols)) for i, cols in columns.items()}, 1)]
+    diagonals: Dict[int, List[int]] = {i: [] for i in columns}
+    for indices, multiplicity in blocks:
+        unit_rows: Dict[int, List[int]] = {}
+        for i in sorted(indices, reverse=True):
+            cleared = set(unit_rows.pop(i, ()))
+            cols = columns[i]
+            kept = [cols[j] for j in indices[i] if j not in cleared]
+            diagonal, _, unit_rows[i - 1] = _eliminate(kept, p)
+            diagonals[i].extend(diagonal * multiplicity)
     return diagonals
 
 
 def homology_over_Z(algebra: WdgAlgebra, weight: int) -> Dict[int, AbelianGroup]:
     """Integral homology of one weight slice, trivial degrees omitted."""
     slice_ = algebra.weight_slice(weight)
-    diagonals = _reduce_slice(_checked_slice(algebra, weight), 0)
+    diagonals = _reduce_slice(_checked_slice(algebra, weight), 0, _slice_blocks(algebra, weight))
     snf = {i: _invariant_factors(d) for i, d in diagonals.items()}
     out: Dict[int, AbelianGroup] = {}
     for i in slice_:
@@ -536,7 +594,7 @@ def homology_over_Fp(algebra: WdgAlgebra, weight: int, p: int) -> Dict[int, int]
     """Dimensions of mod-p homology of one weight slice (zeros omitted)."""
     check_prime(p)
     slice_ = algebra.weight_slice(weight)
-    diagonals = _reduce_slice(_checked_slice(algebra, weight), p)
+    diagonals = _reduce_slice(_checked_slice(algebra, weight), p, _slice_blocks(algebra, weight))
     ranks = {i: len(d) for i, d in diagonals.items()}
     out: Dict[int, int] = {}
     for i in slice_:

@@ -2,13 +2,14 @@
 a column-by-column evaluation of the differential, the bar construction's
 letter caches and memoized shuffle against the uncached formulas, the safety
 of the compiled-column cache, and the d^2 = 0 check failing on differentials
-that do not square to zero."""
+that do not square to zero or that leave their multi-weight block."""
 
 import copy
 import itertools
 import re
 
 import pytest
+from click.testing import CliRunner
 
 from extbar import (
     DIVIDED,
@@ -29,6 +30,7 @@ from extbar import (
     weight_twist,
 )
 from extbar.bar import BarAlgebra
+from extbar.cli import main
 from extbar.homology import (
     boundary_columns,
     boundary_matrix,
@@ -305,6 +307,26 @@ class _LeavesSlice(BarAlgebra):
         return super()._product_of(a, b)
 
 
+class _CrossesBlocks(BarAlgebra):
+    """Bar of Gamma on two generators x = (1, 0), y = (0, 1) with the entry
+    of d[x|x] at [gamma_2 x] moved, in a copy of the compiled columns, to
+    the row of [xy] in the block of multi-weight (1, 1).  The rows of degree
+    5 are single letters, cycles, so d^2 is still zero."""
+
+    def slice_columns(self, weight):
+        columns = super().slice_columns(weight)
+        if weight != 2:
+            return columns
+        slice_ = self.weight_slice(2)
+        j = slice_[6].index(((1, 0), (1, 0)))
+        column = dict(columns[6][j])
+        column[slice_[5].index(((1, 1),))] = column.pop(slice_[5].index(((2, 0),)))
+        out = dict(columns)
+        out[6] = list(columns[6])
+        out[6][j] = column
+        return out
+
+
 class _ProductOfWrongWeight(BarAlgebra):
     """Bar of Gamma regraded by 3, where the letter g_k has degree -k, whose
     letter product g1.g1 is g1 instead of 2 g2 once ``broken`` is set.  Then
@@ -369,3 +391,21 @@ def test_differential_leaving_the_slice_is_reported():
         homology_over_Z(algebra, 2)
     with pytest.raises(InternalAssertionError, match=leaves):
         homology_over_Fp(algebra, 2, 2)
+
+
+def test_entry_crossing_blocks_is_reported(monkeypatch):
+    algebra = _CrossesBlocks(FreeAlgebra(DIVIDED, [(2, 1, 2)], ZZ))
+    crosses = f"differential of {((1, 0), (1, 0))} leaves its block (weight 2, degree 6)"
+    for w in range(2):
+        homology_over_Z(algebra, w)
+    with pytest.raises(InternalAssertionError, match=re.escape(crosses)):
+        check_boundary_squares_to_zero(algebra, 2)
+    with pytest.raises(InternalAssertionError, match=re.escape(crosses)):
+        homology_over_Z(algebra, 2)
+    for p in (2, 3):
+        with pytest.raises(InternalAssertionError, match=re.escape(crosses)):
+            homology_over_Fp(algebra, 2, p)
+    monkeypatch.setattr("extbar.cli.bar_source_algebra", lambda n, m: algebra)
+    result = CliRunner().invoke(main, ["bar-homology", "--m", "2", "--weight", "2"])
+    assert result.exit_code == 3
+    assert f"internal assertion failed: {crosses}" in result.stderr

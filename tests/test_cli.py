@@ -306,6 +306,7 @@ VERIFY_SUMMARIES = [
     ("--suite tables", "tables: PASS (8 checks)"),
     ("--suite cartan-field --p 3 --n 2 --max-weight 7", "cartan-field: PASS (22 checks)"),
     ("--suite cartan-integral --n 2 --m 2 --max-weight 5", "cartan-integral: PASS (18 checks)"),
+    ("--suite cartan-integral --n 1 --m 3 --max-weight 5", "cartan-integral: PASS (14 checks)"),
     ("--suite exponential --p 2 --n 2 --max-weight 5", "exponential: PASS (22 checks)"),
 ]
 
@@ -465,6 +466,9 @@ GOLDEN_DIGESTS = [
     ("bar-homology --ring Z --n 2 --m 2 --weight 5", 0, "3a9ace5a2f4cce52f7f11ae7140963e043d5e62daa07929c229dfb817e5e0638"),
     ("bar-homology --ring Z --n 3 --m 1 --weight 5", 0, "00c2fc5489beb97887bd44890838f917b1833ca6bfa423a29788bff91ca036ab"),
     ("bar-homology --ring Z --n 3 --m 2 --weight 4", 0, "8565feddb8dbfb76a6e3d5953719c18d99a1c3011c6b7d2948f9689ecded9221"),
+    ("bar-homology --ring Z --n 1 --m 3 --weight 5", 0, "ebf626f8637dd2f656a306281778f243a6ddf8a7cb5b14de49115688ffe728fd"),
+    ("bar-homology --ring Z --n 2 --m 3 --weight 4", 0, "122b61c153cf293a2d7bb9895219ff6f6fbba1fe14bedf7dd5b6fbba6f8dc760"),
+    ("bar-homology --ring Z --n 1 --m 4 --weight 4", 0, "6f5df50dbdf72b8f020396b838cf1480ca8d1a21cb4ea785c659e98290804511"),
     ("bar-homology --ring Fp:2 --n 0 --m 1 --weight 8", 0, "daf21fd9de78f00b1ceab11517c3014e15ad50e001395ff23c9745a7bd5abcff"),
     ("bar-homology --ring Fp:2 --n 0 --m 2 --weight 8", 0, "a807dc84ae576c387e6d1c8e8747c55858b63d1f5801fa9085b8715e7cf16371"),
     ("bar-homology --ring Fp:2 --n 1 --m 1 --weight 10", 0, "ba27f7063fb0b54e1e4765807caf6e5647c1c58b87d192c3898f9bd079be4819"),
@@ -473,6 +477,9 @@ GOLDEN_DIGESTS = [
     ("bar-homology --ring Fp:2 --n 2 --m 2 --weight 5", 0, "491c41d7e41e027ca9f440875fa90eb8be77c8b34db24bd0da63c7732f111e16"),
     ("bar-homology --ring Fp:2 --n 3 --m 1 --weight 5", 0, "ae7d6053a5602531fd00c1776aad4b82cd9b565c2f333cd09cb968a6d2a2e6bb"),
     ("bar-homology --ring Fp:2 --n 3 --m 2 --weight 4", 0, "f50b9d40d2cc67b00871804e81b9394366b0e8c5d0b2211ef714a44746910b4d"),
+    ("bar-homology --ring Fp:2 --n 1 --m 3 --weight 5", 0, "c4d32c57de936ee11ffed602a59167c780ec2e829d2523366ae252d36e815a8e"),
+    ("bar-homology --ring Fp:2 --n 2 --m 3 --weight 4", 0, "dffb6d87e1dfb2a7806d9e4c2bfea9c1f10e84b73b32136e541a397f9c26366d"),
+    ("bar-homology --ring Fp:2 --n 1 --m 4 --weight 4", 0, "d01b10a3543b2453ba68674e8c37367d253eae0dabc92da013b42b9f28d539ed"),
     ("bar-homology --ring Fp:3 --n 0 --m 1 --weight 8", 0, "daf21fd9de78f00b1ceab11517c3014e15ad50e001395ff23c9745a7bd5abcff"),
     ("bar-homology --ring Fp:3 --n 0 --m 2 --weight 8", 0, "a807dc84ae576c387e6d1c8e8747c55858b63d1f5801fa9085b8715e7cf16371"),
     ("bar-homology --ring Fp:3 --n 1 --m 1 --weight 10", 0, "2f30ac4b5b4f5f4115a6e9a3e2b0357b06c42d68963395aafa5b548ab1247256"),
@@ -481,6 +488,9 @@ GOLDEN_DIGESTS = [
     ("bar-homology --ring Fp:3 --n 2 --m 2 --weight 5", 0, "85cbc2c372b04a31352d2131073bfcdd4438726adecdec6a7a79663c0d2d8174"),
     ("bar-homology --ring Fp:3 --n 3 --m 1 --weight 5", 0, "fa7a2d530889835dc8f23b95723f13128470dad84b33cd75c994f4ac86d09fc0"),
     ("bar-homology --ring Fp:3 --n 3 --m 2 --weight 4", 0, "852412755347db9787ea40a8c3c78e60dab98daa42702d8d0e5a5683415a01fc"),
+    ("bar-homology --ring Fp:3 --n 1 --m 3 --weight 5", 0, "0593410b2d5fa1f8e94bcaed4b65950f12dcce3d4a6e2140eaa4dd209b790fed"),
+    ("bar-homology --ring Fp:3 --n 2 --m 3 --weight 4", 0, "a521e61bab7799c83673df0d34e7a0e874a68acd905e131fabe30df72806a77c"),
+    ("bar-homology --ring Fp:3 --n 1 --m 4 --weight 4", 0, "fe60ff0fdbaf5ed7a27749f304d7c15f7348487ff11f227ebb49d9a8c1a37325"),
     ("ext-table --source S --target Gamma --ring Z --method bar --max-weight 8", 0, "9e567c2d817c281d3df0dd0b40aa653227e5269268fd18798dc793663df6d319"),
     ("ext-table --source S --target Gamma --ring Z --method bar --max-weight 8 --json", 0, "bb6f7ed31841fe5f214cc3d25843970bb1a2b30e5576e80d025752e8a7e02c39"),
     ("ext-table --source S --target Gamma --ring Z --method bar --max-weight 8 --csv", 0, "7bc4de49cec2a7af0282a74674c8a71a27cac0433575deb38ba42b8020bb472b"),

@@ -19,23 +19,24 @@ BUDGET_S = 10.0
 
 
 @pytest.mark.parametrize(
-    "suite, p, n, weight_max",
+    "suite, p, n, m, weight_max",
     [
-        ("cartan-field", 2, 2, 9),
-        ("cartan-field", 3, 2, 9),
-        ("exponential", 2, 2, 6),
-        ("cartan-integral", 2, 1, 12),
-        ("cartan-integral", 2, 2, 8),
-        ("cartan-integral", 2, 2, 9),
-        ("cartan-integral", 2, 3, 8),
-        ("cartan-field", 2, 3, 8),
-        ("cartan-field", 2, 2, 10),
-        ("cartan-field", 3, 2, 10),
-        ("cartan-field", 2, 2, 11),
-        ("cartan-field", 3, 2, 11),
-        ("cartan-integral", 2, 2, 10),
-        ("cartan-field", 2, 3, 9),
-        ("cartan-integral", 2, 3, 9),
+        ("cartan-field", 2, 2, 1, 9),
+        ("cartan-field", 3, 2, 1, 9),
+        ("exponential", 2, 2, 1, 6),
+        ("cartan-integral", 2, 1, 1, 12),
+        ("cartan-integral", 2, 2, 1, 8),
+        ("cartan-integral", 2, 2, 1, 9),
+        ("cartan-integral", 2, 3, 1, 8),
+        ("cartan-field", 2, 3, 1, 8),
+        ("cartan-field", 2, 2, 1, 10),
+        ("cartan-field", 3, 2, 1, 10),
+        ("cartan-field", 2, 2, 1, 11),
+        ("cartan-field", 3, 2, 1, 11),
+        ("cartan-integral", 2, 2, 1, 10),
+        ("cartan-field", 2, 3, 1, 9),
+        ("cartan-integral", 2, 3, 1, 9),
+        ("cartan-integral", 2, 1, 2, 10),
     ],
     ids=[
         "cartan-field-p2-n2-w9",
@@ -53,11 +54,12 @@ BUDGET_S = 10.0
         "cartan-integral-n2-w10",
         "cartan-field-p2-n3-w9",
         "cartan-integral-n3-w9",
+        "cartan-integral-n1-m2-w10",
     ],
 )
-def test_frontier_suite_passes_within_budget(suite, p, n, weight_max):
+def test_frontier_suite_passes_within_budget(suite, p, n, m, weight_max):
     start = time.perf_counter()
-    result = run_suite(suite, p=p, n=n, weight_max=weight_max)
+    result = run_suite(suite, p=p, n=n, m=m, weight_max=weight_max)
     elapsed = time.perf_counter() - start
     assert result.passed, result.summary()
     assert elapsed < BUDGET_S, f"{suite} took {elapsed:.2f}s (budget {BUDGET_S:.0f}s)"

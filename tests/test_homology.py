@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 import extbar.homology
 from extbar import (
     DIVIDED,
+    EXTERIOR,
     AbelianGroup,
     FreeAlgebra,
+    KoszulSpec,
     ZZ,
     bar,
+    build_koszul,
     dimensions_mod_p_from_integral,
     homology_over_Fp,
     homology_over_Z,
@@ -25,14 +28,17 @@ from extbar import (
     kunneth,
     kunneth_fold,
     p_primary_unitalize,
+    regrade,
     smith_normal_form,
     tensor_signed,
 )
+from extbar.bar import KEY_BITS
 from extbar.extract import bar_source_algebra
 from extbar.homology import (
     _eliminate,
     _invariant_factors,
     _reduce_slice,
+    _slice_blocks,
     boundary_matrix,
     check_boundary_squares_to_zero,
     compile_slice,
@@ -360,6 +366,105 @@ def test_cleared_reduction_matches_each_degree_alone(n, m, weight_max):
             cleared = _reduce_slice(columns, p)
             for i, cols in columns.items():
                 assert cleared[i] == [1] * rank_of_columns_mod_p(cols, p)
+
+
+def _factors(diagonals):
+    return {i: _invariant_factors(d) for i, d in diagonals.items()}
+
+
+def _multiweight(word, n):
+    """The exponent of each generator in a word of the n-fold bar
+    construction on divided powers, summed over its letters."""
+    if n == 0:
+        return word
+    return tuple(map(sum, zip(*(_multiweight(letter, n - 1) for letter in word))))
+
+
+@pytest.mark.parametrize(
+    "n, m, weight_max", [(1, 2, 7), (2, 2, 5), (3, 2, 4), (1, 3, 5), (2, 3, 4), (1, 4, 4)]
+)
+def test_blocks_of_one_orbit_reduce_alike(n, m, weight_max):
+    """Every block of a slice, reduced on its own, has the block sizes and
+    the invariant factors in each degree of every other block of its orbit
+    under permutations of the generators, over Z, F_2 and F_3.  The blocks
+    that ``_reduce_slice`` keeps, one per orbit counted by orbit size, give
+    the invariant factors of the whole slice."""
+    algebra = bar_source_algebra(n, m)
+    mask = (1 << KEY_BITS) - 1
+    sizes = set()
+    for weight in range(1, weight_max + 1):
+        columns = compile_slice(algebra, weight)
+        words = algebra.weight_slice(weight)
+        keys = algebra.block_keys(weight)
+        assert keys.keys() == columns.keys()
+        # orbits[sorted exponents][exponents] = {degree: column indices}
+        orbits = {}
+        for i, ks in keys.items():
+            assert len(ks) == len(columns[i])
+            for j, k in enumerate(ks):
+                exponents = tuple(k >> (KEY_BITS * g) & mask for g in range(m))
+                assert exponents == _multiweight(words[i][j], n)
+                top = tuple(sorted(exponents, reverse=True))
+                orbits.setdefault(top, {}).setdefault(exponents, {}).setdefault(i, []).append(j)
+        for top, orbit in orbits.items():
+            key = sum(e << (KEY_BITS * g) for g, e in enumerate(top))
+            assert algebra.block_multiplicity(key) == len(orbit)
+            sizes.add(len(orbit))
+            shapes = [{i: len(js) for i, js in block.items()} for block in orbit.values()]
+            assert all(shape == shapes[0] for shape in shapes)
+        for p in (0, 2, 3):
+            whole = _factors(_reduce_slice(columns, p))
+            kept = {i: [] for i in columns}
+            for top, orbit in orbits.items():
+                reduced = [_factors(_reduce_slice(columns, p, [(block, 1)])) for block in orbit.values()]
+                assert all(r == reduced[0] for r in reduced)
+                for i, d in _reduce_slice(columns, p, [(orbit[top], len(orbit))]).items():
+                    kept[i].extend(d)
+            assert _factors(kept) == whole
+            blocks = _slice_blocks(algebra, weight)
+            assert len(blocks) == len(orbits)
+            assert _factors(_reduce_slice(columns, p, blocks)) == whole
+    assert sizes == {2: {1, 2}, 3: {1, 3, 6}, 4: {1, 4, 6, 12}}[m]
+
+
+@pytest.mark.parametrize(
+    "generators, flavor, symmetric, weight_max",
+    [
+        ([(2, 1, 1), (4, 1, 1)], DIVIDED, False, 6),
+        ([(2, 1, 1), (2, 2, 1)], DIVIDED, False, 6),
+        ([(1, 1, 3)], EXTERIOR, True, 5),
+    ],
+    ids=["two-degrees", "two-weights", "exterior"],
+)
+def test_blocks_of_a_bar_construction_give_the_whole_slice(generators, flavor, symmetric, weight_max):
+    """Blocks are reduced one per orbit only when the generators share
+    degree and weight, and every block otherwise; either way the invariant
+    factors are those of the whole slice.  Over Lambda a key is the
+    indicator of the generators a letter holds."""
+    algebra = bar(FreeAlgebra(flavor, generators, ZZ))
+    for weight in range(2, weight_max + 1):
+        homology_over_Z(algebra, weight)  # checks that no entry crosses a block
+        columns = compile_slice(algebra, weight)
+        blocks = _slice_blocks(algebra, weight)
+        keys = set(itertools.chain(*algebra.block_keys(weight).values()))
+        assert len(keys) > 1
+        assert (len(blocks) < len(keys)) == symmetric
+        assert sum(multiplicity for _, multiplicity in blocks) == len(keys)
+        for p in (0, 2, 3):
+            assert _factors(_reduce_slice(columns, p, blocks)) == _factors(_reduce_slice(columns, p))
+
+
+def test_only_bar_constructions_on_several_free_generators_have_blocks():
+    free2 = FreeAlgebra(DIVIDED, [(2, 1, 2)], ZZ)
+    assert bar_source_algebra(2, 2).block_keys(3) is not None
+    for algebra in [
+        bar_source_algebra(2, 1),
+        free2,
+        bar(regrade(free2, 2)),
+        bar(build_koszul(KoszulSpec(((1, 1, 2),), h=2, variant="Koszul"))),
+    ]:
+        assert algebra.block_keys(3) is None
+        assert _slice_blocks(algebra, 3) is None
 
 
 def test_clearing_ignores_smallest_entry_pivot_rows():
