@@ -277,7 +277,9 @@ def ext_table(
         dims = poincare_dims(
             ext_twisted_predict(source, target, p, s, t, max_weight, m), max_weight
         )
-    dims = {k: v for k, v in sorted(dims.items()) if keep(k)}
+    # Both routes return their tables with the keys sorted.
+    if max_codegree is not None:
+        dims = {k: v for k, v in dims.items() if keep(k)}
     if as_json:
         entries = [
             {"degree": i, "weight": d, "dimension": v} for (i, d), v in dims.items()

@@ -122,11 +122,14 @@ def _eliminate(
       entry of smallest absolute value in the whole remaining matrix (ties
       broken by Markowitz cost, then by row and column index).  Its row is
       then cleared by column operations too; a nonzero remainder in either
-      is smaller than the pivot and sends the loop back to choose again.  A
-      pivot left alone in its row and column is recorded as ``|pivot|`` and
-      both are dropped.  Taking the globally smallest entry is what keeps
-      the coefficients small.  From the first such pivot on, nothing is
-      pushed and no pivot row is reported.
+      is smaller than the pivot and sends the loop back to choose again,
+      this time the smallest entry of that pivot's column and row only,
+      where the remainders are.  Each such pivot is strictly smaller than
+      the one before, so the chain ends.  A pivot left alone in its row
+      and column is recorded as ``|pivot|`` and both are dropped, and the
+      next chain starts from the whole matrix again.  Taking the smallest
+      entry is what keeps the coefficients small.  From the first such
+      pivot on, nothing is pushed and no pivot row is reported.
 
     The unit pivots taken before that are Schur complements on units, so
     the block of the input on their rows and columns has determinant +-1 (a
@@ -158,6 +161,7 @@ def _eliminate(
     ]
     heapq.heapify(heap)
     only_units = True  # no smallest-entry pivot yet: push new units, report rows
+    remainder = False  # the last pivot left a remainder in its row or column
     while cols:
         if heap:
             cost, r, c = heapq.heappop(heap)
@@ -172,8 +176,13 @@ def _eliminate(
         else:
             only_units = False
             best: tuple = (math.inf,)
-            for j, col in cols.items():
-                cost = len(col) - 1
+            if remainder:
+                # the last pivot's remainders are all in its column and row
+                scan = [(c, cols[c])] + [(j, {r: x}) for j, x in pivot_row.items()]
+            else:
+                scan = cols.items()
+            for j, col in scan:
+                cost = len(cols[j]) - 1
                 for i, v in col.items():
                     a = v if v > 0 else -v
                     if a <= best[0]:
@@ -189,6 +198,11 @@ def _eliminate(
         for i in [i for i in cols[c] if i != r]:
             row = rows[i]
             f = row[c] * inverse % p if p else row[c] // v
+            if not f:
+                # 0 <= row[c] / v < 1: a pivot taken as the smallest of its
+                # row only can meet a smaller entry in its column
+                remainder = True
+                continue
             fresh = []
             for j, e in pivot_row.items():
                 old = row.get(j, 0)

@@ -32,7 +32,7 @@ Integral tables for the symmetric source are assembled separately in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, gcd
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (
@@ -146,15 +146,29 @@ def poincare_dims(spec: FreeAlgebraSpec, weight_max: int) -> Dict[TableKey, int]
     ``y = x^(degree, weight)`` and ``m`` the multiplicity: ``(1+y)^m`` for an
     exterior family and ``1/(1-y)^m`` for a symmetric or divided-power one.
     Weight twists and junction signs change products, never dimensions.
-    Each family is applied to the table in place, one ``{degree: count}``
-    row per weight ``d``, in a single pass over the rows:
 
-    * exterior, rows in descending weight:
-      ``row[d][i] += sum_{j=1..min(m, d//w)} C(m, j) * row[d-j*w][i-j*a]``;
-    * symmetric or divided power, rows in ascending weight, so the rows read
-      already carry the family (this divides by ``(1-y)^m``):
-      ``row[d][i] += sum_j (-1)^(j+1) C(m, j) * row[d-j*w][i-j*a]``, over the
-      same ``j``.
+    * **Lattice.** Families past the cap or of multiplicity 0 are dropped.
+      Every monomial of the rest has a weight divisible by the gcd ``g`` of
+      their weights, so the table keeps one ``{degree: count}`` row per
+      multiple ``d * g`` of ``g`` up to the cap, and a family of weight ``w``
+      steps ``w // g`` rows.
+    * **Order.** The factors commute, so the families are applied heaviest
+      first (a stable sort): a heavy family multiplies a table that is still
+      sparse, and the light families, which fill the rows, come last.
+    * **Recurrence.** Each family is applied in place, in a single pass over
+      the rows, with ``w`` its step in rows and ``a`` its degree:
+
+      - exterior, rows in descending weight:
+        ``row[d][i] += sum_{j=1..m} C(m, j) * row[d-j*w][i-j*a]``;
+      - symmetric or divided power, rows in ascending weight, so the rows
+        read already carry the family (this divides by ``(1-y)^m``):
+        ``row[d][i] += sum_j (-1)^(j+1) C(m, j) * row[d-j*w][i-j*a]``, over
+        the same ``j``;
+
+      both sums stop at the first row, so nothing past the cap is formed.
+    * **Assembly.** Walking the rows in weight order, each count is put in
+      its degree's bucket; the buckets are then read in degree order.  So the
+      keys come out sorted, degree first, without comparing any key tuples.
 
     One exterior family of multiplicity 2 on a generator of degree 1 and
     weight 1, times one divided-power family on a generator of degree 2 and
@@ -176,21 +190,28 @@ def poincare_dims(spec: FreeAlgebraSpec, weight_max: int) -> Dict[TableKey, int]
     """
     if weight_max < 0:
         raise ValueError("weight_max must be >= 0")
-    rows: List[Dict[int, int]] = [{} for _ in range(weight_max + 1)]
-    rows[0][0] = 1
+    families: List[Tuple[str, GeneratorFamily]] = []
     for flavor, fam in spec.all_generators():
-        a, w, m = fam.degree, fam.weight, fam.multiplicity
-        if w < 1:
+        if fam.weight < 1:
             raise ValueError("generator weights must be >= 1")
-        if m < 0:
+        if fam.multiplicity < 0:
             raise ValueError("generator multiplicities must be >= 0")
-        js = range(1, min(m, weight_max // w) + 1)
+        if fam.weight <= weight_max and fam.multiplicity > 0:
+            families.append((flavor, fam))
+    g = gcd(*(fam.weight for _, fam in families)) or 1
+    top = weight_max // g
+    rows: List[Dict[int, int]] = [{} for _ in range(top + 1)]
+    rows[0][0] = 1
+    families.sort(key=lambda flavor_fam: -flavor_fam[1].weight)
+    for flavor, fam in families:
+        a, w, m = fam.degree, fam.weight // g, fam.multiplicity
+        js = range(1, min(m, top // w) + 1)
         if flavor == EXTERIOR:
             terms = [(j * w, j * a, comb(m, j)) for j in js]
-            order = range(weight_max, w - 1, -1)
+            order = range(top, w - 1, -1)
         else:
             terms = [(j * w, j * a, (-1) ** (j + 1) * comb(m, j)) for j in js]
-            order = range(w, weight_max + 1)
+            order = range(w, top + 1)
         for d in order:
             row = rows[d]
             for dw, da, c in terms:
@@ -200,7 +221,12 @@ def poincare_dims(spec: FreeAlgebraSpec, weight_max: int) -> Dict[TableKey, int]
                     row[i + da] = row.get(i + da, 0) + c * n
     # A count is only ever touched from a nonzero count of a lighter row, so
     # its final value is positive: no zeros are stored.
-    return dict(sorted([((i, d), n) for d, row in enumerate(rows) for i, n in row.items()]))
+    by_degree: Dict[int, List[Tuple[int, int]]] = {}
+    for d, row in enumerate(rows):
+        weight = d * g
+        for i, n in row.items():
+            by_degree.setdefault(i, []).append((weight, n))
+    return {(i, weight): n for i in sorted(by_degree) for weight, n in by_degree[i]}
 
 
 def build_spec_algebra(spec: FreeAlgebraSpec, ring: Optional[Ring] = None) -> WdgAlgebra:

@@ -516,9 +516,38 @@ GOLDEN_DIGESTS = [
     "args, exit_code, digest", GOLDEN_DIGESTS, ids=[a for a, _, _ in GOLDEN_DIGESTS]
 )
 def test_bar_route_output_matches_its_golden_digest(runner, args, exit_code, digest):
+    _assert_output_digest(runner, args, exit_code, digest)
+
+
+def _assert_output_digest(runner, args, exit_code, digest):
     result = runner.invoke(main, args.split())
     assert result.exit_code == exit_code
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+#: The same for the predict route (the default ``--method`` over a field):
+#: the Poincaré tables must keep these output bytes.  The two rows past the
+#: generators' lightest weight print only the unit entry; the rows on weight
+#: lattices 9 and 5 print the twisted tables themselves.
+PREDICT_GOLDEN_DIGESTS = [
+    ("ext-table --source S --target Gamma --ring Fp:2 --max-weight 200", 0, "be83ed38e8be2b9909c902dd902586548a58d9a5430c23d994a3e41ba836e2dc"),
+    ("ext-table --source S --target Gamma --ring Fp:2 --max-weight 200 --json", 0, "3c40cecc034bd092b1068eb729bd704e27f40848b83c5a825bff78d0cce409d1"),
+    ("ext-table --source S --target Gamma --ring Fp:2 --max-weight 200 --csv", 0, "c37fd9245480dc58f84047c94d282fbab88a28dc5d8720542ad901252e77ecc7"),
+    ("ext-table --source Gamma --target S --ring Fp:3 --s 2 --t 2 --max-weight 70", 0, "7e555541181a7585a841d0ce8f1868eaae63964b63736fd53e43c1aee47ed270"),
+    ("ext-table --source Lambda --target Gamma --ring Fp:5 --s 1 --t 2 --max-weight 70 --max-codegree 60", 0, "7e555541181a7585a841d0ce8f1868eaae63964b63736fd53e43c1aee47ed270"),
+    ("ext-table --source Gamma --target S --ring Fp:3 --s 2 --max-weight 70", 0, "8da182cc625909d1ccae30f51da3a5a538b88f7524afb67e35562dcc480d2aea"),
+    ("ext-table --source Lambda --target Gamma --ring Fp:5 --s 1 --max-weight 70 --max-codegree 60", 0, "764951b98b40ba22f9ad191b71e17bc75d9c8549e113778215dbdf3ef9196d26"),
+    ("ext-table --source Lambda --target Gamma --ring Fp:5 --s 1 --max-weight 70 --max-codegree 60 --json", 0, "94b158dbb9f4c2634efd3114ea340a64e46b26e439cdd4f2661970042295b5be"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, exit_code, digest",
+    PREDICT_GOLDEN_DIGESTS,
+    ids=[a for a, _, _ in PREDICT_GOLDEN_DIGESTS],
+)
+def test_predict_route_output_matches_its_golden_digest(runner, args, exit_code, digest):
+    _assert_output_digest(runner, args, exit_code, digest)
 
 
 # ----------------------------------------------------------------------

@@ -79,18 +79,30 @@ def test_homology_ring_n2_p2_through_weight_10_within_budget():
 PREDICT_BUDGET_S = 1.5
 
 
-def test_predict_route_symmetric_to_divided_through_weight_200_within_budget():
+def _predict_symmetric_to_divided_lines(weight_max):
+    """The lines of ``S -> Gamma`` over F_2 through ``weight_max``, asserted
+    to print within the predict route's budget."""
     start = time.perf_counter()
     result = CliRunner().invoke(
         main,
         ["ext-table", "--source", "S", "--target", "Gamma", "--ring", "Fp:2",
-         "--max-weight", "200"],
+         "--max-weight", str(weight_max)],
     )
     elapsed = time.perf_counter() - start
     assert result.exit_code == 0
-    lines = result.output.splitlines()
-    assert lines[0] == "Ext^0 (weight 0) = dim 1"
-    assert len(lines) == 38931
     assert elapsed < PREDICT_BUDGET_S, (
         f"ext-table took {elapsed:.2f}s (budget {PREDICT_BUDGET_S}s)"
     )
+    return result.output.splitlines()
+
+
+def test_predict_route_symmetric_to_divided_through_weight_200_within_budget():
+    lines = _predict_symmetric_to_divided_lines(200)
+    assert lines[0] == "Ext^0 (weight 0) = dim 1"
+    assert len(lines) == 38931
+
+
+def test_predict_route_symmetric_to_divided_through_weight_400_within_budget():
+    lines = _predict_symmetric_to_divided_lines(400)
+    assert lines[0] == "Ext^0 (weight 0) = dim 1"
+    assert len(lines) == 157467

@@ -245,6 +245,9 @@ def _columns_of(n, rows):
 @example((3, [[2, 4, 6], [1, 2, 3], [3, 6, 9]]))  # rank 1
 @example((3, [[2, 0, 4], [0, 6, 0], [4, 0, 2]]))  # no unit entry
 @example((2, [[2, 0], [0, 3]]))  # diagonal that is not yet normal
+# a pivot taken as the smallest of the last pivot's row meets a smaller
+# entry of the same sign in its own column (a zero floor quotient)
+@example((3, [[0, -3, -2], [-2, -6, -5], [3, 0, 2]]))
 def test_sparse_snf_matches_euclid_reference(case):
     n, rows = case
     columns = _columns_of(n, rows)

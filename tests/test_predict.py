@@ -156,6 +156,14 @@ def _spec_of(*factors):
 @example(_spec_of((EXTERIOR, [(0, 1, 0, 6), (0, 2, 0, 3)])), 12)
 @example(_spec_of((EXTERIOR, [(3, 4, 0, 2)]), (DIVIDED, [(1, 2, 0, 3), (0, 4, 0, 1)])), 4)
 @example(_spec_of(), 0)
+# weights on the lattice of 4; the weight-6 family past the cap must not
+# enter the gcd, and neither must the weight-14 one
+@example(_spec_of((EXTERIOR, [(1, 4, 0, 2), (2, 6, 0, 1)]), (SYMMETRIC, [(3, 4, 0, 3)])), 5)
+@example(_spec_of((DIVIDED, [(2, 4, 0, 2), (5, 14, 0, 1)]), (EXTERIOR, [(3, 8, 0, 2)])), 12)
+# a multiplicity-0 family of weight 2 among families of weight 3
+@example(_spec_of((DIVIDED, [(2, 3, 0, 2), (1, 2, 0, 0)]), (EXTERIOR, [(1, 6, 0, 1)])), 12)
+# families listed lightest first, in one factor and across factors
+@example(_spec_of((EXTERIOR, [(1, 1, 0, 1), (2, 2, 0, 2)]), (SYMMETRIC, [(3, 3, 0, 2), (0, 5, 0, 1)])), 12)
 def test_poincare_dims_match_convolution_reference(spec, weight_max):
     got = poincare_dims(spec, weight_max)
     want = reference_poincare_dims(spec, weight_max)
