@@ -12,18 +12,21 @@ columns from those of the slices below it.  One helper
 (:func:`_checked_slice`) compiles a slice and checks d^2 = 0 on it, as the
 exact sparse product ``D_{i-1} D_i = 0`` over the algebra's ring; it is
 where integral and mod-p slice homology and the mod-p homology ring get
-their columns, so the check always runs.  One sparse elimination routine
-(:func:`_eliminate`) reduces the columns over Z and over F_p alike, with
-rows and columns kept as dicts and nothing densified: one pivot step, on
-units from a Markowitz queue while there are any and then, over Z, on the
-smallest entry.  Smith normal form is a gcd/lcm pass over its diagonal
-(:func:`smith_normal_form_of_columns`); a mod-p rank is its pivot count
+their columns, so the check always runs.  There is one reduction routine
+per ring, and neither densifies anything.  Over Z, a sparse elimination
+(:func:`_eliminate`) keeps rows and columns as dicts and takes one pivot
+step, on units from a Markowitz queue while there are any and then on the
+smallest entry; Smith normal form is a gcd/lcm pass over its diagonal
+(:func:`smith_normal_form_of_columns`).  Over F_p, a lowest-pivot column
+reduction (:func:`_pivot_rows_mod_p`) keeps each column as an int bitmask
+over F_2 and as a dict otherwise; a mod-p rank is its pivot count
 (:func:`rank_of_columns_mod_p`).  Slice homology reduces a compiled slice
 once, from the top degree down (:func:`_reduce_slice`): before ``D_i`` is
-reduced, its columns at the rows of the unit pivots of ``D_{i+1}`` are
-cleared, because up to a unimodular change of basis they are boundaries and
-``D_i`` sends them to zero.  When the algebra grades a slice more finely
-than by weight (:meth:`~extbar.algebra.WdgAlgebra.block_keys`, the
+reduced, its columns at the pivot rows of ``D_{i+1}`` (over Z, those of its
+unit pivots) are cleared, because up to an invertible change of basis they
+are boundaries and ``D_i`` sends them to zero.  When the algebra grades a
+slice more finely than by weight
+(:meth:`~extbar.algebra.WdgAlgebra.block_keys`, the
 multi-weight of a bar construction on several generators), the slice is a
 direct sum of blocks: the check also asserts that no entry leaves its
 column's block, and the reduction runs block by block, one block for each
@@ -93,71 +96,64 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...],
     return smith_normal_form_of_columns(columns)
 
 
-def _eliminate(
-    columns: Sequence[Mapping[int, int]], p: int
-) -> Tuple[List[int], int, List[int]]:
-    """Sparse elimination of the matrix whose ``j``-th column is
-    ``columns[j]``, over Z for ``p == 0`` and over F_p otherwise.  Returns
-    the diagonal it reduces the matrix to, one entry per pivot, the bit
-    length of the largest entry the matrix ever held, and the row of every
-    unit pivot taken before the first non-unit one, in pivot order.
+def _eliminate(columns: Sequence[Mapping[int, int]]) -> Tuple[List[int], int, List[int]]:
+    """Sparse elimination over Z of the matrix whose ``j``-th column is
+    ``columns[j]``.  Returns the diagonal it reduces the matrix to, one
+    entry per pivot, the bit length of the largest entry the matrix ever
+    held, and the row of every unit pivot taken before the first non-unit
+    one, in pivot order.
 
-    Rows and columns are kept as ``{index: entry}`` dicts; over F_p the
-    entries are reduced into ``[1, p)``.  The input is not modified.
+    Rows and columns are kept as ``{index: entry}`` dicts.  The input is
+    not modified.
 
     Every step picks a pivot ``v`` at ``(r, c)`` and clears column ``c`` by
     row operations: every other row ``i`` of it becomes ``row_i - f row_r``
-    with ``f = a_ic v^-1 mod p`` over F_p and the floor quotient
-    ``f = a_ic // v`` over Z.  The pivot is chosen one of two ways:
+    with the floor quotient ``f = a_ic // v``.  The pivot is chosen one of
+    two ways:
 
-    * A *unit* (+-1 over Z, every nonzero over F_p) from a heap keyed by
-      Markowitz cost ``(len(row) - 1) * (len(col) - 1)``, then row, then
-      column.  A popped entry that is gone or no longer a unit is skipped;
-      one whose cost has grown is pushed back with its new cost.  Dividing
-      by a unit leaves no remainder, so the row update is the exact Schur
-      complement, and the column operations that would clear row ``r``
-      change nothing else: row ``r`` and column ``c`` are dropped and the
-      diagonal gets a 1.  The units the update creates are pushed.
-    * Once the heap is empty, which over F_p means the matrix is zero, the
-      entry of smallest absolute value in the whole remaining matrix (ties
-      broken by Markowitz cost, then by row and column index).  Its row is
-      then cleared by column operations too; a nonzero remainder in either
-      is smaller than the pivot and sends the loop back to choose again,
-      this time the smallest entry of that pivot's column and row only,
-      where the remainders are.  Each such pivot is strictly smaller than
-      the one before, so the chain ends.  A pivot left alone in its row
-      and column is recorded as ``|pivot|`` and both are dropped, and the
-      next chain starts from the whole matrix again.  Taking the smallest
-      entry is what keeps the coefficients small.  From the first such
-      pivot on, nothing is pushed and no pivot row is reported.
+    * A *unit* (+-1) from a heap keyed by Markowitz cost
+      ``(len(row) - 1) * (len(col) - 1)``, then row, then column.  A popped
+      entry that is gone or no longer a unit is skipped; one whose cost has
+      grown is pushed back with its new cost.  Dividing by a unit leaves no
+      remainder, so the row update is the exact Schur complement, and the
+      column operations that would clear row ``r`` change nothing else: row
+      ``r`` and column ``c`` are dropped and the diagonal gets a 1.  The
+      units the update creates are pushed.
+    * Once the heap is empty, the entry of smallest absolute value in the
+      whole remaining matrix (ties broken by Markowitz cost, then by row and
+      column index).  Its row is then cleared by column operations too; a
+      nonzero remainder in either is smaller than the pivot and sends the
+      loop back to choose again, this time the smallest entry of that
+      pivot's column and row only, where the remainders are.  Each such
+      pivot is strictly smaller than the one before, so the chain ends.  A
+      pivot left alone in its row and column is recorded as ``|pivot|`` and
+      both are dropped, and the next chain starts from the whole matrix
+      again.  Taking the smallest entry is what keeps the coefficients
+      small.  From the first such pivot on, nothing is pushed and no pivot
+      row is reported.
 
     The unit pivots taken before that are Schur complements on units, so
-    the block of the input on their rows and columns has determinant +-1 (a
-    unit mod p over F_p); that is what lets :func:`_reduce_slice` clear
-    their rows from the degree below.  Over F_p every pivot is one of them
-    and the pivot count is the rank.  Pivots of smallest entry span no
-    unimodular block, even when the entry is 1.
+    the block of the input on their rows and columns has determinant +-1;
+    that is what lets :func:`_reduce_slice` clear their rows from the
+    degree below.  Pivots of smallest entry span no unimodular block, even
+    when the entry is 1.
     """
     cols: Dict[int, Dict[int, int]] = {}
     rows: Dict[int, Dict[int, int]] = {}
     top = 0
     for j, column in enumerate(columns):
         for i, v in column.items():
-            if p:
-                v %= p
             if v:
                 cols.setdefault(j, {})[i] = v
                 rows.setdefault(i, {})[j] = v
                 top = max(top, abs(v))
     diagonal: List[int] = []
     units: List[int] = []
-    # ``v == 1 or v == -1 or p and v`` below tests "v is a unit", with 0 for
-    # an absent entry.
     heap = [
         ((len(rows[i]) - 1) * (len(col) - 1), i, j)
         for j, col in cols.items()
         for i, v in col.items()
-        if v == 1 or v == -1 or p
+        if v == 1 or v == -1
     ]
     heapq.heapify(heap)
     only_units = True  # no smallest-entry pivot yet: push new units, report rows
@@ -167,7 +163,7 @@ def _eliminate(
             cost, r, c = heapq.heappop(heap)
             pivot_row = rows.get(r)
             v = pivot_row.get(c, 0) if pivot_row else 0
-            if not (v == 1 or v == -1 or p and v):
+            if not (v == 1 or v == -1):
                 continue
             now = (len(pivot_row) - 1) * (len(cols[c]) - 1)
             if now > cost:
@@ -192,12 +188,11 @@ def _eliminate(
             _, _, r, c = best
             pivot_row = rows[r]
             v = pivot_row[c]
-        unit = v == 1 or v == -1 or bool(p)
-        inverse = pow(v, -1, p) if p else 0
+        unit = v == 1 or v == -1
         remainder = False
         for i in [i for i in cols[c] if i != r]:
             row = rows[i]
-            f = row[c] * inverse % p if p else row[c] // v
+            f = row[c] // v
             if not f:
                 # 0 <= row[c] / v < 1: a pivot taken as the smallest of its
                 # row only can meet a smaller entry in its column
@@ -207,15 +202,11 @@ def _eliminate(
             for j, e in pivot_row.items():
                 old = row.get(j, 0)
                 x = old - f * e
-                if p:
-                    x %= p
-                elif not -top <= x <= top:
+                if not -top <= x <= top:
                     top = abs(x)
                 if x:
                     row[j] = cols[j][i] = x
-                    if only_units and (x == 1 or x == -1 or p) and not (
-                        old == 1 or old == -1 or p and old
-                    ):
+                    if only_units and (x == 1 or x == -1) and not (old == 1 or old == -1):
                         fresh.append(j)
                 else:
                     del row[j], cols[j][i]
@@ -260,7 +251,7 @@ def smith_normal_form_of_columns(
     :func:`_invariant_factors` of the diagonal of :func:`_eliminate`.  The
     input is not modified.
     """
-    return _invariant_factors(_eliminate(columns, 0)[0])
+    return _invariant_factors(_eliminate(columns)[0])
 
 
 def _invariant_factors(diagonal: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
@@ -275,11 +266,65 @@ def _invariant_factors(diagonal: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
     return (1,) * ones + tuple(factors), len(diagonal)
 
 
+def _pivot_rows_mod_p(columns: Sequence[Mapping[int, int]], p: int) -> List[int]:
+    """The pivot rows, in pivot order, of the lowest-pivot column reduction
+    over F_p of the integer matrix whose ``j``-th column is ``columns[j]``
+    (Zomorodian and Carlsson, *Computing persistent homology*, 2005).  Their
+    number is the rank.  The input is not modified.
+
+    The columns are taken in input order.  A column's *low* is its highest
+    row.  While a column is nonzero and a stored column has its low, the
+    multiple of the stored column that cancels that row is subtracted from
+    it; a column whose low is new is stored under that row, its pivot row.
+    So the columns stored are those independent of the columns before them,
+    and the block of the input on the pivot rows and those columns is
+    invertible over F_p, as :func:`_reduce_slice` needs.
+
+    Over F_2 a column is the int bitmask of its odd entries: its low is
+    ``x.bit_length() - 1`` and subtracting a column is one XOR.  For odd
+    ``p`` it is a ``{row: entry}`` dict with entries in ``[1, p)``, stored
+    scaled to 1 at its pivot row.
+    """
+    if p == 2:
+        masks: Dict[int, int] = {}
+        for column in columns:
+            x = 0
+            for i, v in column.items():
+                if v & 1:
+                    x |= 1 << i
+            while x:
+                low = x.bit_length() - 1
+                y = masks.get(low)
+                if y is None:
+                    masks[low] = x
+                    break
+                x ^= y
+        return list(masks)
+    stored: Dict[int, Dict[int, int]] = {}
+    for column in columns:
+        x = {i: v % p for i, v in column.items() if v % p}
+        while x:
+            low = max(x)
+            y = stored.get(low)
+            if y is None:
+                inverse = pow(x[low], -1, p)
+                stored[low] = {i: v * inverse % p for i, v in x.items()}
+                break
+            f = x[low]
+            for i, e in y.items():
+                v = (x.get(i, 0) - f * e) % p
+                if v:
+                    x[i] = v
+                else:
+                    del x[i]
+    return list(stored)
+
+
 def rank_of_columns_mod_p(columns: Sequence[Mapping[int, int]], p: int) -> int:
     """Rank over F_p of the integer matrix whose ``j``-th column is
-    ``columns[j]``: the pivot count of :func:`_eliminate`."""
+    ``columns[j]``: the pivot count of :func:`_pivot_rows_mod_p`."""
     check_prime(p)
-    return len(_eliminate(columns, p)[0])
+    return len(_pivot_rows_mod_p(columns, p))
 
 
 # ----------------------------------------------------------------------
@@ -537,38 +582,44 @@ def _slice_blocks(algebra: WdgAlgebra, weight: int) -> Optional[List[Block]]:
 def _reduce_slice(
     columns: Mapping[int, Sequence[Column]], p: int, blocks: Optional[Sequence[Block]] = None
 ) -> Dict[int, List[int]]:
-    """The :func:`_eliminate` diagonal of every boundary matrix ``D_i`` of a
-    complex, given as ``{degree: columns}``, over Z for ``p == 0`` and over
-    F_p otherwise, reduced one block at a time and with the *clearing* of
-    Chen and Kerber (*Persistent homology computation with a twist*, 2011).
+    """The diagonal of every boundary matrix ``D_i`` of a complex, given as
+    ``{degree: columns}``: over Z for ``p == 0`` the :func:`_eliminate`
+    diagonal, over F_p one 1 per pivot of :func:`_pivot_rows_mod_p`.  It is
+    reduced one block at a time and with the *clearing* of Chen and Kerber
+    (*Persistent homology computation with a twist*, 2011).
 
     ``blocks`` lists ``(indices, multiplicity)``: the columns of a block by
     degree, which the differential must send into the rows of the same
     block, and the number of blocks with its homology it stands for; its
     diagonal is counted that many times.  ``None`` is the whole complex as
     one block.  Within a block the degrees are reduced from the top down,
-    and before ``D_i`` is reduced its columns at the unit-pivot rows ``R``
-    of ``D_{i+1}`` are dropped.  The rows are keyed by degree, so a gap in
-    the degrees clears nothing.  Each diagonal has the rank and the
-    invariant factors of the whole ``D_i``, which is all that homology
-    needs.
+    and before ``D_i`` is reduced its columns at the pivot rows ``R`` of
+    ``D_{i+1}`` are dropped: over Z the rows of its unit pivots, over F_p
+    all of them.  The rows are keyed by degree, so a gap in the degrees
+    clears nothing.  Each diagonal has the rank and the invariant factors
+    of the whole ``D_i``, which is all that homology needs.
 
-    Why this is exact, over Z too: the unit pivots come from Schur
-    complements on units, so the block ``D_{i+1}[R, K]`` on their rows ``R``
-    and columns ``K`` has determinant +-1, and the columns ``K`` of
-    ``D_{i+1}`` together with the unit vectors ``e_j`` for ``j`` not in ``R``
-    form a basis of ``C_i``.  Since ``D_i D_{i+1} = 0``, ``D_i`` has the
-    same image as ``D_i`` restricted to the columns outside ``R``; hence the
+    Why this is exact: let ``K`` be the columns of ``D_{i+1}`` whose pivots
+    have the rows ``R``.  The block ``D_{i+1}[R, K]`` is invertible over
+    the ring.  Over Z the unit pivots come from Schur complements on units,
+    so it has determinant +-1.  Over F_p, order ``K`` by the pivot rows:
+    the reduced columns on ``R x K`` are then triangular with a nonzero
+    diagonal, and they are ``D_{i+1}[R, K]`` times a matrix that is
+    unitriangular in input order, since each column was reduced only by
+    the columns of ``K`` before it.  Hence the columns ``K`` of ``D_{i+1}``
+    together with the unit vectors ``e_j`` for ``j`` not in ``R`` form a
+    basis of ``C_i``.  Since ``D_i D_{i+1} = 0``, ``D_i`` has the same
+    image as ``D_i`` restricted to the columns outside ``R``; hence the
     same cokernel, so the same rank and the same invariant factors.  This
     relies on ``d^2 = 0``, which is why the check always runs first
     (:func:`_checked_slice`).
 
-    It fails for smallest-entry pivots, which span no unimodular block: with
-    ``D_{i+1}`` the column ``(2, 3)`` and ``D_i`` the row ``(3, -2)`` the
-    homology is 0, but ``D_i`` without column 0 has cokernel Z/2, and
-    without column 1, Z/3.
+    Over Z it fails for smallest-entry pivots, which span no unimodular
+    block: with ``D_{i+1}`` the column ``(2, 3)`` and ``D_i`` the row
+    ``(3, -2)`` the homology is 0, but ``D_i`` without column 0 has
+    cokernel Z/2, and without column 1, Z/3.
 
-    The argument holds block by block: the unit pivots of a block's
+    The argument holds block by block: the pivot rows of a block's
     ``D_{i+1}`` lie in its rows, and ``D_i`` restricted to the block is
     again a differential that squares to zero.
     """
@@ -576,12 +627,16 @@ def _reduce_slice(
         blocks = [({i: range(len(cols)) for i, cols in columns.items()}, 1)]
     diagonals: Dict[int, List[int]] = {i: [] for i in columns}
     for indices, multiplicity in blocks:
-        unit_rows: Dict[int, List[int]] = {}
+        pivot_rows: Dict[int, List[int]] = {}
         for i in sorted(indices, reverse=True):
-            cleared = set(unit_rows.pop(i, ()))
+            cleared = set(pivot_rows.pop(i, ()))
             cols = columns[i]
             kept = [cols[j] for j in indices[i] if j not in cleared]
-            diagonal, _, unit_rows[i - 1] = _eliminate(kept, p)
+            if p:
+                rows = pivot_rows[i - 1] = _pivot_rows_mod_p(kept, p)
+                diagonal = [1] * len(rows)
+            else:
+                diagonal, _, pivot_rows[i - 1] = _eliminate(kept)
             diagonals[i].extend(diagonal * multiplicity)
     return diagonals
 

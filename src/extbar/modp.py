@@ -6,8 +6,9 @@ independent ones; for each dependent vector it reports the relation that
 expresses it through the earlier independent vectors.  That one routine gives
 the mod-p homology ring (:class:`extbar.homology.FpHomologyRing`) its cycles,
 its representatives and the coordinates of a class.  Mod-p ranks, which need
-no relations, come from the sparse elimination in :mod:`extbar.homology`;
-:func:`rank_mod_p` is its entry point for a matrix given as dense rows.
+no relations, come from the lowest-pivot column reduction in
+:mod:`extbar.homology`; :func:`rank_mod_p` is its entry point for a matrix
+given as dense rows.
 
 The public entry points that take a modulus (:func:`rank_mod_p`,
 :func:`extbar.homology.rank_of_columns_mod_p`,

@@ -37,6 +37,8 @@ BUDGET_S = 10.0
         ("cartan-field", 2, 3, 1, 9),
         ("cartan-integral", 2, 3, 1, 9),
         ("cartan-integral", 2, 1, 2, 10),
+        ("exponential", 2, 1, 1, 10),
+        ("cartan-field", 3, 3, 1, 9),
     ],
     ids=[
         "cartan-field-p2-n2-w9",
@@ -55,6 +57,8 @@ BUDGET_S = 10.0
         "cartan-field-p2-n3-w9",
         "cartan-integral-n3-w9",
         "cartan-integral-n1-m2-w10",
+        "exponential-p2-n1-w10",
+        "cartan-field-p3-n3-w9",
     ],
 )
 def test_frontier_suite_passes_within_budget(suite, p, n, m, weight_max):

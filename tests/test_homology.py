@@ -37,6 +37,7 @@ from extbar.extract import bar_source_algebra
 from extbar.homology import (
     _eliminate,
     _invariant_factors,
+    _pivot_rows_mod_p,
     _reduce_slice,
     _slice_blocks,
     boundary_matrix,
@@ -46,7 +47,7 @@ from extbar.homology import (
     smith_normal_form_of_columns,
 )
 from extbar.modp import MAX_PRIME
-from test_modp import reference_kernel, reference_rref
+from test_modp import check_pivot_rows, reference_kernel, reference_rref
 
 GAMMA = FreeAlgebra(DIVIDED, [(2, 1, 1)], ZZ)
 BAR1 = bar(GAMMA)
@@ -287,26 +288,25 @@ def test_elimination_examples_match_references(rows):
     for p in (2, 3, 5, MAX_PRIME):
         rank = len(reference_rref(rows, n, p)[1])
         assert rank_of_columns_mod_p(columns, p) == rank
-        assert _eliminate(columns, p)[0] == [1] * rank
+        check_pivot_rows(rows, n, p)
     assert columns == before
 
 
 def test_elimination_reports_its_largest_entry():
     # the unit pivot at (0, 0) leaves -10 at (1, 1): 4 bits
     columns = _columns_of(2, [[1, 5], [1, -5]])
-    assert _eliminate(columns, 0)[:2] == ([1, 10], 4)
-    # mod 7 the entries are 1, 5, 1, 2 and the update leaves 4
-    assert _eliminate(columns, 7)[:2] == ([1, 1], 3)
+    assert _eliminate(columns)[:2] == ([1, 10], 4)
 
 
 def test_elimination_reports_only_unit_pivot_rows():
     columns = _columns_of(2, [[1, 5], [1, -5]])
     # the -10 left at (1, 1) is a smallest-entry pivot, so only row 0
-    assert _eliminate(columns, 0)[2] == [0]
-    # over F_p every pivot is a unit
-    assert sorted(_eliminate(columns, 7)[2]) == [0, 1]
+    assert _eliminate(columns)[2] == [0]
+    # over F_7 both rows are pivot rows: row 1 of column 0, then row 0 of
+    # column 1 less twice column 0
+    assert _pivot_rows_mod_p(columns, 7) == [1, 0]
     # the 1 that the smallest-entry phase makes from 2 and 3 is no unit pivot
-    assert _eliminate([{0: 2, 1: 3}], 0) == ([1], 2, [])
+    assert _eliminate([{0: 2, 1: 3}]) == ([1], 2, [])
 
 
 @st.composite
@@ -324,7 +324,7 @@ def unit_heavy_matrices(draw):
 def test_mixed_unit_matrices_match_euclid_reference(case):
     n, rows = case
     columns = _columns_of(n, rows)
-    diagonal = _eliminate(columns, 0)[0]
+    diagonal = _eliminate(columns)[0]
     factors, rank = euclid_snf(rows)
     assert smith_normal_form_of_columns(columns) == (factors, rank)
     # the gcd/lcm pass keeps the product of the diagonal
@@ -340,8 +340,8 @@ def test_integral_elimination_keeps_entries_within_64_bits(n, weight_max, monkey
     today)."""
     bits = []
 
-    def recording(columns, p):
-        out = _eliminate(columns, p)
+    def recording(columns):
+        out = _eliminate(columns)
         bits.append(out[1])
         return out
 

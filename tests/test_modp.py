@@ -17,7 +17,7 @@ from extbar import (
     homology_ring_over_Fp,
     integral_homology_table,
 )
-from extbar.homology import _eliminate, rank_of_columns_mod_p
+from extbar.homology import _pivot_rows_mod_p, rank_of_columns_mod_p
 from extbar.modp import MAX_PRIME, OrderedEchelon, rank_mod_p
 
 
@@ -58,6 +58,18 @@ def reference_kernel(rows, n, p):
 
 def columns_of(rows, n):
     return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
+
+
+def check_pivot_rows(rows, n, p):
+    """Assert that :func:`_pivot_rows_mod_p` returns as many rows as the
+    rank, and rows on which the block of the matrix at its pivot columns
+    (those independent of the columns before them) has full rank mod p: the
+    block that clearing needs to be invertible."""
+    pivot_rows = _pivot_rows_mod_p(columns_of(rows, n), p)
+    pivot_columns = reference_rref(rows, n, p)[1]
+    assert len(pivot_rows) == len(pivot_columns)
+    block = [[rows[r][k] for k in pivot_columns] for r in pivot_rows]
+    assert len(reference_rref(block, len(pivot_columns), p)[1]) == len(pivot_rows)
 
 
 def walk_kernel(rows, n, p):
@@ -106,6 +118,45 @@ def test_rank_matches_reference(case):
     rank = len(reference_rref(rows, n, p)[1])
     assert rank_mod_p(rows, p) == rank
     assert rank_of_columns_mod_p(columns_of(rows, n), p) == rank
+
+
+@st.composite
+def column_reductions(draw):
+    """``(p, n, rows)`` with p in {2, 3, 5, 7} and rows an ``m x n`` integer
+    matrix, m <= 7 and n <= 8, biased toward zero entries.  Its columns
+    sometimes include one with only even entries, zero over F_2, and a last
+    one that is a combination of two columns before it, so it reduces to
+    zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-6, 6))
+    columns = [[draw(entry) for _ in range(m)] for _ in range(draw(st.integers(0, 6)))]
+    if draw(st.booleans()):
+        even = [2 * draw(entry) for _ in range(m)]
+        columns.insert(draw(st.integers(0, len(columns))), even)
+    if len(columns) >= 2 and draw(st.booleans()):
+        x = draw(st.integers(0, len(columns) - 2))
+        y = draw(st.integers(x + 1, len(columns) - 1))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        columns.append([a * u + b * v for u, v in zip(columns[x], columns[y])])
+    return p, len(columns), [[column[i] for column in columns] for i in range(m)]
+
+
+@_with_edge_shapes
+@example((2, 3, [[2, 1, 3], [4, 1, 5]]))  # an all-even column, a column that reduces to zero
+@example((7, 3, [[1, 0, 2], [0, 1, 3], [4, 5, 2]]))  # col 2 = 2 col 0 + 3 col 1 mod 7
+# both columns have their lowest entry in row 0, so only their highest rows
+# 1 and 2 give a full rank block
+@example((2, 2, [[1, 1], [1, 0], [0, 1]]))
+@example((3, 2, [[1, 1], [1, 0], [0, 1]]))
+@given(column_reductions())
+def test_column_reduction_pivot_rows_give_a_full_rank_block(case):
+    p, n, rows = case
+    columns = columns_of(rows, n)
+    before = [dict(c) for c in columns]
+    check_pivot_rows(rows, n, p)
+    assert rank_of_columns_mod_p(columns, p) == len(reference_rref(rows, n, p)[1])
+    assert columns == before
 
 
 @_with_edge_shapes
@@ -235,8 +286,7 @@ def test_sparse_rank_at_the_largest_supported_prime_matches_reference(case):
     columns = columns_of(rows, n)
     rank = len(reference_rref(rows, n, MAX_PRIME)[1])
     assert rank_of_columns_mod_p(columns, MAX_PRIME) == rank
-    # every nonzero is a unit mod p, so no pivot is left to the integral phase
-    assert _eliminate(columns, MAX_PRIME)[0] == [1] * rank
+    check_pivot_rows(rows, n, MAX_PRIME)
     assert walk_kernel(rows, n, MAX_PRIME) == reference_kernel(rows, n, MAX_PRIME)
 
 
