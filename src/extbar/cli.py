@@ -11,27 +11,19 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import click
 
 from .algebra import InternalAssertionError
 from .extract import bar_source_algebra, ext_table_via_bar
-from .homology import AbelianGroup, TableKey, homology_over_Fp, homology_over_Z
+from .homology import homology_over_Fp, homology_over_Z
 from .modp import MAX_PRIME
 from .predict import ext_integral_predict, ext_twisted_predict, poincare_dims
 from .rings import Ring, is_prime, parse_ring
-from .verify import SUITES_WITH_M, run_suite
+from .verify import SUITES, SUITES_WITH_M, run_suite
 from .words import enumerate_p_pairs, enumerate_words, word_degree, word_twisting
 
-SUITES = (
-    "cartan-field",
-    "cartan-integral",
-    "koszul",
-    "twist-consistency",
-    "exponential",
-    "tables",
-)
 FUNCTOR_CHOICES = click.Choice(["S", "Lambda", "Gamma"])
 
 
@@ -113,21 +105,32 @@ def words(p: int, height: int, max_degree: int, pairs: bool) -> None:
 # ----------------------------------------------------------------------
 
 
-def _group_entry(degree: int, group: AbelianGroup, weight: Optional[int] = None) -> Dict:
-    entry: Dict = {"degree": degree}
-    if weight is not None:
-        entry["weight"] = weight
-    entry["free_rank"] = group.free_rank
-    entry["torsion"] = list(group.invariant_factors())
-    return entry
-
-
-def _echo_json(payload: Dict) -> None:
-    click.echo(json.dumps(payload))
-
-
-def _echo_csv(header: List[str], rows: List[List]) -> None:
-    _echo_lines([",".join(header)] + [",".join(str(v) for v in row) for row in rows])
+def _echo_table(
+    table: Mapping, ring: Ring, keys: Tuple[str, ...], list_key: str, params: Dict, as_csv: bool
+) -> None:
+    """Print a table keyed by degree, or by (degree, weight), as CSV or as
+    one JSON object: ``params`` and, under ``list_key``, the list of its
+    entries.  ``keys`` names the key columns; the value is a field's
+    dimension, or a group's free rank and torsion over Z."""
+    names = keys + (("dimension",) if ring.is_field else ("free_rank", "torsion"))
+    entries = []
+    for key, value in table.items():
+        entry = list(key) if isinstance(key, tuple) else [key]
+        if ring.is_field:
+            entry.append(value)
+        else:
+            entry += [value.free_rank, list(value.invariant_factors())]
+        entries.append(entry)
+    if as_csv:
+        _echo_lines(
+            [",".join(names)]
+            + [
+                ",".join(";".join(map(str, v)) if isinstance(v, list) else str(v) for v in entry)
+                for entry in entries
+            ]
+        )
+    else:
+        click.echo(json.dumps({"schema": 1, **params, list_key: [dict(zip(names, e)) for e in entries]}))
 
 
 @main.command("bar-homology")
@@ -148,33 +151,18 @@ def bar_homology(
     _require(m >= 1, "--m must be >= 1")
     _require(not (as_json and as_csv), "choose at most one of --json/--csv")
     algebra = bar_source_algebra(n, m)
-    params = {"ring": _ring_label(ring), "n": n, "weight": weight, "m": m}
     if ring.is_field:
-        dims = homology_over_Fp(algebra, weight, ring.char)
-        groups = [{"degree": i, "dimension": dims[i]} for i in sorted(dims)]
-        if as_json:
-            _echo_json({"schema": 1, **params, "groups": groups})
-        elif as_csv:
-            _echo_csv(["degree", "dimension"], [[g["degree"], g["dimension"]] for g in groups])
-        else:
-            _echo_lines(
-                [f"H_{g['degree']} (weight {weight}) = dim {g['dimension']}" for g in groups]
-                or [f"weight {weight}: trivial"]
-            )
-        return
-    column = homology_over_Z(algebra, weight)
-    groups = [_group_entry(i, column[i]) for i in sorted(column)]
-    if as_json:
-        _echo_json({"schema": 1, **params, "groups": groups})
-    elif as_csv:
-        rows = [
-            [g["degree"], g["free_rank"], ";".join(str(d) for d in g["torsion"])]
-            for g in groups
-        ]
-        _echo_csv(["degree", "free_rank", "torsion"], rows)
+        table = homology_over_Fp(algebra, weight, ring.char)
     else:
+        table = homology_over_Z(algebra, weight)
+    table = dict(sorted(table.items()))
+    if as_json or as_csv:
+        params = {"ring": _ring_label(ring), "n": n, "weight": weight, "m": m}
+        _echo_table(table, ring, ("degree",), "groups", params, as_csv)
+    else:
+        dim = "dim " if ring.is_field else ""
         _echo_lines(
-            [f"H_{i} (weight {weight}) = {column[i]}" for i in sorted(column)]
+            [f"H_{i} (weight {weight}) = {dim}{v}" for i, v in table.items()]
             or [f"weight {weight}: trivial"]
         )
 
@@ -221,77 +209,43 @@ def ext_table(
     _require(max_weight >= 0, "--max-weight must be >= 0")
     _require(m >= 1, "--m must be >= 1")
     _require(not (as_json and as_csv), "choose at most one of --json/--csv")
-
-    def keep(key: TableKey) -> bool:
-        return max_codegree is None or key[0] <= max_codegree
-
-    params = {
-        "source": source,
-        "target": target,
-        "ring": _ring_label(ring),
-        "s": s,
-        "t": t,
-        "m": m,
-        "max_weight": max_weight,
-    }
+    # Every route returns its table with the keys sorted.
     if not ring.is_field:
         _require(s == 0 and t == 0, "twisted tables over Z are not supported")
         _require(
             source == "S" and target in ("Lambda", "Gamma"),
             "integral tables are computed for source S and target Lambda/Gamma",
         )
-        if method in ("auto", "bar"):
-            table = ext_table_via_bar(source, target, ring, max_weight, m)
-            entries_groups = {k: v for k, v in table.groups.items() if keep(k)}
+        if method == "predict":
+            table: Mapping = ext_integral_predict(source, target, m, max_weight)
         else:
-            entries_groups = {
-                k: v
-                for k, v in ext_integral_predict(source, target, m, max_weight).items()
-                if keep(k)
-            }
-        entries = [
-            _group_entry(i, g, weight=d) for (i, d), g in sorted(entries_groups.items())
-        ]
-        if as_json:
-            _echo_json({"schema": 1, **params, "entries": entries})
-        elif as_csv:
-            rows = [
-                [e["degree"], e["weight"], e["free_rank"], ";".join(map(str, e["torsion"]))]
-                for e in entries
-            ]
-            _echo_csv(["degree", "weight", "free_rank", "torsion"], rows)
-        else:
-            _echo_lines(
-                [f"Ext^{i} (weight {d}) = {g}" for (i, d), g in sorted(entries_groups.items())]
-            )
-        return
-
-    p = ring.char
-    if method == "bar":
+            table = ext_table_via_bar(source, target, ring, max_weight, m).groups
+    elif method == "bar":
         _require(
             s == 0 and t == 0 and source == "S" and target in ("Lambda", "Gamma"),
             "the bar route computes untwisted symmetric-source tables",
         )
-        dims = ext_table_via_bar(source, target, ring, max_weight, m).dims
+        table = ext_table_via_bar(source, target, ring, max_weight, m).dims
     else:
-        dims = poincare_dims(
-            ext_twisted_predict(source, target, p, s, t, max_weight, m), max_weight
+        table = poincare_dims(
+            ext_twisted_predict(source, target, ring.char, s, t, max_weight, m), max_weight
         )
-    # Both routes return their tables with the keys sorted.
     if max_codegree is not None:
-        dims = {k: v for k, v in dims.items() if keep(k)}
-    if as_json:
-        entries = [
-            {"degree": i, "weight": d, "dimension": v} for (i, d), v in dims.items()
-        ]
-        _echo_json({"schema": 1, **params, "entries": entries})
-    elif as_csv:
-        _echo_csv(
-            ["degree", "weight", "dimension"],
-            [[i, d, v] for (i, d), v in dims.items()],
-        )
+        table = {k: v for k, v in table.items() if k[0] <= max_codegree}
+    if as_json or as_csv:
+        params = {
+            "source": source,
+            "target": target,
+            "ring": _ring_label(ring),
+            "s": s,
+            "t": t,
+            "m": m,
+            "max_weight": max_weight,
+        }
+        _echo_table(table, ring, ("degree", "weight"), "entries", params, as_csv)
     else:
-        _echo_lines([f"Ext^{i} (weight {d}) = dim {v}" for (i, d), v in dims.items()])
+        dim = "dim " if ring.is_field else ""
+        _echo_lines([f"Ext^{i} (weight {d}) = {dim}{v}" for (i, d), v in table.items()])
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +254,7 @@ def ext_table(
 
 
 @main.command()
-@click.option("--suite", type=click.Choice(SUITES), required=True)
+@click.option("--suite", type=click.Choice(list(SUITES)), required=True)
 @click.option("--p", type=int, default=2, show_default=True)
 @click.option("--n", type=int, default=1, show_default=True)
 @click.option("--m", type=int, default=1, show_default=True)

@@ -4,8 +4,12 @@ The pipeline: build the n-fold bar construction of divided powers on m
 weight-1 generators in degree 2 (n = 1 for the exterior target, n = 2 for
 the divided-power target), take homology weight slice by weight slice, and
 send a class of homological degree j and weight d to cohomological degree
-``(n + 2) * d - j``.  The result is an :class:`ExtTable` of groups (over Z)
-or dimensions (over a prime field) for the symmetric source.
+``(n + 2) * d - j``.  The choice of n and the regrading are
+:func:`extbar.predict.bar_iterations` and
+:func:`extbar.predict.regrade_bar_table`, which the integral closed forms
+(:func:`extbar.predict.ext_integral_predict`) share.  The result is an
+:class:`ExtTable` of groups (over Z) or dimensions (over a prime field) for
+the symmetric source.
 
 This is the expensive, assumption-free route; the closed forms in
 :mod:`extbar.predict` must agree with it wherever both apply, which is what
@@ -17,17 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .algebra import (
-    DIVIDED,
-    EXTERIOR,
-    FreeAlgebra,
-    InternalAssertionError,
-    SYMMETRIC,
-    WdgAlgebra,
-)
+from .algebra import DIVIDED, SYMMETRIC, FreeAlgebra, WdgAlgebra
 from .bar import iterate_bar
 from .homology import AbelianGroup, TableKey, homology_over_Fp, homology_over_Z
-from .predict import ext_field_predict, poincare_dims
+from .predict import bar_iterations, ext_field_predict, poincare_dims, regrade_bar_table
 from .rings import Ring, ZZ
 
 
@@ -74,32 +71,20 @@ def ext_table_via_bar(
     """
     if source != SYMMETRIC:
         raise ValueError("the bar pipeline computes symmetric-source tables only")
-    if target == EXTERIOR:
-        n = 1
-    elif target == DIVIDED:
-        n = 2
-    else:
-        raise ValueError("target must be Lambda or Gamma")
+    n = bar_iterations(target)
     algebra = bar_source_algebra(n, m)
-    shift = n + 2
-
-    merged: Dict[TableKey, object] = {}
+    homology: Dict[TableKey, object] = {}
     for d in range(weight_max + 1):
         if ring.is_field:
             column = homology_over_Fp(algebra, d, ring.char)
         else:
             column = homology_over_Z(algebra, d)
         for j, value in column.items():
-            i = shift * d - j
-            if i < 0:
-                raise InternalAssertionError(
-                    f"homology class at ({j}, {d}) regrades below degree 0"
-                )
-            merged[(i, d)] = value
-    merged = dict(sorted(merged.items()))
+            homology[(j, d)] = value
+    table = regrade_bar_table(homology, n)
     if ring.is_field:
-        return ExtTable(source, target, ring, 0, 0, m, weight_max, dims=merged)  # type: ignore[arg-type]
-    return ExtTable(source, target, ring, 0, 0, m, weight_max, groups=merged)  # type: ignore[arg-type]
+        return ExtTable(source, target, ring, 0, 0, m, weight_max, dims=table)  # type: ignore[arg-type]
+    return ExtTable(source, target, ring, 0, 0, m, weight_max, groups=table)  # type: ignore[arg-type]
 
 
 def hom_dimension(source: str, target: str, p: int, weight: int, m: int = 1) -> int:

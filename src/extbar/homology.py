@@ -17,9 +17,10 @@ per ring, and neither densifies anything.  Over Z, a sparse elimination
 (:func:`_eliminate`) keeps rows and columns as dicts and takes one pivot
 step, on units from a Markowitz queue while there are any and then on the
 smallest entry; Smith normal form is a gcd/lcm pass over its diagonal
-(:func:`smith_normal_form_of_columns`).  Over F_p, a lowest-pivot column
-reduction (:func:`_pivot_rows_mod_p`) keeps each column as an int bitmask
-over F_2 and as a dict otherwise; a mod-p rank is its pivot count
+(:func:`smith_normal_form_of_columns`), and slice homology reads its groups
+straight off the diagonal.  Over F_p, a lowest-pivot column reduction
+(:func:`_pivot_rows_mod_p`) keeps each column as an int bitmask over F_2
+and as a dict otherwise; a mod-p rank is its pivot count
 (:func:`rank_of_columns_mod_p`).  Slice homology reduces a compiled slice
 once, from the top degree down (:func:`_reduce_slice`): before ``D_i`` is
 reduced, its columns at the pivot rows of ``D_{i+1}`` (over Z, those of its
@@ -31,9 +32,11 @@ multi-weight of a bar construction on several generators), the slice is a
 direct sum of blocks: the check also asserts that no entry leaves its
 column's block, and the reduction runs block by block, one block for each
 orbit of blocks with isomorphic complexes, its diagonal counted once per
-block of the orbit (:func:`_slice_blocks`).  The mod-p homology ring, which
-needs kernels and coordinates, reads the same whole-slice columns as sparse
-vectors through :class:`extbar.modp.OrderedEchelon`.  :class:`extbar.bar.BarAlgebra` keeps
+block of the orbit (:func:`_slice_blocks`); an F_2 mask numbers the rows
+within its block, so its size follows the block, not the slice.  The mod-p
+homology ring, which needs kernels and coordinates, reads the same
+whole-slice columns as sparse vectors through
+:class:`extbar.modp.OrderedEchelon`.  :class:`extbar.bar.BarAlgebra` keeps
 the columns of every slice it has compiled, since the slices above are built
 from them, together with what repeats across words and weights (letter
 products, letter differentials, letter bidegrees, shuffle products); nothing
@@ -248,15 +251,10 @@ def smith_normal_form_of_columns(
     the integer matrix whose ``j``-th column is ``columns[j]``, a
     ``{row: coefficient}`` map as :func:`compile_slice` makes them.
 
-    :func:`_invariant_factors` of the diagonal of :func:`_eliminate`.  The
-    input is not modified.
+    A gcd/lcm pass over the diagonal of :func:`_eliminate`.  The input is
+    not modified.
     """
-    return _invariant_factors(_eliminate(columns)[0])
-
-
-def _invariant_factors(diagonal: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
-    """Invariant factors (including 1s) and rank of a matrix that reduces
-    to the given nonzero diagonal: a gcd/lcm pass over its entries."""
+    diagonal = _eliminate(columns)[0]
     ones = diagonal.count(1)
     factors = [d for d in diagonal if d > 1]
     for k in range(len(factors)):
@@ -266,7 +264,9 @@ def _invariant_factors(diagonal: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
     return (1,) * ones + tuple(factors), len(diagonal)
 
 
-def _pivot_rows_mod_p(columns: Sequence[Mapping[int, int]], p: int) -> List[int]:
+def _pivot_rows_mod_p(
+    columns: Sequence[Mapping[int, int]], p: int, rows: Optional[Sequence[int]] = None
+) -> List[int]:
     """The pivot rows, in pivot order, of the lowest-pivot column reduction
     over F_p of the integer matrix whose ``j``-th column is ``columns[j]``
     (Zomorodian and Carlsson, *Computing persistent homology*, 2005).  Their
@@ -281,17 +281,28 @@ def _pivot_rows_mod_p(columns: Sequence[Mapping[int, int]], p: int) -> List[int]
     invertible over F_p, as :func:`_reduce_slice` needs.
 
     Over F_2 a column is the int bitmask of its odd entries: its low is
-    ``x.bit_length() - 1`` and subtracting a column is one XOR.  For odd
-    ``p`` it is a ``{row: entry}`` dict with entries in ``[1, p)``, stored
-    scaled to 1 at its pivot row.
+    ``x.bit_length() - 1`` and subtracting a column is one XOR.  A mask is
+    as long as its highest row is high, so when the columns live on a block
+    of the rows, ``rows`` lists that block's rows and a row's bit is its
+    position in the list.  The low rows order the columns in the same way
+    as long as ``rows`` ascends.  For odd ``p`` a column is a
+    ``{row: entry}`` dict with entries in ``[1, p)``, stored scaled to 1 at
+    its pivot row, and ``rows`` is not needed.
     """
     if p == 2:
         masks: Dict[int, int] = {}
+        local = None if rows is None else {r: k for k, r in enumerate(rows)}
         for column in columns:
             x = 0
-            for i, v in column.items():
-                if v & 1:
-                    x |= 1 << i
+            # two loops, so that a whole slice pays no lookup per entry
+            if local is None:
+                for i, v in column.items():
+                    if v & 1:
+                        x |= 1 << i
+            else:
+                for i, v in column.items():
+                    if v & 1:
+                        x |= 1 << local[i]
             while x:
                 low = x.bit_length() - 1
                 y = masks.get(low)
@@ -299,7 +310,7 @@ def _pivot_rows_mod_p(columns: Sequence[Mapping[int, int]], p: int) -> List[int]
                     masks[low] = x
                     break
                 x ^= y
-        return list(masks)
+        return list(masks) if rows is None else [rows[k] for k in masks]
     stored: Dict[int, Dict[int, int]] = {}
     for column in columns:
         x = {i: v % p for i, v in column.items() if v % p}
@@ -623,7 +634,8 @@ def _reduce_slice(
     ``D_{i+1}`` lie in its rows, and ``D_i`` restricted to the block is
     again a differential that squares to zero.
     """
-    if blocks is None:
+    whole = blocks is None
+    if whole:
         blocks = [({i: range(len(cols)) for i, cols in columns.items()}, 1)]
     diagonals: Dict[int, List[int]] = {i: [] for i in columns}
     for indices, multiplicity in blocks:
@@ -633,7 +645,8 @@ def _reduce_slice(
             cols = columns[i]
             kept = [cols[j] for j in indices[i] if j not in cleared]
             if p:
-                rows = pivot_rows[i - 1] = _pivot_rows_mod_p(kept, p)
+                below = None if whole else indices.get(i - 1, ())
+                rows = pivot_rows[i - 1] = _pivot_rows_mod_p(kept, p, below)
                 diagonal = [1] * len(rows)
             else:
                 diagonal, _, pivot_rows[i - 1] = _eliminate(kept)
@@ -645,14 +658,13 @@ def homology_over_Z(algebra: WdgAlgebra, weight: int) -> Dict[int, AbelianGroup]
     """Integral homology of one weight slice, trivial degrees omitted."""
     slice_ = algebra.weight_slice(weight)
     diagonals = _reduce_slice(_checked_slice(algebra, weight), 0, _slice_blocks(algebra, weight))
-    snf = {i: _invariant_factors(d) for i, d in diagonals.items()}
     out: Dict[int, AbelianGroup] = {}
     for i in slice_:
-        below = snf.get(i + 1, ((), 0))
-        free = len(slice_[i]) - snf[i][1] - below[1]
+        below = diagonals.get(i + 1, ())
+        free = len(slice_[i]) - len(diagonals[i]) - len(below)
         if free < 0:
             raise InternalAssertionError(f"negative free rank at degree {i}")
-        torsion = [d for d in below[0] if d > 1]
+        torsion = [d for d in below if d > 1]
         group = AbelianGroup.from_invariant_factors(torsion, free_rank=free)
         if not group.is_trivial:
             out[i] = group

@@ -34,10 +34,10 @@ from .algebra import (
 from .homology import (
     AbelianGroup,
     TableKey,
-    boundary_columns,
+    _checked_slice,
+    _reduce_slice,
     kunneth_fold,
     p_primary_unitalize,
-    rank_of_columns_mod_p,
 )
 from .rings import GF, Ring, ZZ, is_prime
 from .words import enumerate_p_pairs, word_degree_bound
@@ -162,20 +162,17 @@ def koszul_kernels_dims(
 
     The complex is exact in positive degrees, so the cycle dimension at
     degree ``i`` equals the rank of the differential out of degree ``i+1``;
-    degree 0 carries the unit line.
+    degree 0 carries the unit line.  The ranks are read off the checked
+    slice like any other slice homology.
     """
     algebra = build_koszul(KoszulSpec(tuple(generators), h=1, variant=KOSZUL), GF(p))
     out: Dict[TableKey, int] = {(0, 0): 1}
     for d in range(1, weight_max + 1):
-        slice_ = algebra.weight_slice(d)
-        for i in sorted(slice_):
-            if not 1 <= i <= max_degree:
-                continue
-            if slice_.get(i + 1):
-                columns = boundary_columns(algebra, d, i + 1)
-                r = rank_of_columns_mod_p(columns, p)
-                if r:
-                    out[(i, d)] = r
+        diagonals = _reduce_slice(_checked_slice(algebra, d), p)
+        for i in sorted(diagonals):
+            r = len(diagonals.get(i + 1, ()))
+            if r and 1 <= i <= max_degree:
+                out[(i, d)] = r
     return out
 
 

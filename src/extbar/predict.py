@@ -26,20 +26,26 @@ must match the direct closed forms of
 self-consistency property, exercised by the verification suites.
 
 Integral tables for the symmetric source are assembled separately in
-:func:`ext_integral_predict` from the Koszul closed forms.
+:func:`ext_integral_predict` from the Koszul closed forms.  Both they and
+the bar route (:func:`extbar.extract.ext_table_via_bar`) read a table off
+the homology of the n-fold bar construction the same way:
+:func:`bar_iterations` gives n for the target, and
+:func:`regrade_bar_table` sends a class of degree j and weight d to
+cohomological degree ``(n + 2) * d - j``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb, gcd
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar
 
 from .algebra import (
     DIVIDED,
     EXTERIOR,
     SYMMETRIC,
     FreeAlgebra,
+    InternalAssertionError,
     WdgAlgebra,
     tensor_signed,
     weight_twist,
@@ -52,6 +58,8 @@ from .rings import GF, Ring
 FUNCTORS = (SYMMETRIC, EXTERIOR, DIVIDED)  # "S", "Lambda", "Gamma"
 
 _DUAL = {SYMMETRIC: DIVIDED, DIVIDED: SYMMETRIC, EXTERIOR: EXTERIOR}
+
+V = TypeVar("V")
 
 
 def duality_flip(source: str, target: str) -> Tuple[str, str]:
@@ -505,34 +513,40 @@ def expand_by_even_offsets(spec: FreeAlgebraSpec, s: int) -> FreeAlgebraSpec:
 # ----------------------------------------------------------------------
 
 
+def bar_iterations(target: str) -> int:
+    """How many bar constructions of divided powers give the table with the
+    symmetric source and this target: 1 for ``Lambda``, 2 for ``Gamma``."""
+    if target == EXTERIOR:
+        return 1
+    if target == DIVIDED:
+        return 2
+    raise ValueError("target must be Lambda or Gamma")
+
+
+def regrade_bar_table(homology: Mapping[TableKey, V], n: int) -> Dict[TableKey, V]:
+    """The Ext table of n-fold bar homology keyed by (degree j, weight d):
+    each class goes to cohomological degree ``(n + 2) * d - j``, with the
+    keys sorted.  A class regraded below degree 0 raises
+    :class:`InternalAssertionError`."""
+    out: Dict[TableKey, V] = {}
+    for (j, d), value in homology.items():
+        i = (n + 2) * d - j
+        if i < 0:
+            raise InternalAssertionError(f"homology class at ({j}, {d}) regrades below degree 0")
+        out[(i, d)] = value
+    return dict(sorted(out.items()))
+
+
 def ext_integral_predict(
-    source: str,
-    target: str,
-    m: int,
-    weight_max: int,
-    max_codegree: Optional[int] = None,
+    source: str, target: str, m: int, weight_max: int
 ) -> Dict[TableKey, AbelianGroup]:
     """Integral tables for the symmetric source, assembled from the Koszul
-    closed forms: keys are (cohomological degree, weight).
+    closed forms: keys are (cohomological degree, weight), sorted.
 
     Only ``source = "S"`` with target exterior or divided-power is defined
     integrally here; other sources reduce to field/duality cases.
     """
     if source != SYMMETRIC:
         raise ValueError("integral tables are computed for the symmetric source")
-    if target == EXTERIOR:
-        n = 1
-    elif target == DIVIDED:
-        n = 2
-    else:
-        raise ValueError("integral target must be Lambda or Gamma")
-    homology = predicted_bar_homology(n, m, weight_max)
-    out: Dict[TableKey, AbelianGroup] = {}
-    for (j, d), group in homology.items():
-        i = (n + 2) * d - j
-        if i < 0:
-            raise ValueError(f"class at ({j}, {d}) regrades to negative degree")
-        if max_codegree is not None and i > max_codegree:
-            continue
-        out[(i, d)] = group
-    return dict(sorted(out.items()))
+    n = bar_iterations(target)
+    return regrade_bar_table(predicted_bar_homology(n, m, weight_max), n)

@@ -9,7 +9,7 @@ The CLI maps these results onto exit codes (0 pass / 1 fail).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 from .extract import bar_source_algebra
 from .homology import (
@@ -67,7 +67,6 @@ class SuiteResult:
 
 
 def _compare_tables(
-    suite: str,
     computed: Mapping[TableKey, object],
     predicted: Mapping[TableKey, object],
     label: str = "",
@@ -94,7 +93,7 @@ def verify_cartan_field(
             (i, d): dim for i, dim in homology_over_Fp(algebra, d, p).items()
         }
         column = {key: v for key, v in predicted.items() if key[1] == d}
-        bad = _compare_tables("cartan-field", computed, column, f"p={p} n={n} m={m}")
+        bad = _compare_tables(computed, column, f"p={p} n={n} m={m}")
         if bad:
             return SuiteResult("cartan-field", False, checks, bad)
         checks += max(len(computed), 1)
@@ -105,42 +104,38 @@ def verify_cartan_integral(n: int, weight_max: int, m: int = 1) -> SuiteResult:
     """Integral bar homology against the Koszul-assembled prediction."""
     computed = integral_homology_table(bar_source_algebra(n, m), weight_max)
     predicted = predicted_bar_homology(n, m, weight_max)
-    bad = _compare_tables("cartan-integral", computed, predicted, f"n={n} m={m}")
+    bad = _compare_tables(computed, predicted, f"n={n} m={m}")
     if bad:
         return SuiteResult("cartan-integral", False, len(computed), bad)
     return SuiteResult("cartan-integral", True, max(len(computed), 1))
 
 
-def verify_koszul(
-    weight_max: int = 5, h_values: Iterable[int] = (2, 3, 5)
-) -> SuiteResult:
-    """Single-generator complexes: direct Smith-normal-form homology of both
-    variants against the closed-form tables."""
+def verify_koszul(weight_max: int = 5) -> SuiteResult:
+    """Single-generator complexes with parameter h = 2, 3, 5: direct
+    Smith-normal-form homology of both variants against the closed-form
+    tables."""
     checks = 0
-    for h in h_values:
+    for h in (2, 3, 5):
         for variant, degree in ((KOSZUL, 3), (DERHAM, 2)):
             algebra = build_koszul(KoszulSpec(((degree, 1, 1),), h, variant))
             closed = koszul_homology_closed_form(degree, h, weight_max)
             computed = integral_homology_table(algebra, weight_max)
-            bad = _compare_tables(
-                "koszul", computed, closed, f"variant={variant} h={h}"
-            )
+            bad = _compare_tables(computed, closed, f"variant={variant} h={h}")
             if bad:
                 return SuiteResult("koszul", False, checks, bad)
             checks += max(len(closed), 1)
     return SuiteResult("koszul", True, checks)
 
 
-def verify_twist_consistency(
-    p: int, max_s: int = 2, max_t: int = 2, weight_cap: int = 27
-) -> SuiteResult:
+def verify_twist_consistency(p: int, max_s: int = 2, max_t: int = 2) -> SuiteResult:
     """The central predictor identity: the direct twisted closed forms equal
     the twist-shift plus even-offset-expansion composite, as dimension
-    tables, for all nine functor pairs."""
+    tables, for all nine functor pairs, through weight ``3 p**(s + t)`` but
+    at most 27."""
     checks = 0
     for s in range(max_s + 1):
         for t in range(max_t + 1):
-            weight_max = min(3 * p ** (s + t), weight_cap)
+            weight_max = min(3 * p ** (s + t), 27)
             for source in FUNCTORS:
                 for target in FUNCTORS:
                     direct = poincare_dims(
@@ -155,7 +150,6 @@ def verify_twist_consistency(
                         expand_by_even_offsets(shifted, s), weight_max
                     )
                     bad = _compare_tables(
-                        "twist-consistency",
                         composite,
                         direct,
                         f"{source}->{target} p={p} s={s} t={t}",
@@ -186,7 +180,7 @@ def verify_exponential(p: int, n: int, weight_max: int) -> SuiteResult:
                 continue
             key = (i1 + i2, d1 + d2)
             convolved[key] = convolved.get(key, 0) + c1 * c2
-    bad = _compare_tables("exponential", double, convolved, f"p={p} n={n}")
+    bad = _compare_tables(double, convolved, f"p={p} n={n}")
     if bad:
         return SuiteResult("exponential", False, len(single), bad)
     return SuiteResult("exponential", True, max(len(double), 1))
@@ -199,7 +193,6 @@ def verify_tables() -> SuiteResult:
     for n, golden in ((1, GOLDEN_WEIGHT4_SINGLE), (2, GOLDEN_WEIGHT4_DOUBLE)):
         computed = homology_over_Z(bar_source_algebra(n, 1), 4)
         bad = _compare_tables(
-            "tables",
             {(i, 4): g for i, g in computed.items()},
             {(i, 4): g for i, g in golden.items()},
             f"n={n}",
@@ -209,6 +202,17 @@ def verify_tables() -> SuiteResult:
         checks += len(golden)
     return SuiteResult("tables", True, checks)
 
+
+#: Each suite's runner by name, in the order the CLI lists them; a runner
+#: takes the keyword arguments of :func:`run_suite` and uses its own.
+SUITES: Dict[str, Callable[..., SuiteResult]] = {
+    "cartan-field": lambda p, n, m, weight_max, **_: verify_cartan_field(p, n, weight_max, m),
+    "cartan-integral": lambda n, m, weight_max, **_: verify_cartan_integral(n, weight_max, m),
+    "koszul": lambda weight_max, **_: verify_koszul(max(weight_max, 1)),
+    "twist-consistency": lambda p, max_s, max_t, **_: verify_twist_consistency(p, max_s, max_t),
+    "exponential": lambda p, n, weight_max, **_: verify_exponential(p, n, weight_max),
+    "tables": lambda **_: verify_tables(),
+}
 
 #: The suites that take a generator rank ``m``; every other suite runs at m = 1.
 SUITES_WITH_M = ("cartan-field", "cartan-integral")
@@ -223,23 +227,13 @@ def run_suite(
     max_s: int = 1,
     max_t: int = 1,
 ) -> SuiteResult:
-    """Dispatch a named suite with bounded parameters.
+    """Dispatch a named suite of :data:`SUITES` with bounded parameters.
 
     Raises ``ValueError`` for ``m != 1`` on a suite outside
     :data:`SUITES_WITH_M`, which would otherwise ignore it.
     """
     if m != 1 and suite not in SUITES_WITH_M:
         raise ValueError(f"suite {suite!r} runs at m = 1 only, got m = {m}")
-    if suite == "cartan-field":
-        return verify_cartan_field(p, n, weight_max, m)
-    if suite == "cartan-integral":
-        return verify_cartan_integral(n, weight_max, m)
-    if suite == "koszul":
-        return verify_koszul(weight_max=max(weight_max, 1))
-    if suite == "twist-consistency":
-        return verify_twist_consistency(p, max_s, max_t)
-    if suite == "exponential":
-        return verify_exponential(p, n, weight_max)
-    if suite == "tables":
-        return verify_tables()
-    raise ValueError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return SUITES[suite](p=p, n=n, m=m, weight_max=weight_max, max_s=max_s, max_t=max_t)

@@ -456,7 +456,8 @@ def test_identical_invocations_are_byte_identical(runner):
 # ----------------------------------------------------------------------
 
 #: ``(arguments, exit code, sha256 of stdout)`` for bar-route invocations
-#: over Z, F_2 and F_3: slice homology must keep these output bytes.
+#: over Z, F_2 and F_3 in every output format: slice homology must keep
+#: these output bytes.  The last row cuts the integral table at a codegree.
 GOLDEN_DIGESTS = [
     ("bar-homology --ring Z --n 0 --m 1 --weight 8", 0, "facef771d67d2a22dfae277459f78acb74123aec34d6562687e3fe3f638b0923"),
     ("bar-homology --ring Z --n 0 --m 2 --weight 8", 0, "7ec15672d214f139da363252832eb1ca897082504f1c3100b5b35d7b5dc8e62a"),
@@ -509,6 +510,11 @@ GOLDEN_DIGESTS = [
     ("ext-table --source S --target Lambda --ring Fp:3 --method bar --max-weight 8", 0, "793655da2099a44ecbbcfc122f38aca1d80c913b6042015f088adb079b8d8765"),
     ("ext-table --source S --target Lambda --ring Fp:3 --method bar --max-weight 8 --json", 0, "aa7c7ced93dc1d4c087003d6739adb2cb75895b12ef390447017e707a421e43c"),
     ("ext-table --source S --target Lambda --ring Fp:3 --method bar --max-weight 8 --csv", 0, "7e2bbb300ab3b7bae3edbc6f0246c85f57a5c8ef95cb88773b4c693131fe41c2"),
+    ("bar-homology --ring Z --n 2 --weight 5 --json", 0, "9e026d5a94509a8de4ce86293d60c3a169a3d302eb6a235544f23850ff2bdd79"),
+    ("bar-homology --ring Z --n 2 --weight 5 --csv", 0, "6c81b71bc617f784af247a16281cca664fc0ded4e6b9b9f2ceb4f05643ed57aa"),
+    ("bar-homology --ring Fp:3 --n 2 --weight 5 --json", 0, "52e454cdbeaf719acfad93884b4402c2b9a34b2a54bfb944b1fe0e50b3c8fc0f"),
+    ("bar-homology --ring Fp:3 --n 2 --weight 5 --csv", 0, "c34db16e721789db069133d15a015350168f97bee05d7184ed9da84550e62d9e"),
+    ("ext-table --source S --target Gamma --ring Z --max-weight 6 --max-codegree 6", 0, "3896295cb9f31ae68851db022a9466ab8d794e90a1fad26741a0c823d8176d28"),
 ]
 
 
@@ -528,7 +534,9 @@ def _assert_output_digest(runner, args, exit_code, digest):
 #: The same for the predict route (the default ``--method`` over a field):
 #: the Poincaré tables must keep these output bytes.  The two rows past the
 #: generators' lightest weight print only the unit entry; the rows on weight
-#: lattices 9 and 5 print the twisted tables themselves.
+#: lattices 9 and 5 print the twisted tables themselves.  The last four rows
+#: print the integral closed forms, the last one cut at a codegree, which
+#: prints the same bytes as the bar route's row above.
 PREDICT_GOLDEN_DIGESTS = [
     ("ext-table --source S --target Gamma --ring Fp:2 --max-weight 200", 0, "be83ed38e8be2b9909c902dd902586548a58d9a5430c23d994a3e41ba836e2dc"),
     ("ext-table --source S --target Gamma --ring Fp:2 --max-weight 200 --json", 0, "3c40cecc034bd092b1068eb729bd704e27f40848b83c5a825bff78d0cce409d1"),
@@ -538,6 +546,10 @@ PREDICT_GOLDEN_DIGESTS = [
     ("ext-table --source Gamma --target S --ring Fp:3 --s 2 --max-weight 70", 0, "8da182cc625909d1ccae30f51da3a5a538b88f7524afb67e35562dcc480d2aea"),
     ("ext-table --source Lambda --target Gamma --ring Fp:5 --s 1 --max-weight 70 --max-codegree 60", 0, "764951b98b40ba22f9ad191b71e17bc75d9c8549e113778215dbdf3ef9196d26"),
     ("ext-table --source Lambda --target Gamma --ring Fp:5 --s 1 --max-weight 70 --max-codegree 60 --json", 0, "94b158dbb9f4c2634efd3114ea340a64e46b26e439cdd4f2661970042295b5be"),
+    ("ext-table --source S --target Lambda --ring Z --method predict --m 2 --max-weight 6", 0, "999268eadf0c7c491da6d14a4cf6a41df77871705c09412f4b1453d197280d06"),
+    ("ext-table --source S --target Lambda --ring Z --method predict --m 2 --max-weight 6 --json", 0, "94141e278a040c08634274c0e51d62f9769b00c14ff8aa7415125d6129f01889"),
+    ("ext-table --source S --target Lambda --ring Z --method predict --m 2 --max-weight 6 --csv", 0, "f5e102e79a6ecb8610cfb75407828419681c904f3ba39f2cfe1d146ed489b426"),
+    ("ext-table --source S --target Gamma --ring Z --method predict --max-weight 6 --max-codegree 6", 0, "3896295cb9f31ae68851db022a9466ab8d794e90a1fad26741a0c823d8176d28"),
 ]
 
 

@@ -36,7 +36,6 @@ from extbar.bar import KEY_BITS
 from extbar.extract import bar_source_algebra
 from extbar.homology import (
     _eliminate,
-    _invariant_factors,
     _pivot_rows_mod_p,
     _reduce_slice,
     _slice_blocks,
@@ -364,15 +363,22 @@ def test_cleared_reduction_matches_each_degree_alone(n, m, weight_max):
         integral = _reduce_slice(columns, 0)
         assert integral.keys() == columns.keys()
         for i, cols in columns.items():
-            assert _invariant_factors(integral[i]) == smith_normal_form_of_columns(cols)
+            factors, rank = smith_normal_form_of_columns(cols)
+            assert _group(integral[i]) == (AbelianGroup.from_invariant_factors(factors), rank)
         for p in (2, 3, 5, MAX_PRIME):
             cleared = _reduce_slice(columns, p)
             for i, cols in columns.items():
                 assert cleared[i] == [1] * rank_of_columns_mod_p(cols, p)
 
 
+def _group(diagonal):
+    """The cokernel's torsion and the rank of a matrix that reduces to the
+    given diagonal; equal pairs mean equal invariant factors."""
+    return AbelianGroup.from_invariant_factors(diagonal), len(diagonal)
+
+
 def _factors(diagonals):
-    return {i: _invariant_factors(d) for i, d in diagonals.items()}
+    return {i: _group(d) for i, d in diagonals.items()}
 
 
 def _multiweight(word, n):

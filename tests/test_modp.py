@@ -64,12 +64,17 @@ def check_pivot_rows(rows, n, p):
     """Assert that :func:`_pivot_rows_mod_p` returns as many rows as the
     rank, and rows on which the block of the matrix at its pivot columns
     (those independent of the columns before them) has full rank mod p: the
-    block that clearing needs to be invertible."""
+    block that clearing needs to be invertible.  Spread over the rows
+    ``3 r + 1`` of a taller matrix and reduced on those rows alone, as one
+    block of a slice is, the matrix has the same pivot rows, spread alike."""
     pivot_rows = _pivot_rows_mod_p(columns_of(rows, n), p)
     pivot_columns = reference_rref(rows, n, p)[1]
     assert len(pivot_rows) == len(pivot_columns)
     block = [[rows[r][k] for k in pivot_columns] for r in pivot_rows]
     assert len(reference_rref(block, len(pivot_columns), p)[1]) == len(pivot_rows)
+    spread = [3 * r + 1 for r in range(len(rows))]
+    embedded = [{spread[r]: v for r, v in c.items()} for c in columns_of(rows, n)]
+    assert _pivot_rows_mod_p(embedded, p, spread) == [spread[r] for r in pivot_rows]
 
 
 def walk_kernel(rows, n, p):

@@ -18,6 +18,7 @@ from extbar import (
     AbelianGroup,
     FreeAlgebraSpec,
     GeneratorFamily,
+    InternalAssertionError,
     build_Xp,
     cartan_field_generators,
     check_one_eps_commutative,
@@ -29,7 +30,7 @@ from extbar import (
     poincare_dims,
     twist_shift,
 )
-from extbar.predict import AlgebraFactor, build_spec_algebra
+from extbar.predict import AlgebraFactor, build_spec_algebra, regrade_bar_table
 
 Z = AbelianGroup.free(1)
 
@@ -464,14 +465,17 @@ def test_integral_prediction_symmetric_to_divided_weight4_column():
     }
 
 
-def test_integral_prediction_codegree_cut():
-    full = ext_integral_predict(SYMMETRIC, DIVIDED, 1, 4)
-    cut = ext_integral_predict(SYMMETRIC, DIVIDED, 1, 4, max_codegree=3)
-    assert cut == {k: g for k, g in full.items() if k[0] <= 3}
-
-
 def test_integral_prediction_validates_pair():
     with pytest.raises(ValueError):
         ext_integral_predict(EXTERIOR, EXTERIOR, 1, 4)
     with pytest.raises(ValueError):
         ext_integral_predict(SYMMETRIC, SYMMETRIC, 1, 4)
+
+
+def test_bar_regrading_sorts_its_keys_and_rejects_negative_degrees():
+    """A class of degree j and weight d of n-fold bar homology sits at
+    (n + 2) d - j; a class that would land below degree 0 is a fault."""
+    table = regrade_bar_table({(4, 2): Zmod(2), (1, 1): Zmod(3)}, 1)
+    assert list(table.items()) == [((2, 1), Zmod(3)), ((2, 2), Zmod(2))]
+    with pytest.raises(InternalAssertionError, match="regrades below degree 0"):
+        regrade_bar_table({(9, 2): Z}, 2)
