@@ -1,6 +1,6 @@
 """Exact homology of weight slices: Smith normal form over Z, finitely
-generated abelian groups, mod-p dimensions and ring structure, and the
-Kunneth assembly of weighted homology tables.
+generated abelian groups, mod-p dimensions, and the Kunneth assembly of
+weighted homology tables.
 
 Each homology computation reads its weight slice's sparse boundary columns,
 ``{row: coefficient}`` per basis monomial, from :func:`compile_slice`, which
@@ -11,9 +11,9 @@ differential of every basis monomial is evaluated one time
 columns from those of the slices below it.  One helper
 (:func:`_checked_slice`) compiles a slice and checks d^2 = 0 on it, as the
 exact sparse product ``D_{i-1} D_i = 0`` over the algebra's ring; it is
-where integral and mod-p slice homology and the mod-p homology ring get
-their columns, so the check always runs.  There is one reduction routine
-per ring, and neither densifies anything.  Over Z, a sparse elimination
+where integral and mod-p slice homology get their columns, so the check
+always runs.  There is one reduction routine per ring, and neither
+densifies anything.  Over Z, a sparse elimination
 (:func:`_eliminate`) keeps rows and columns as dicts and takes one pivot
 step, on units from a Markowitz queue while there are any and then on the
 smallest entry; Smith normal form is a gcd/lcm pass over its diagonal
@@ -33,14 +33,11 @@ direct sum of blocks: the check also asserts that no entry leaves its
 column's block, and the reduction runs block by block, one block for each
 orbit of blocks with isomorphic complexes, its diagonal counted once per
 block of the orbit (:func:`_slice_blocks`); an F_2 mask numbers the rows
-within its block, so its size follows the block, not the slice.  The mod-p
-homology ring, which needs kernels and coordinates, reads the same
-whole-slice columns as sparse vectors through
-:class:`extbar.modp.OrderedEchelon`.  :class:`extbar.bar.BarAlgebra` keeps
-the columns of every slice it has compiled, since the slices above are built
-from them, together with what repeats across words and weights (letter
-products, letter differentials, letter bidegrees, shuffle products); nothing
-here mutates them.
+within its block, so its size follows the block, not the slice.
+:class:`extbar.bar.BarAlgebra` keeps the columns of every slice it has
+compiled, since the slices above are built from them, together with what
+repeats across words and weights (letter products, letter differentials,
+letter bidegrees, shuffle products); nothing here mutates them.
 
 A *weighted table* is a mapping ``(degree, weight) -> AbelianGroup`` holding
 the homology of a weighted complex, with trivial groups omitted.  Tables are
@@ -56,15 +53,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import (
-    Column,
-    Element,
-    InternalAssertionError,
-    Monomial,
-    WdgAlgebra,
-    boundary_columns,
-)
-from .modp import OrderedEchelon, check_prime
+from .algebra import Column, InternalAssertionError, WdgAlgebra, boundary_columns
+from .modp import check_prime
 
 Matrix = List[List[int]]
 TableKey = Tuple[int, int]
@@ -696,171 +686,6 @@ def integral_homology_table(
         for i, g in homology_over_Z(algebra, d).items():
             out[(i, d)] = g
     return out
-
-
-# ----------------------------------------------------------------------
-# the mod-p homology ring of a truncated algebra
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HomologyClass:
-    """A mod-p homology class in coordinates over the chosen basis."""
-
-    degree: int
-    weight: int
-    vector: Tuple[int, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.vector)
-
-
-class FpHomologyRing:
-    """Mod-p homology of all weight slices up to ``weight_max``, with the
-    induced (weight-graded) ring structure.
-
-    Representative cycles are chosen deterministically: kernel vectors of the
-    boundary matrix, in order, that are independent of the boundaries.
-    Coordinates of a class are read off a walk over the representatives and
-    then the boundaries, built once per degree and weight on first use.
-    Products whose weight would exceed the truncation raise ``ValueError``.
-    """
-
-    def __init__(self, algebra: WdgAlgebra, p: int, weight_max: int) -> None:
-        check_prime(p)
-        self.algebra = algebra
-        self.p = p
-        self.weight_max = weight_max
-        self._basis: Dict[TableKey, Tuple[Monomial, ...]] = {}
-        self._reps: Dict[TableKey, List[Column]] = {}
-        self._bounds: Dict[TableKey, List[Column]] = {}
-        self._spans: Dict[TableKey, OrderedEchelon] = {}
-        for d in range(weight_max + 1):
-            columns = _checked_slice(algebra, d)
-            for i, basis in algebra.weight_slice(d).items():
-                self._basis[(i, d)] = basis
-                bounds = [c for c in columns.get(i + 1, ()) if any(v % p for v in c.values())]
-                self._bounds[(i, d)] = bounds
-                self._reps[(i, d)] = self._pick_representatives(self._cycles(columns[i]), bounds)
-
-    def _cycles(self, columns: Sequence[Column]) -> List[Column]:
-        """The kernel basis in reduced echelon form: for each column that
-        depends on the columns before it, its relation to them, with 1 at
-        the column itself."""
-        walk = OrderedEchelon(self.p)
-        cycles: List[Column] = []
-        for j, column in enumerate(columns):
-            relation = walk.add(column)
-            if relation is not None:
-                cycle = {k: -relation[k] % self.p for k in sorted(relation)}
-                cycle[j] = 1
-                cycles.append(cycle)
-        return cycles
-
-    def _pick_representatives(
-        self, cycles: Sequence[Column], bounds: Sequence[Column]
-    ) -> List[Column]:
-        """The cycles independent of the boundaries and of the cycles before
-        them.
-
-        A cycle ``c`` of :meth:`_cycles` is 1 at its own column ``max(c)``
-        and 0 at the other cycles' columns, so the entries of a kernel vector
-        at those columns are its coordinates in the cycle basis.  The walk
-        runs in those coordinates: the boundaries restricted to them, then
-        one unit vector per cycle.
-        """
-        free = {max(c) for c in cycles}
-        walk = OrderedEchelon(self.p)
-        for b in bounds:
-            walk.add({j: v for j, v in b.items() if j in free})
-        return [c for c in cycles if walk.add({max(c): 1}) is None]
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def _key(self, degree: int, weight: int) -> TableKey:
-        if not 0 <= weight <= self.weight_max:
-            raise ValueError(
-                f"weight {weight} outside the computed range 0..{self.weight_max}"
-            )
-        return (degree, weight)
-
-    def dimension(self, degree: int, weight: int) -> int:
-        return len(self._reps.get(self._key(degree, weight), ()))
-
-    def dimensions(self) -> Dict[TableKey, int]:
-        return {k: len(r) for k, r in sorted(self._reps.items()) if r}
-
-    def classes(self, degree: int, weight: int) -> Tuple[HomologyClass, ...]:
-        n = self.dimension(degree, weight)
-        return tuple(
-            HomologyClass(degree, weight, tuple(int(j == k) for j in range(n)))
-            for k in range(n)
-        )
-
-    def representative(self, cls: HomologyClass) -> Element:
-        """A representative cycle of the class, as an algebra element."""
-        key = self._key(cls.degree, cls.weight)
-        basis = self._basis.get(key, ())
-        reps = self._reps[key]
-        out: Dict[Monomial, int] = {}
-        for coeff, rep in zip(cls.vector, reps):
-            if coeff % self.p == 0:
-                continue
-            for k, c in rep.items():
-                mono = basis[k]
-                v = (out.get(mono, 0) + coeff * c) % self.p
-                if v:
-                    out[mono] = v
-                else:
-                    out.pop(mono, None)
-        return out
-
-    def express(self, element: Mapping[Monomial, int], degree: int, weight: int) -> HomologyClass:
-        """Coordinates of a cycle's class in the chosen homology basis."""
-        key = self._key(degree, weight)
-        index = {m: k for k, m in enumerate(self._basis.get(key, ()))}
-        v: Column = {}
-        for m, c in element.items():
-            k = index.get(m)
-            if k is None:
-                raise ValueError(f"monomial {m} not in slice ({degree}, {weight})")
-            v[k] = c
-        reps = self._reps.get(key, ())
-        bounds = self._bounds.get(key, ())
-        if not reps and not bounds:
-            if any(c % self.p for c in v.values()):
-                raise ValueError("nonzero element in a slice with trivial homology")
-            return HomologyClass(degree, weight, ())
-        span = self._spans.get(key)
-        if span is None:
-            span = self._spans[key] = OrderedEchelon(self.p)
-            for u in itertools.chain(reps, bounds):
-                span.add(u)
-        relation = span.relation(v)
-        if relation is None:
-            raise ValueError("element is not a cycle in this slice")
-        return HomologyClass(degree, weight, tuple(relation.get(k, 0) for k in range(len(reps))))
-
-    # -- ring structure ------------------------------------------------------
-
-    def unit(self) -> HomologyClass:
-        return self.express({self.algebra.unit: 1}, 0, 0)
-
-    def multiply(self, a: HomologyClass, b: HomologyClass) -> HomologyClass:
-        degree = a.degree + b.degree
-        weight = a.weight + b.weight
-        if weight > self.weight_max:
-            raise ValueError(
-                f"product weight {weight} exceeds truncation {self.weight_max}"
-            )
-        product = self.algebra.mul(self.representative(a), self.representative(b))
-        return self.express(product, degree, weight)
-
-
-def homology_ring_over_Fp(algebra: WdgAlgebra, p: int, weight_max: int) -> FpHomologyRing:
-    """Mod-p homology of all weight slices up to ``weight_max`` as a ring."""
-    return FpHomologyRing(algebra, p, weight_max)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from extbar import (
     build_koszul,
     homology_over_Fp,
     homology_over_Z,
-    homology_ring_over_Fp,
     iterate_bar,
     regrade,
     tensor_signed,
@@ -201,18 +200,6 @@ def test_compiled_columns_are_cached_and_survive_homology_runs():
     def run():
         out = [homology_over_Z(algebra, w) for w in weights]
         out += [homology_over_Fp(algebra, w, p) for p in (2, 3) for w in weights]
-        for p in (2, 3):
-            ring = homology_ring_over_Fp(algebra, p, weight_max)
-            classes = [c for (i, d) in ring.dimensions() for c in ring.classes(i, d)]
-            out.append(ring.dimensions())
-            out.append(
-                [
-                    ring.multiply(a, b).vector
-                    for a in classes
-                    for b in classes
-                    if a.weight + b.weight <= weight_max
-                ]
-            )
         return out
 
     first = run()
@@ -364,8 +351,6 @@ def test_square_check_is_exact_over_Z_for_field_homology(cls, p):
     algebra = cls(GAMMA)
     with pytest.raises(InternalAssertionError, match=SQUARE_FAILURE):
         homology_over_Fp(algebra, 3, p)
-    with pytest.raises(InternalAssertionError, match=SQUARE_FAILURE):
-        homology_ring_over_Fp(algebra, p, 3)
 
 
 def test_term_letter_of_the_wrong_bidegree_is_reported():

@@ -1,6 +1,6 @@
 """Tests for integer/mod-p homology: Smith normal form, abelian group
-arithmetic, weight-slice homology, the mod-p homology ring, and the table
-combinators (Kunneth, unitalization, universal coefficients)."""
+arithmetic, weight-slice homology, and the table combinators (Kunneth,
+unitalization, universal coefficients)."""
 
 import doctest
 import itertools
@@ -23,7 +23,6 @@ from extbar import (
     dimensions_mod_p_from_integral,
     homology_over_Fp,
     homology_over_Z,
-    homology_ring_over_Fp,
     integral_homology_table,
     kunneth,
     kunneth_fold,
@@ -46,11 +45,10 @@ from extbar.homology import (
     smith_normal_form_of_columns,
 )
 from extbar.modp import MAX_PRIME
-from test_modp import check_pivot_rows, reference_kernel, reference_rref
+from test_modp import check_pivot_rows, reference_rref
 
 GAMMA = FreeAlgebra(DIVIDED, [(2, 1, 1)], ZZ)
 BAR1 = bar(GAMMA)
-G1, G2 = (1,), (2,)
 
 Z = AbelianGroup.free(1)
 
@@ -739,141 +737,3 @@ def test_p_primary_unitalize():
         (5, 2): Zmod(3),
         (7, 3): Zmod(3),
     }
-
-
-# ----------------------------------------------------------------------
-# the mod-p homology ring
-# ----------------------------------------------------------------------
-
-
-def test_ring_dimensions_match_slicewise_homology():
-    ring = homology_ring_over_Fp(BAR1, 2, 3)
-    assert ring.dimensions() == {
-        (0, 0): 1,
-        (3, 1): 1,
-        (5, 2): 1,
-        (6, 2): 1,
-        (8, 3): 1,
-        (9, 3): 1,
-    }
-    assert ring.dimension(3, 1) == 1
-    assert ring.dimension(4, 1) == 0
-
-
-def test_ring_unit_and_products():
-    ring = homology_ring_over_Fp(BAR1, 2, 3)
-    one = ring.unit()
-    x = ring.classes(3, 1)[0]
-    assert ring.multiply(one, x) == x
-    # the square of the weight-1 class dies, but multiplying by the
-    # two-letter class in weight 2 hits the top of weight 3.
-    assert ring.multiply(x, x).is_zero
-    y = ring.classes(6, 2)[0]
-    assert not ring.multiply(x, y).is_zero
-
-
-def test_ring_truncation_enforced():
-    ring = homology_ring_over_Fp(BAR1, 2, 3)
-    y = ring.classes(6, 2)[0]
-    with pytest.raises(ValueError):
-        ring.multiply(y, y)
-    with pytest.raises(ValueError):
-        ring.dimension(3, 7)
-
-
-def test_express_boundary_gives_zero_class():
-    ring = homology_ring_over_Fp(BAR1, 3, 2)
-    # -2[g2] is a boundary, and 3 does not divide 2, so [g2] itself dies.
-    cls = ring.express({(G2,): 1}, 5, 2)
-    assert cls.is_zero
-
-
-def test_express_rejects_non_cycles():
-    ring = homology_ring_over_Fp(BAR1, 3, 2)
-    with pytest.raises(ValueError):
-        ring.express({(G1, G1): 1}, 6, 2)
-
-
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("n", [1, 2])
-def test_classes_are_the_unit_vectors_and_round_trip(n, p):
-    ring = homology_ring_over_Fp(bar_source_algebra(n, 1), p, 4)
-    assert ring.dimensions()
-    for (i, d), dim in ring.dimensions().items():
-        classes = ring.classes(i, d)
-        assert [c.vector for c in classes] == [
-            tuple(1 if j == k else 0 for j in range(dim)) for k in range(dim)
-        ]
-        for cls in classes:
-            assert (cls.degree, cls.weight) == (i, d)
-            assert ring.express(ring.representative(cls), i, d) == cls
-    assert ring.classes(0, 1) == ()
-
-
-def incremental_representatives(cycles, bounds, p):
-    """Reference choice of representatives: reduce each boundary, then each
-    cycle, against the pivot rows found so far, and keep the cycles that
-    leave a nonzero remainder."""
-    pivots = {}
-
-    def reduce(v):
-        v = [x % p for x in v]
-        for col in sorted(pivots):
-            if v[col]:
-                f = v[col]
-                v = [(x - f * y) % p for x, y in zip(v, pivots[col])]
-        return v
-
-    def insert(v):
-        lead = next(k for k, x in enumerate(v) if x)
-        inverse = pow(v[lead], p - 2, p)
-        pivots[lead] = [x * inverse % p for x in v]
-
-    for b in bounds:
-        r = reduce(b)
-        if any(r):
-            insert(r)
-    reps = []
-    for c in cycles:
-        r = reduce(c)
-        if any(r):
-            insert(r)
-            reps.append([x % p for x in c])
-    return reps
-
-
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("n", [1, 2])
-def test_ring_representatives_match_incremental_choice(n, p):
-    algebra = bar_source_algebra(n, 1)
-    ring = homology_ring_over_Fp(algebra, p, 5)
-    for d in range(6):
-        slice_ = algebra.weight_slice(d)
-        columns = compile_slice(algebra, d)
-        for i, basis in slice_.items():
-            n_rows = len(slice_.get(i - 1, ()))
-            rows = [[c.get(r, 0) for c in columns[i]] for r in range(n_rows)]
-            cycles = reference_kernel(rows, len(basis), p)
-            bounds = [[c.get(r, 0) for r in range(len(basis))] for c in columns.get(i + 1, ())]
-            expected = incremental_representatives(cycles, bounds, p)
-            got = [[rep.get(k, 0) for k in range(len(basis))] for rep in ring._reps[(i, d)]]
-            assert got == expected
-
-
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("n, weight_max", [(1, 6), (2, 5), (3, 4)])
-def test_ring_dimensions_match_homology_over_Fp(n, weight_max, p):
-    # the ring walks kernels in column order; homology_over_Fp counts ranks
-    # with the Markowitz-ordered elimination
-    algebra = bar_source_algebra(n, 1)
-    ring = homology_ring_over_Fp(algebra, p, weight_max)
-    assert ring.dimensions() == {
-        (i, d): dim
-        for d in range(weight_max + 1)
-        for i, dim in homology_over_Fp(algebra, d, p).items()
-    }
-
-
-def test_ring_rejects_primes_past_the_bound():
-    with pytest.raises(ValueError, match=str(MAX_PRIME)):
-        homology_ring_over_Fp(BAR1, 3037000507, 1)

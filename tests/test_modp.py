@@ -1,6 +1,6 @@
-"""Tests for linear algebra over F_p: ranks, and the kernels and solutions of
-the ordered echelon walk, against a small pure-Python reference, and the
-bound on the supported modulus."""
+"""Tests for linear algebra over F_p: ranks and the pivot rows of the
+lowest-pivot column reduction against a small pure-Python reference, the
+shape check on dense matrices, and the bound on the supported modulus."""
 
 import random
 import re
@@ -14,11 +14,10 @@ from extbar import (
     bar_source_algebra,
     dimensions_mod_p_from_integral,
     homology_over_Fp,
-    homology_ring_over_Fp,
     integral_homology_table,
 )
 from extbar.homology import _pivot_rows_mod_p, rank_of_columns_mod_p
-from extbar.modp import MAX_PRIME, OrderedEchelon, rank_mod_p
+from extbar.modp import MAX_PRIME, rank_mod_p
 
 
 def reference_rref(rows, n, p):
@@ -42,20 +41,6 @@ def reference_rref(rows, n, p):
     return a[: len(pivots)], pivots
 
 
-def reference_kernel(rows, n, p):
-    """The kernel basis mod p read off :func:`reference_rref`: one vector per
-    free column, 1 there, 0 at the other free columns."""
-    red, pivots = reference_rref(rows, n, p)
-    kernel = []
-    for free in (c for c in range(n) if c not in pivots):
-        x = [0] * n
-        x[free] = 1
-        for r, pc in enumerate(pivots):
-            x[pc] = -red[r][free] % p
-        kernel.append(x)
-    return kernel
-
-
 def columns_of(rows, n):
     return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
 
@@ -75,21 +60,6 @@ def check_pivot_rows(rows, n, p):
     spread = [3 * r + 1 for r in range(len(rows))]
     embedded = [{spread[r]: v for r, v in c.items()} for c in columns_of(rows, n)]
     assert _pivot_rows_mod_p(embedded, p, spread) == [spread[r] for r in pivot_rows]
-
-
-def walk_kernel(rows, n, p):
-    """The relations of the columns that depend on the columns before them,
-    as kernel vectors: the columns of the matrix walked through
-    :class:`OrderedEchelon`."""
-    walk = OrderedEchelon(p)
-    kernel = []
-    for j, column in enumerate(columns_of(rows, n)):
-        relation = walk.add(column)
-        if relation is not None:
-            x = [-relation.get(k, 0) % p for k in range(n)]
-            x[j] = 1
-            kernel.append(x)
-    return kernel
 
 
 @st.composite
@@ -123,6 +93,12 @@ def test_rank_matches_reference(case):
     rank = len(reference_rref(rows, n, p)[1])
     assert rank_mod_p(rows, p) == rank
     assert rank_of_columns_mod_p(columns_of(rows, n), p) == rank
+
+
+@pytest.mark.parametrize("rows", [[[1], [2, 3]], [[1, 2], [3]]])
+def test_ragged_rows_are_rejected(rows):
+    with pytest.raises(ValueError, match="matrix rows must have equal length"):
+        rank_mod_p(rows, 5)
 
 
 @st.composite
@@ -164,51 +140,6 @@ def test_column_reduction_pivot_rows_give_a_full_rank_block(case):
     assert columns == before
 
 
-@_with_edge_shapes
-@given(matrices())
-def test_nullspace_spans_kernel(case):
-    p, n, rows = case
-    kernel = walk_kernel(rows, n, p)
-    assert kernel == reference_kernel(rows, n, p)
-    for x in kernel:
-        assert all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in rows)
-
-
-@st.composite
-def systems(draw):
-    """``(p, n, rows, b)`` for ``rows x = b``: half consistent by
-    construction, half with a random right-hand side."""
-    p, n, rows = draw(matrices())
-    if draw(st.booleans()):
-        x0 = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
-        return p, n, rows, [sum(a * b for a, b in zip(row, x0)) % p for row in rows]
-    return p, n, rows, draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
-
-
-@example((2, 3, [], []))
-@example((3, 0, [[], [], []], [0, 1, 0]))
-@example((5, 4, [[0] * 4] * 3, [0, 0, 0]))
-@given(systems())
-def test_solve_finds_solution_or_reports_none(system):
-    p, n, rows, b = system
-    _, pivots = reference_rref(rows, n, p)
-    augmented = [row + [v] for row, v in zip(rows, b)]
-    consistent = len(reference_rref(augmented, n + 1, p)[1]) == len(pivots)
-    walk = OrderedEchelon(p)
-    for column in columns_of(rows, n):
-        walk.add(column)
-    x = walk.relation({i: v for i, v in enumerate(b) if v})
-    assert walk.count == n
-    if not consistent:
-        assert x is None
-        return
-    # only the independent columns take part, so the answer is deterministic
-    assert x is not None and set(x) <= set(pivots)
-    assert all(
-        (sum(row[k] * c for k, c in x.items()) - v) % p == 0 for row, v in zip(rows, b)
-    )
-
-
 # ----------------------------------------------------------------------
 # the bound on the modulus
 # ----------------------------------------------------------------------
@@ -234,8 +165,6 @@ def test_primes_past_the_bound_are_rejected():
     assert (MAX_PRIME - 1) ** 2 <= 2**63 - 1
     with pytest.raises(ValueError, match=str(MAX_PRIME)):
         rank_mod_p([[1, 2], [3, 4]], 3037000507)
-    with pytest.raises(ValueError, match=str(MAX_PRIME)):
-        OrderedEchelon(3037000507)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3])
@@ -243,12 +172,9 @@ def test_moduli_that_are_not_primes_are_rejected(p):
     algebra = bar_source_algebra(1, 1)
     calls = [
         lambda: homology_over_Fp(algebra, 4, p),
-        lambda: homology_ring_over_Fp(algebra, p, 1),
         lambda: rank_of_columns_mod_p([{0: 2, 1: 1}, {0: 1, 1: 1}], p),
         lambda: rank_mod_p([[2, 1], [1, 1]], p),
     ]
-    if p < 2:
-        calls.append(lambda: OrderedEchelon(p))
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"modulus {p} is not a prime")):
             call()
@@ -292,7 +218,6 @@ def test_sparse_rank_at_the_largest_supported_prime_matches_reference(case):
     rank = len(reference_rref(rows, n, MAX_PRIME)[1])
     assert rank_of_columns_mod_p(columns, MAX_PRIME) == rank
     check_pivot_rows(rows, n, MAX_PRIME)
-    assert walk_kernel(rows, n, MAX_PRIME) == reference_kernel(rows, n, MAX_PRIME)
 
 
 def test_bar_homology_at_the_largest_supported_prime_follows_universal_coefficients():
