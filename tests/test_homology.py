@@ -369,6 +369,42 @@ def test_cleared_reduction_matches_each_degree_alone(n, m, weight_max):
                 assert cleared[i] == [1] * rank_of_columns_mod_p(cols, p)
 
 
+def _dense_boundaries(algebra, weight):
+    """``(i, rows, n)``: the boundary out of degree ``i`` of a weight slice
+    as a dense ``rows`` matrix with ``n`` columns, for every degree."""
+    slice_ = algebra.weight_slice(weight)
+    for i, cols in compile_slice(algebra, weight).items():
+        n_rows = len(slice_.get(i - 1, ()))
+        yield i, [[c.get(r, 0) for c in cols] for r in range(n_rows)], len(cols)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, weight_max", [(1, 8), (2, 6), (3, 5)])
+def test_pivot_rows_of_bar_slices_give_full_rank_blocks(n, weight_max, p):
+    """The column reduction of every boundary matrix of the bar slices finds
+    the reference rank mod p and pivot rows of a full rank block."""
+    algebra = bar_source_algebra(n, 1)
+    for d in range(weight_max + 1):
+        for _, rows, n_cols in _dense_boundaries(algebra, d):
+            check_pivot_rows(rows, n_cols, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, weight_max", [(1, 8), (2, 6), (3, 5)])
+def test_mod_p_homology_matches_reference_ranks(n, weight_max, p):
+    """homology_over_Fp, which clears slice by slice and block by block,
+    agrees with rank-nullity on each boundary matrix ranked by the dense
+    reference elimination."""
+    algebra = bar_source_algebra(n, 1)
+    for d in range(weight_max + 1):
+        basis = algebra.weight_slice(d)
+        ranks = {
+            i: len(reference_rref(rows, k, p)[1]) for i, rows, k in _dense_boundaries(algebra, d)
+        }
+        expected = {i: len(basis[i]) - ranks[i] - ranks.get(i + 1, 0) for i in basis}
+        assert homology_over_Fp(algebra, d, p) == {i: k for i, k in expected.items() if k}
+
+
 def _group(diagonal):
     """The cokernel's torsion and the rank of a matrix that reduces to the
     given diagonal; equal pairs mean equal invariant factors."""
@@ -684,6 +720,35 @@ def test_universal_coefficients_consistency(p):
     for d in range(5):
         for i, n in homology_over_Fp(BAR1, d, p).items():
             direct[(i, d)] = n
+    assert derived == direct
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        (2, {(0, 0): 1, (3, 1): 1, (5, 2): 1, (6, 2): 1, (8, 3): 1, (9, 3): 1}),
+        # -2[g2] is a boundary and 3 does not divide 2, so weight 2 dies
+        (3, {(0, 0): 1, (3, 1): 1, (7, 3): 1, (8, 3): 1}),
+        (5, {(0, 0): 1, (3, 1): 1}),
+    ],
+)
+def test_mod_p_homology_through_weight_3(p, expected):
+    got = {(i, d): k for d in range(4) for i, k in homology_over_Fp(BAR1, d, p).items()}
+    assert got == expected
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, weight_max", [(1, 10), (2, 8), (3, 7)])
+def test_iterated_bar_homology_follows_universal_coefficients(n, weight_max, p):
+    """The mod-p dimensions of the n-fold bar construction on divided powers
+    agree with those derived from its integral homology."""
+    algebra = bar_source_algebra(n, 1)
+    derived = dimensions_mod_p_from_integral(integral_homology_table(algebra, weight_max), p)
+    direct = {
+        (i, d): k
+        for d in range(weight_max + 1)
+        for i, k in homology_over_Fp(algebra, d, p).items()
+    }
     assert derived == direct
 
 

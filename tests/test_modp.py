@@ -140,6 +140,38 @@ def test_column_reduction_pivot_rows_give_a_full_rank_block(case):
     assert columns == before
 
 
+@st.composite
+def systems(draw):
+    """``(p, n, rows, b)`` for ``rows x = b``: half consistent by
+    construction, half with a random right-hand side."""
+    p, n, rows = draw(matrices())
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+        return p, n, rows, [sum(a * b for a, b in zip(row, x0)) % p for row in rows]
+    return p, n, rows, draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
+
+
+@example((2, 3, [], []))
+@example((3, 0, [[], [], []], [0, 1, 0]))
+@example((5, 4, [[0] * 4] * 3, [0, 0, 0]))
+@example((3, 2, [[1, 1], [2, 2]], [1, 0]))  # rows dependent, right-hand side not
+@given(systems())
+def test_rank_decides_whether_a_system_has_a_solution(system):
+    """``rows x = b`` is solvable mod p exactly when appending ``b`` as a
+    column keeps the rank (Rouche-Capelli), and the reference elimination of
+    the augmented matrix then yields a solution."""
+    p, n, rows, b = system
+    augmented = [row + [v] for row, v in zip(rows, b)]
+    red, pivots = reference_rref(augmented, n + 1, p)
+    consistent = n not in pivots
+    assert (rank_mod_p(augmented, p) == rank_mod_p(rows, p)) == consistent
+    if consistent:
+        x = [0] * n
+        for r, c in enumerate(pivots):
+            x[c] = red[r][n]
+        assert all((sum(a * c for a, c in zip(row, x)) - v) % p == 0 for row, v in zip(rows, b))
+
+
 # ----------------------------------------------------------------------
 # the bound on the modulus
 # ----------------------------------------------------------------------
@@ -165,6 +197,13 @@ def test_primes_past_the_bound_are_rejected():
     assert (MAX_PRIME - 1) ** 2 <= 2**63 - 1
     with pytest.raises(ValueError, match=str(MAX_PRIME)):
         rank_mod_p([[1, 2], [3, 4]], 3037000507)
+
+
+def test_homology_over_Fp_rejects_primes_past_the_bound():
+    with pytest.raises(ValueError, match=str(MAX_PRIME)):
+        homology_over_Fp(bar_source_algebra(1, 1), 1, 3037000507)
+    with pytest.raises(ValueError, match=str(MAX_PRIME)):
+        rank_of_columns_mod_p([{0: 1}], 3037000507)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3])
