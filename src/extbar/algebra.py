@@ -89,12 +89,14 @@ class WdgAlgebra:
     :meth:`mul_monomials`, :meth:`diff_monomial` and :attr:`unit`.  The base
     class provides linear-algebra plumbing over elements and the boundary
     columns of a weight slice (:meth:`slice_columns`).  Instances are
-    immutable after construction; their caches (weight slices here; letter
-    products, differentials and bidegrees, shuffle products and compiled
-    boundary columns in :class:`~extbar.bar.BarAlgebra`) are filled
-    idempotently, so sharing an instance across threads is safe.  Elements
-    returned by products and differentials are never shared with a cache, so
-    callers may mutate them; compiled columns are shared and must not be.
+    immutable after construction; their caches (weight slices here and the
+    compiled columns of each weight that passed the d^2 check of
+    :mod:`extbar.homology`; letter products, differentials and bidegrees,
+    shuffle products and compiled boundary columns in
+    :class:`~extbar.bar.BarAlgebra`) are filled idempotently, so sharing an
+    instance across threads is safe.  Elements returned by products and
+    differentials are never shared with a cache, so callers may mutate
+    them; compiled columns are shared and must not be.
     """
 
     ring: Ring
@@ -102,6 +104,7 @@ class WdgAlgebra:
     def __init__(self, ring: Ring) -> None:
         self.ring = ring
         self._slice_cache: Dict[int, Dict[int, Tuple[Monomial, ...]]] = {}
+        self._checked_columns: Dict[int, Dict[int, List[Column]]] = {}
 
     # ------------------------------------------------------------------
     # interface

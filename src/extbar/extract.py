@@ -19,10 +19,10 @@ the verification suites check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .algebra import DIVIDED, SYMMETRIC, FreeAlgebra, WdgAlgebra
-from .bar import iterate_bar
+from .bar import BarAlgebra
 from .homology import AbelianGroup, TableKey, homology_over_Fp, homology_over_Z
 from .predict import bar_iterations, ext_field_predict, poincare_dims, regrade_bar_table
 from .rings import Ring, ZZ
@@ -51,10 +51,36 @@ class ExtTable:
             raise ValueError("exactly one of groups/dims must be given")
 
 
+#: The tower :func:`bar_source_algebra` serves, as ``(m, levels)``:
+#: ``levels[0]`` is divided powers on ``m`` generators and each level above
+#: is the bar construction of the one below.  It is rebound whole, never
+#: mutated, so a thread that reads it sees one complete tower.
+_tower: Tuple[int, Tuple[WdgAlgebra, ...]] = (0, ())
+
+
 def bar_source_algebra(n: int, m: int) -> WdgAlgebra:
     """The corner of the pipeline: the n-fold bar construction of divided
-    powers on m weight-1 generators of degree 2."""
-    return iterate_bar(FreeAlgebra(DIVIDED, [(2, 1, m)], ZZ), n)
+    powers on m weight-1 generators of degree 2.
+
+    One tower is shared per process: level ``n`` of the last tower asked
+    for is returned when that tower has the same ``m``; a tower too short
+    for ``n`` grows by bar constructions on top, and a tower on another
+    ``m`` is replaced by a new one.  So callers asking for the same ``m``
+    get the same instances, with the columns they have compiled and the
+    slices that passed the d^2 check, which the tower keeps until it is
+    replaced.  The tower is built as a tuple and bound in one assignment,
+    so callers in several threads each get a tower of depth ``n`` on ``m``
+    generators."""
+    global _tower
+    if n < 0:
+        raise ValueError("bar iteration count must be >= 0")
+    tower_m, levels = _tower
+    if tower_m != m or not levels:
+        levels = (FreeAlgebra(DIVIDED, [(2, 1, m)], ZZ),)
+    while len(levels) <= n:
+        levels += (BarAlgebra(levels[-1]),)
+    _tower = (m, levels)
+    return levels[n]
 
 
 def ext_table_via_bar(

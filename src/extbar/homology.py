@@ -11,9 +11,15 @@ differential of every basis monomial is evaluated one time
 columns from those of the slices below it.  One helper
 (:func:`_checked_slice`) compiles a slice and checks d^2 = 0 on it, as the
 exact sparse product ``D_{i-1} D_i = 0`` over the algebra's ring; it is
-where integral and mod-p slice homology get their columns, so the check
-always runs.  There is one reduction routine per ring, and neither
-densifies anything.  Over Z, a sparse elimination
+where integral and mod-p slice homology get their columns, so every slice
+they read has passed the check.  It runs once per compiled slice: the
+algebra records the columns object that passed, and a later call that
+compiles the same object skips the product.  Since
+:class:`~extbar.bar.BarAlgebra` keeps its columns and
+:func:`extbar.extract.bar_source_algebra` shares one tower per process, a
+bar slice is compiled and checked once per process, whatever the prime,
+and only its reduction runs again.  There is one reduction routine per
+ring, and neither densifies anything.  Over Z, a sparse elimination
 (:func:`_eliminate`) keeps rows and columns as dicts and takes one pivot
 step, on units from a Markowitz queue while there are any and then on the
 smallest entry; Smith normal form is a gcd/lcm pass over its diagonal
@@ -503,13 +509,32 @@ def _dense(columns: Sequence[Column], n_rows: int) -> Matrix:
 
 
 def _checked_slice(algebra: WdgAlgebra, weight: int) -> Dict[int, List[Column]]:
-    """:func:`compile_slice` with d^2 = 0 checked on the result: the exact
-    sparse product ``D_{i-1} D_i`` is zero for every degree, checked column
-    by column, i.e. on every basis monomial of the slice.  When the algebra
-    splits the slice into blocks (:meth:`~extbar.algebra.WdgAlgebra.block_keys`),
-    every entry is also checked to lie in its column's block.  Every
-    homology computation reads its columns from here."""
+    """:func:`compile_slice` with d^2 = 0 checked on the result
+    (:func:`_check_square`).  Every homology computation reads its columns
+    from here.
+
+    The check runs once per compiled slice: the algebra records, per
+    weight, the columns object that passed, and the check is skipped only
+    when :func:`compile_slice` returns that same object.  The record holds
+    the object itself, not its ``id``, which a later object could reuse.
+    An algebra that compiles a new object on every call is checked on every
+    call, and one that fails the check has nothing recorded."""
     columns = compile_slice(algebra, weight)
+    if algebra._checked_columns.get(weight) is not columns:
+        _check_square(algebra, weight, columns)
+        algebra._checked_columns[weight] = columns
+    return columns
+
+
+def _check_square(
+    algebra: WdgAlgebra, weight: int, columns: Mapping[int, Sequence[Column]]
+) -> None:
+    """Raise :class:`InternalAssertionError` unless the exact sparse product
+    ``D_{i-1} D_i`` of the slice's columns is zero for every degree, checked
+    column by column, i.e. on every basis monomial of the slice, over the
+    algebra's ring.  When the algebra splits the slice into blocks
+    (:meth:`~extbar.algebra.WdgAlgebra.block_keys`), every entry is also
+    checked to lie in its column's block."""
     slice_ = algebra.weight_slice(weight)
     keys = algebra.block_keys(weight)
     char = algebra.ring.char
@@ -535,7 +560,6 @@ def _checked_slice(algebra: WdgAlgebra, weight: int) -> Dict[int, List[Column]]:
                     f"differential does not square to zero on {mono} "
                     f"(weight {weight})"
                 )
-    return columns
 
 
 def boundary_matrix(algebra: WdgAlgebra, weight: int, degree: int) -> Matrix:
@@ -551,7 +575,8 @@ def boundary_matrix(algebra: WdgAlgebra, weight: int, degree: int) -> Matrix:
 
 
 def check_boundary_squares_to_zero(algebra: WdgAlgebra, weight: int) -> None:
-    """Verify d(d(m)) = 0 for every basis monomial of the slice."""
+    """Verify d(d(m)) = 0 for every basis monomial of the slice, once per
+    compiled slice (:func:`_checked_slice`)."""
     _checked_slice(algebra, weight)
 
 
@@ -612,8 +637,8 @@ def _reduce_slice(
     basis of ``C_i``.  Since ``D_i D_{i+1} = 0``, ``D_i`` has the same
     image as ``D_i`` restricted to the columns outside ``R``; hence the
     same cokernel, so the same rank and the same invariant factors.  This
-    relies on ``d^2 = 0``, which is why the check always runs first
-    (:func:`_checked_slice`).
+    relies on ``d^2 = 0``, which is why homology reduces only slices that
+    passed the check (:func:`_checked_slice`).
 
     Over Z it fails for smallest-entry pivots, which span no unimodular
     block: with ``D_{i+1}`` the column ``(2, 3)`` and ``D_i`` the row

@@ -4,7 +4,10 @@ Property-based checks use a bounded hypothesis profile so the whole suite
 stays fast and deterministic enough for CI.
 """
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+import extbar.homology
 
 settings.register_profile(
     "bounded",
@@ -13,3 +16,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("bounded")
+
+
+@pytest.fixture()
+def square_checks(monkeypatch):
+    """The weights the d^2 = 0 check (``extbar.homology._check_square``)
+    runs on during the test, in call order."""
+    weights = []
+    check = extbar.homology._check_square
+
+    def counted(algebra, weight, columns):
+        weights.append(weight)
+        check(algebra, weight, columns)
+
+    monkeypatch.setattr(extbar.homology, "_check_square", counted)
+    return weights

@@ -1,8 +1,9 @@
 """Tests for the compiled boundary columns of a weight slice: equivalence with
 a column-by-column evaluation of the differential, the bar construction's
 letter caches and memoized shuffle against the uncached formulas, the safety
-of the compiled-column cache, and the d^2 = 0 check failing on differentials
-that do not square to zero or that leave their multi-weight block."""
+of the compiled-column cache, the d^2 = 0 check failing on differentials
+that do not square to zero or that leave their multi-weight block, and that
+check running once per compiled slice."""
 
 import copy
 import itertools
@@ -227,7 +228,8 @@ def test_compile_checks_the_runs_of_the_basis():
 
 
 def test_bar_compile_does_not_evaluate_the_word_differential():
-    algebra = bar_source_algebra(2, 1)
+    # a tower of its own: the shared one must not be patched
+    algebra = iterate_bar(GAMMA, 2)
     calls = []
     evaluate = algebra.diff_monomial
 
@@ -394,3 +396,80 @@ def test_entry_crossing_blocks_is_reported(monkeypatch):
     result = CliRunner().invoke(main, ["bar-homology", "--m", "2", "--weight", "2"])
     assert result.exit_code == 3
     assert f"internal assertion failed: {crosses}" in result.stderr
+
+
+# ----------------------------------------------------------------------
+# the d^2 = 0 check runs once per compiled slice
+# ----------------------------------------------------------------------
+
+
+def test_square_check_runs_once_per_compiled_slice(square_checks):
+    weights = range(7)
+    shared = bar_source_algebra(2, 1)
+    tables = {p: [homology_over_Fp(shared, w, p) for w in weights] for p in (3, 5)}
+    for w in weights:
+        homology_over_Z(bar_source_algebra(2, 1), w)
+    assert square_checks == list(weights)
+    for p in (3, 5):
+        cold = iterate_bar(FreeAlgebra(DIVIDED, [(2, 1, 1)], ZZ), 2)
+        assert [homology_over_Fp(cold, w, p) for w in weights] == tables[p]
+
+
+class _Copied(BarAlgebra):
+    """Bar(Gamma) whose weight-3 columns come back as a new object on every
+    call, with the same entries."""
+
+    def slice_columns(self, weight):
+        columns = super().slice_columns(weight)
+        return dict(columns) if weight == 3 else columns
+
+
+class _SignFlippedInCache(BarAlgebra):
+    """:class:`_SignFlipped` with the flipped entry in the compiled-column
+    cache, so that every call returns the same broken columns object."""
+
+    def _compile(self, weight):
+        return _with_entry_changed(self, super()._compile(weight), weight, lambda c: -c)
+
+
+BLOCKS_CROSSED = re.escape(
+    f"differential of {((1, 0), (1, 0))} leaves its block (weight 2, degree 6)"
+)
+
+
+@pytest.mark.parametrize(
+    "factory, weight, failure",
+    [
+        (lambda: _SignFlipped(GAMMA), 3, SQUARE_FAILURE),
+        (lambda: _SignFlippedInCache(GAMMA), 3, SQUARE_FAILURE),
+        (lambda: _CoefficientDoubled(GAMMA), 3, SQUARE_FAILURE),
+        (lambda: _CrossesBlocks(FreeAlgebra(DIVIDED, [(2, 1, 2)], ZZ)), 2, BLOCKS_CROSSED),
+        (lambda: _Copied(GAMMA), 3, None),
+    ],
+    ids=[
+        "sign-flipped", "sign-flipped-in-cache", "coefficient-doubled", "crosses-blocks", "copied"
+    ],
+)
+def test_columns_that_have_not_passed_are_checked_on_every_call(
+    factory, weight, failure, square_checks
+):
+    algebra = factory()
+    for w in range(weight):
+        homology_over_Z(algebra, w)
+    square_checks.clear()
+    calls = [
+        lambda: check_boundary_squares_to_zero(algebra, weight),
+        lambda: homology_over_Z(algebra, weight),
+        lambda: homology_over_Fp(algebra, weight, 2),
+        lambda: homology_over_Fp(algebra, weight, 5),
+    ]
+    for call in calls * 2:
+        if failure is None:
+            call()
+        else:
+            with pytest.raises(InternalAssertionError, match=failure):
+                call()
+    assert square_checks == [weight] * 8
+    # a slice below, compiled once and cached, passed once and is not checked again
+    homology_over_Z(algebra, weight - 1)
+    assert square_checks == [weight] * 8

@@ -318,6 +318,23 @@ def test_verify_passing_suites(runner):
         assert result.output == summary + "\n"
 
 
+def test_verify_on_a_shared_tower_prints_what_a_lone_run_prints(runner, square_checks):
+    def verify(p):
+        args = ["verify", "--suite", "cartan-field", "--n", "2", "--p", str(p), "--max-weight", "7"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        return result.stdout_bytes
+
+    shared = [verify(3), verify(5)]
+    assert square_checks == list(range(8))
+    alone = []
+    for p in (3, 5):
+        extbar.extract._tower = (0, ())  # as a fresh process starts
+        alone.append(verify(p))
+    assert shared == alone
+    assert shared[0] == b"cartan-field: PASS (22 checks)\n"
+
+
 def test_verify_rejects_unknown_suite_and_bad_prime(runner):
     result = runner.invoke(main, ["verify", "--suite", "bogus"])
     assert result.exit_code == 2

@@ -1,5 +1,9 @@
 """Tests for the bar-construction table pipeline and its agreement with the
-closed-form predictors, over Z and over prime fields."""
+closed-form predictors, over Z and over prime fields, and for the one bar
+tower it shares per process."""
+
+import sys
+import threading
 
 import pytest
 
@@ -10,7 +14,9 @@ from extbar import (
     SYMMETRIC,
     ZZ,
     AbelianGroup,
+    BarAlgebra,
     ExtTable,
+    FreeAlgebra,
     bar_source_algebra,
     ext_field_predict,
     ext_integral_predict,
@@ -35,6 +41,66 @@ def test_bar_source_algebra_smallest_slices():
     algebra = bar_source_algebra(1, 2)
     assert algebra.dims(0) == {0: 1}
     assert algebra.dims(1) == {3: 2}
+
+
+def depth_and_rank(algebra):
+    """How many bar constructions ``algebra`` is, and on how many
+    generators the divided powers at its bottom are."""
+    depth = 0
+    while isinstance(algebra, BarAlgebra):
+        algebra, depth = algebra.base, depth + 1
+    assert isinstance(algebra, FreeAlgebra) and algebra.flavor == DIVIDED
+    return depth, len(algebra.generators)
+
+
+def test_one_tower_is_shared():
+    two = bar_source_algebra(2, 1)
+    assert bar_source_algebra(2, 1) is two
+    assert bar_source_algebra(3, 1).base is two
+    assert bar_source_algebra(2, 1) is two
+    assert bar_source_algebra(1, 1) is two.base
+    assert bar_source_algebra(0, 1) is two.base.base
+    assert depth_and_rank(bar_source_algebra(4, 1)) == (4, 1)
+
+
+def test_another_rank_replaces_the_tower():
+    rank1 = bar_source_algebra(2, 1)
+    rank2 = bar_source_algebra(2, 2)
+    assert rank2 is not rank1
+    assert depth_and_rank(rank2) == (2, 2)
+    assert bar_source_algebra(1, 2) is rank2.base
+    again = bar_source_algebra(2, 1)
+    assert again is not rank1
+    assert depth_and_rank(again) == (2, 1)
+
+
+def test_the_tower_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="bar iteration count must be >= 0"):
+        bar_source_algebra(-1, 1)
+
+
+def test_threads_asking_for_different_towers_each_get_their_own():
+    asks = [(1, 1), (3, 1), (2, 2), (0, 3)]
+    start = threading.Barrier(len(asks), timeout=60)
+    got = {ask: [] for ask in asks}
+
+    def ask_for(n, m):
+        start.wait()
+        for _ in range(300):
+            got[(n, m)].append(depth_and_rank(bar_source_algebra(n, m)))
+
+    threads = [threading.Thread(target=ask_for, args=ask) for ask in asks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that they interleave
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {ask: [ask] * 300 for ask in asks}
 
 
 def test_table_container_needs_exactly_one_payload():
