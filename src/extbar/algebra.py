@@ -88,11 +88,11 @@ class WdgAlgebra:
     Subclasses implement :meth:`weight_slice`, :meth:`bidegree`,
     :meth:`mul_monomials`, :meth:`diff_monomial` and :attr:`unit`.  The base
     class provides linear-algebra plumbing over elements and the boundary
-    columns of a weight slice (:meth:`slice_columns`).  Instances are
-    immutable after construction; their caches (weight slices here and the
-    compiled columns of each weight that passed the d^2 check of
-    :mod:`extbar.homology`; letter products, differentials and bidegrees,
-    shuffle products and compiled boundary columns in
+    columns of a weight slice, compiled once by :meth:`_compile`, kept, and
+    checked for d^2 = 0 before :meth:`slice_columns` hands them out.
+    Instances are immutable after construction; their caches (weight
+    slices, compiled columns and the columns that passed the check here;
+    letter products, differentials and bidegrees and shuffle products in
     :class:`~extbar.bar.BarAlgebra`) are filled idempotently, so sharing an
     instance across threads is safe.  Elements returned by products and
     differentials are never shared with a cache, so callers may mutate
@@ -104,6 +104,7 @@ class WdgAlgebra:
     def __init__(self, ring: Ring) -> None:
         self.ring = ring
         self._slice_cache: Dict[int, Dict[int, Tuple[Monomial, ...]]] = {}
+        self._column_cache: Dict[int, Dict[int, List[Column]]] = {}
         self._checked_columns: Dict[int, Dict[int, List[Column]]] = {}
 
     # ------------------------------------------------------------------
@@ -150,12 +151,32 @@ class WdgAlgebra:
         """Boundary columns out of every degree of the weight slice, keyed by
         degree: column ``j`` of degree ``i`` holds the differential of the
         ``j``-th basis monomial of degree ``i`` as ``{row: coefficient}``,
-        rows indexing the degree-``i - 1`` basis.
+        rows indexing the degree-``i - 1`` basis.  Every homology
+        computation reads its columns from here; they must not be mutated.
 
-        Here :func:`boundary_columns` evaluates ``diff_monomial`` once per
-        basis monomial; an algebra that can do better overrides this.  The
-        result may be cached by the algebra, so callers must not mutate it.
-        """
+        d^2 = 0 is checked (:func:`_check_square`) once per object that
+        :meth:`_compiled` returns: the object that passed is recorded per
+        weight (the object, not its ``id``, which a later one could reuse),
+        and columns that failed are checked again on every call."""
+        columns = self._compiled(weight)
+        if self._checked_columns.get(weight) is not columns:
+            _check_square(self, weight, columns)
+            self._checked_columns[weight] = columns
+        return columns
+
+    def _compiled(self, weight: int) -> Dict[int, List[Column]]:
+        """The columns :meth:`_compile` builds, cached per weight and not
+        checked: for building other slices from them."""
+        got = self._column_cache.get(weight)
+        if got is None:
+            got = self._column_cache[weight] = self._compile(weight)
+        return got
+
+    def _compile(self, weight: int) -> Dict[int, List[Column]]:
+        """The boundary columns of the weight slice, as :meth:`slice_columns`
+        describes them.  Here :func:`boundary_columns` evaluates
+        ``diff_monomial`` once per basis monomial; an algebra that can do
+        better overrides this."""
         return {i: boundary_columns(self, weight, i) for i in self.weight_slice(weight)}
 
     def block_keys(self, weight: int) -> Optional[Dict[int, List[int]]]:
@@ -261,6 +282,42 @@ def boundary_columns(algebra: WdgAlgebra, weight: int, degree: int) -> List[Colu
             column[r] = c
         columns.append(column)
     return columns
+
+
+def _check_square(
+    algebra: WdgAlgebra, weight: int, columns: Mapping[int, Sequence[Column]]
+) -> None:
+    """Raise :class:`InternalAssertionError` unless the exact sparse product
+    ``D_{i-1} D_i`` of the slice's columns is zero for every degree, checked
+    column by column, i.e. on every basis monomial of the slice, over the
+    algebra's ring.  When the algebra splits the slice into blocks
+    (:meth:`WdgAlgebra.block_keys`), every entry is also checked to lie in
+    its column's block."""
+    slice_ = algebra.weight_slice(weight)
+    keys = algebra.block_keys(weight)
+    char = algebra.ring.char
+    for i, cols in columns.items():
+        below = columns.get(i - 1, ())
+        if keys is not None:
+            row_keys = keys.get(i - 1, ())
+            for mono, key, column in zip(slice_[i], keys[i], cols):
+                for r in column:
+                    if row_keys[r] != key:
+                        raise InternalAssertionError(
+                            f"differential of {mono} leaves its block (weight {weight}, "
+                            f"degree {i})"
+                        )
+        for mono, column in zip(slice_[i], cols):
+            acc: Dict[int, int] = {}
+            for r, c in column.items():
+                for s, e in below[r].items():
+                    acc[s] = acc.get(s, 0) + c * e
+            residues = (v % char for v in acc.values()) if char else acc.values()
+            if any(residues):
+                raise InternalAssertionError(
+                    f"differential does not square to zero on {mono} "
+                    f"(weight {weight})"
+                )
 
 
 def check_one_eps_commutative(

@@ -63,12 +63,14 @@ class BarAlgebra(WdgAlgebra):
 
     A word is ``[a | r]`` with ``r`` a word of lower weight, and the basis
     lists the words that start with ``a`` as one contiguous *run*, ordered as
-    ``r`` is in its own slice.  So :meth:`slice_columns` builds the boundary
+    ``r`` is in its own slice.  So :meth:`_compile` builds the boundary
     columns of a weight slice from the columns of the slices below it by
-    run-offset arithmetic (:meth:`_compile`), without building a word, and
-    keeps them for the life of the algebra.  :meth:`diff_monomial` evaluates
-    the same differential one word at a time; it is the reference the
-    compiled columns are tested against.
+    run-offset arithmetic, without building a word; the base class keeps
+    them for the life of the algebra and checks d^2 = 0 on the slices that
+    :meth:`~extbar.algebra.WdgAlgebra.slice_columns` hands out, not on the
+    slices below that compile reads.  :meth:`diff_monomial` evaluates the
+    same differential one word at a time; it is the reference the compiled
+    columns are tested against.
 
     Over a free algebra on two or more generators, :meth:`block_keys` gives
     each word its multi-weight, built run by run from the slices below as
@@ -83,7 +85,6 @@ class BarAlgebra(WdgAlgebra):
         self._letter_diff: Dict[Monomial, Terms] = {}
         self._shuffles: Dict[Tuple[Monomial, Monomial], Terms] = {}
         self._run_cache: Dict[int, Dict[int, Runs]] = {}
-        self._columns: Dict[int, Dict[int, List[Column]]] = {}
         self._key_cache: Dict[int, Dict[int, List[int]]] = {}
         self._letter_keys: Dict[Monomial, int] = {}
         # key fields: the innermost free algebra's generators, or 0 for no
@@ -203,16 +204,9 @@ class BarAlgebra(WdgAlgebra):
         self._run_cache[weight] = got
         return got
 
-    def slice_columns(self, weight: int) -> Dict[int, List[Column]]:
-        """The columns :meth:`_compile` builds, cached per weight."""
-        got = self._columns.get(weight)
-        if got is None:
-            got = self._columns[weight] = self._compile(weight)
-        return got
-
     def _compile(self, weight: int) -> Dict[int, List[Column]]:
         """Boundary columns of the weight slice from the columns of the
-        slices below it.
+        slices below it, read unchecked (:meth:`_compiled`).
 
         Column ``start(a) + k`` of degree ``i`` is ``d[a | r]`` for the
         ``k``-th word ``r`` of its lower slice, and with ``s = (-1)**(1 +
@@ -258,7 +252,7 @@ class BarAlgebra(WdgAlgebra):
             for a, (start, _) in runs[i].items():
                 ba = self._bidegree_of(a)
                 lw, lj = weight - ba.weight, i - 1 - ba.degree
-                lower = self.slice_columns(lw)[lj]
+                lower = self._compiled(lw)[lj]
                 s = -1 if ba.degree % 2 == 0 else 1
                 da_bidegree = Bidegree(ba.degree - 1, ba.weight)
                 da = [

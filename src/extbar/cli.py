@@ -55,6 +55,12 @@ def _require(condition: bool, message: str) -> None:
         raise click.UsageError(message)
 
 
+def _require_prime(p: int) -> None:
+    """Reject a ``--p`` that is not a supported prime, the bound first."""
+    _require(p <= MAX_PRIME, f"--p must be at most {MAX_PRIME}, got {p}")
+    _require(is_prime(p), f"--p must be prime, got {p}")
+
+
 def _echo_lines(lines: List[str]) -> None:
     """Print the lines in one write; print nothing for no lines."""
     if lines:
@@ -79,8 +85,7 @@ def main() -> None:
 @_internal_guard
 def words(p: int, height: int, max_degree: int, pairs: bool) -> None:
     """Enumerate admissible words (or their pairs) of one height."""
-    _require(p <= MAX_PRIME, f"--p must be at most {MAX_PRIME}, got {p}")
-    _require(is_prime(p), f"--p must be prime, got {p}")
+    _require_prime(p)
     _require(height >= 0, "--height must be >= 0")
     _require(max_degree >= 0, "--max-degree must be >= 0")
     if pairs:
@@ -266,8 +271,7 @@ def verify(
     suite: str, p: int, n: int, m: int, max_weight: int, max_s: int, max_t: int
 ) -> None:
     """Run a named cross-check suite; exit 1 on the first mismatch."""
-    _require(p <= MAX_PRIME, f"--p must be at most {MAX_PRIME}, got {p}")
-    _require(is_prime(p), f"--p must be prime, got {p}")
+    _require_prime(p)
     _require(n >= 0 and m >= 1 and max_weight >= 0, "bounds must be nonnegative")
     _require(max_s >= 0 and max_t >= 0, "--max-s/--max-t must be >= 0")
     _require(

@@ -3,19 +3,14 @@ generated abelian groups, mod-p dimensions, and the Kunneth assembly of
 weighted homology tables.
 
 Each homology computation reads its weight slice's sparse boundary columns,
-``{row: coefficient}`` per basis monomial, from :func:`compile_slice`, which
-asks the algebra for them
-(:meth:`~extbar.algebra.WdgAlgebra.slice_columns`).  By default the
-differential of every basis monomial is evaluated one time
+``{row: coefficient}`` per basis monomial, from the algebra
+(:meth:`~extbar.algebra.WdgAlgebra.slice_columns`), which compiles them
+once, keeps them, and checks d^2 = 0 on them as the exact sparse product
+``D_{i-1} D_i = 0`` over its ring, once per compiled object.  So every
+slice that integral and mod-p slice homology read has passed the check.
+By default the differential of every basis monomial is evaluated one time
 (:func:`boundary_columns`); the bar construction instead builds each slice's
-columns from those of the slices below it.  One helper
-(:func:`_checked_slice`) compiles a slice and checks d^2 = 0 on it, as the
-exact sparse product ``D_{i-1} D_i = 0`` over the algebra's ring; it is
-where integral and mod-p slice homology get their columns, so every slice
-they read has passed the check.  It runs once per compiled slice: the
-algebra records the columns object that passed, and a later call that
-compiles the same object skips the product.  Since
-:class:`~extbar.bar.BarAlgebra` keeps its columns and
+columns from those of the slices below it.  Since
 :func:`extbar.extract.bar_source_algebra` shares one tower per process, a
 bar slice is compiled and checked once per process, whatever the prime,
 and only its reduction runs again.  There is one reduction routine per
@@ -39,11 +34,8 @@ direct sum of blocks: the check also asserts that no entry leaves its
 column's block, and the reduction runs block by block, one block for each
 orbit of blocks with isomorphic complexes, its diagonal counted once per
 block of the orbit (:func:`_slice_blocks`); an F_2 mask numbers the rows
-within its block, so its size follows the block, not the slice.
-:class:`extbar.bar.BarAlgebra` keeps the columns of every slice it has
-compiled, since the slices above are built from them, together with what
-repeats across words and weights (letter products, letter differentials,
-letter bidegrees, shuffle products); nothing here mutates them.
+within its block, so its size follows the block, not the slice.  Nothing
+here mutates the columns an algebra keeps.
 
 A *weighted table* is a mapping ``(degree, weight) -> AbelianGroup`` holding
 the homology of a weighted complex, with trivial groups omitted.  Tables are
@@ -245,7 +237,8 @@ def smith_normal_form_of_columns(
 ) -> Tuple[Tuple[int, ...], int]:
     """Invariant factors ``d_1 | d_2 | ...`` (including 1s) and the rank of
     the integer matrix whose ``j``-th column is ``columns[j]``, a
-    ``{row: coefficient}`` map as :func:`compile_slice` makes them.
+    ``{row: coefficient}`` map as
+    :meth:`~extbar.algebra.WdgAlgebra.slice_columns` gives them.
 
     A gcd/lcm pass over the diagonal of :func:`_eliminate`.  The input is
     not modified.
@@ -493,73 +486,12 @@ class AbelianGroup:
 # ----------------------------------------------------------------------
 
 
-def compile_slice(algebra: WdgAlgebra, weight: int) -> Dict[int, List[Column]]:
-    """Boundary columns out of every degree of the weight slice
-    (:meth:`~extbar.algebra.WdgAlgebra.slice_columns`): what a homology
-    computation reads of the differential.  Not to be mutated."""
-    return algebra.slice_columns(weight)
-
-
 def _dense(columns: Sequence[Column], n_rows: int) -> Matrix:
     rows = [[0] * len(columns) for _ in range(n_rows)]
     for j, column in enumerate(columns):
         for r, c in column.items():
             rows[r][j] = c
     return rows
-
-
-def _checked_slice(algebra: WdgAlgebra, weight: int) -> Dict[int, List[Column]]:
-    """:func:`compile_slice` with d^2 = 0 checked on the result
-    (:func:`_check_square`).  Every homology computation reads its columns
-    from here.
-
-    The check runs once per compiled slice: the algebra records, per
-    weight, the columns object that passed, and the check is skipped only
-    when :func:`compile_slice` returns that same object.  The record holds
-    the object itself, not its ``id``, which a later object could reuse.
-    An algebra that compiles a new object on every call is checked on every
-    call, and one that fails the check has nothing recorded."""
-    columns = compile_slice(algebra, weight)
-    if algebra._checked_columns.get(weight) is not columns:
-        _check_square(algebra, weight, columns)
-        algebra._checked_columns[weight] = columns
-    return columns
-
-
-def _check_square(
-    algebra: WdgAlgebra, weight: int, columns: Mapping[int, Sequence[Column]]
-) -> None:
-    """Raise :class:`InternalAssertionError` unless the exact sparse product
-    ``D_{i-1} D_i`` of the slice's columns is zero for every degree, checked
-    column by column, i.e. on every basis monomial of the slice, over the
-    algebra's ring.  When the algebra splits the slice into blocks
-    (:meth:`~extbar.algebra.WdgAlgebra.block_keys`), every entry is also
-    checked to lie in its column's block."""
-    slice_ = algebra.weight_slice(weight)
-    keys = algebra.block_keys(weight)
-    char = algebra.ring.char
-    for i, cols in columns.items():
-        below = columns.get(i - 1, ())
-        if keys is not None:
-            row_keys = keys.get(i - 1, ())
-            for mono, key, column in zip(slice_[i], keys[i], cols):
-                for r in column:
-                    if row_keys[r] != key:
-                        raise InternalAssertionError(
-                            f"differential of {mono} leaves its block (weight {weight}, "
-                            f"degree {i})"
-                        )
-        for mono, column in zip(slice_[i], cols):
-            acc: Dict[int, int] = {}
-            for r, c in column.items():
-                for s, e in below[r].items():
-                    acc[s] = acc.get(s, 0) + c * e
-            residues = (v % char for v in acc.values()) if char else acc.values()
-            if any(residues):
-                raise InternalAssertionError(
-                    f"differential does not square to zero on {mono} "
-                    f"(weight {weight})"
-                )
 
 
 def boundary_matrix(algebra: WdgAlgebra, weight: int, degree: int) -> Matrix:
@@ -576,8 +508,8 @@ def boundary_matrix(algebra: WdgAlgebra, weight: int, degree: int) -> Matrix:
 
 def check_boundary_squares_to_zero(algebra: WdgAlgebra, weight: int) -> None:
     """Verify d(d(m)) = 0 for every basis monomial of the slice, once per
-    compiled slice (:func:`_checked_slice`)."""
-    _checked_slice(algebra, weight)
+    compiled slice (:meth:`~extbar.algebra.WdgAlgebra.slice_columns`)."""
+    algebra.slice_columns(weight)
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +570,7 @@ def _reduce_slice(
     image as ``D_i`` restricted to the columns outside ``R``; hence the
     same cokernel, so the same rank and the same invariant factors.  This
     relies on ``d^2 = 0``, which is why homology reduces only slices that
-    passed the check (:func:`_checked_slice`).
+    passed the check (:meth:`~extbar.algebra.WdgAlgebra.slice_columns`).
 
     Over Z it fails for smallest-entry pivots, which span no unimodular
     block: with ``D_{i+1}`` the column ``(2, 3)`` and ``D_i`` the row
@@ -672,7 +604,7 @@ def _reduce_slice(
 def homology_over_Z(algebra: WdgAlgebra, weight: int) -> Dict[int, AbelianGroup]:
     """Integral homology of one weight slice, trivial degrees omitted."""
     slice_ = algebra.weight_slice(weight)
-    diagonals = _reduce_slice(_checked_slice(algebra, weight), 0, _slice_blocks(algebra, weight))
+    diagonals = _reduce_slice(algebra.slice_columns(weight), 0, _slice_blocks(algebra, weight))
     out: Dict[int, AbelianGroup] = {}
     for i in slice_:
         below = diagonals.get(i + 1, ())
@@ -690,7 +622,7 @@ def homology_over_Fp(algebra: WdgAlgebra, weight: int, p: int) -> Dict[int, int]
     """Dimensions of mod-p homology of one weight slice (zeros omitted)."""
     check_prime(p)
     slice_ = algebra.weight_slice(weight)
-    diagonals = _reduce_slice(_checked_slice(algebra, weight), p, _slice_blocks(algebra, weight))
+    diagonals = _reduce_slice(algebra.slice_columns(weight), p, _slice_blocks(algebra, weight))
     ranks = {i: len(d) for i, d in diagonals.items()}
     out: Dict[int, int] = {}
     for i in slice_:

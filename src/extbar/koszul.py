@@ -34,7 +34,6 @@ from .algebra import (
 from .homology import (
     AbelianGroup,
     TableKey,
-    _checked_slice,
     _reduce_slice,
     kunneth_fold,
     p_primary_unitalize,
@@ -168,7 +167,7 @@ def koszul_kernels_dims(
     algebra = build_koszul(KoszulSpec(tuple(generators), h=1, variant=KOSZUL), GF(p))
     out: Dict[TableKey, int] = {(0, 0): 1}
     for d in range(1, weight_max + 1):
-        diagonals = _reduce_slice(_checked_slice(algebra, d), p)
+        diagonals = _reduce_slice(algebra.slice_columns(d), p)
         for i in sorted(diagonals):
             r = len(diagonals.get(i + 1, ()))
             if r and 1 <= i <= max_degree:

@@ -5,9 +5,11 @@ reduction in :mod:`extbar.homology`; :func:`rank_mod_p` is its entry point
 for a matrix given as dense rows.
 
 The public entry points that take a modulus (:func:`rank_mod_p`,
-:func:`extbar.homology.rank_of_columns_mod_p` and
-:func:`extbar.homology.homology_over_Fp`) reject with ``ValueError`` any
-modulus that is not a prime in 2..:data:`MAX_PRIME` (:func:`check_prime`).
+:func:`extbar.homology.rank_of_columns_mod_p`,
+:func:`extbar.homology.homology_over_Fp`, the predictors of
+:mod:`extbar.predict`, :func:`extbar.verify.run_suite` and
+:class:`extbar.rings.Ring`) reject with ``ValueError`` any modulus that is
+not a prime in 2..:data:`MAX_PRIME` (:func:`check_prime`).
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> None:
-    """Raise ``ValueError``, naming ``p``, unless it is a prime in
-    2..:data:`MAX_PRIME`."""
+    """Raise ``ValueError``, naming ``p``, unless it is a prime at most
+    :data:`MAX_PRIME`; past the bound without testing primality."""
     if not (p <= MAX_PRIME and is_prime(p)):
-        raise ValueError(f"modulus {p} is not a prime in 2..{MAX_PRIME}")
+        raise ValueError(f"modulus {p} is not a prime at most {MAX_PRIME}")
 
 
 def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:

@@ -52,6 +52,7 @@ from .algebra import (
 )
 from .homology import AbelianGroup, TableKey
 from .koszul import predicted_bar_homology
+from .modp import check_prime
 from .rings import GF, Ring
 
 #: Functor names as used throughout the CLI and the table builders.
@@ -281,7 +282,9 @@ def cartan_field_generators(
     degree, weight ``p**twisting``.  For odd primes, odd-degree words span
     an exterior factor and even-degree words a divided-power factor; at
     p = 2 everything is divided-power.  Words heavier than the cap are cut.
+    Raises ``ValueError`` unless ``p`` is a supported prime.
     """
+    check_prime(p)
     from .words import enumerate_words, word_degree, word_degree_bound, word_twisting
 
     height = n + 2
@@ -316,8 +319,10 @@ def ext_twisted_predict(
     (s+t)-twisted source to the s-twisted target, truncated by weight.
 
     All nine flavor pairs are covered.  ``m`` is the rank of the evaluation
-    variable (each family repeats m times).
+    variable (each family repeats m times).  Raises ``ValueError`` unless
+    ``p`` is a supported prime.
     """
+    check_prime(p)
     if source not in FUNCTORS or target not in FUNCTORS:
         raise ValueError(f"functors must be in {FUNCTORS}")
     if s < 0 or t < 0:
@@ -354,19 +359,15 @@ def ext_twisted_predict(
         return single(flavor, (fam(a, t + s) for a in degrees))
 
     # Remaining sources: S with target Lambda/Gamma, Lambda with target Gamma.
+    # At p = 2 each of these is its left family list alone, divided-power.
     if target == EXTERIOR:  # source S
-        if p == 2:
-            fams = [
-                fam((2 * i + 1) * 2 ** (k + t) - 1, k + t + s)
-                for k in _twist_range(2, W, offset=t + s)
-                for i in offsets(k + t + s)
-            ]
-            return single(DIVIDED, fams)
         left = [
             fam((2 * i + 1) * p ** (k + t) - 1, k + t + s)
             for k in _twist_range(p, W, offset=t + s)
             for i in offsets(k + t + s)
         ]
+        if p == 2:
+            return single(DIVIDED, left)
         right = [
             fam((2 * i + 1) * p ** (k + 1 + t) - 2, k + 1 + t + s)
             for k in _twist_range(p, W, offset=1 + t + s)
@@ -380,18 +381,13 @@ def ext_twisted_predict(
         )
 
     if source == EXTERIOR:  # (Lambda, Gamma)
-        if p == 2:
-            fams = [
-                fam((2 * i + 2) * 2 ** (k + t) - 2**k - 1, k + t + s)
-                for k in _twist_range(2, W, offset=t + s)
-                for i in offsets(k + t + s)
-            ]
-            return single(DIVIDED, fams)
         left = [
             fam((2 * i + 2) * p ** (k + t) - p**k - 1, k + t + s)
             for k in _twist_range(p, W, offset=t + s)
             for i in offsets(k + t + s)
         ]
+        if p == 2:
+            return single(DIVIDED, left)
         right = [
             fam((2 * i + 2) * p ** (k + 1 + t) - p ** (k + 1) - 2, k + 1 + t + s)
             for k in _twist_range(p, W, offset=1 + t + s)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modp import MAX_PRIME, is_prime
+from .modp import MAX_PRIME, check_prime, is_prime
 
 
 @dataclass(frozen=True)
@@ -20,13 +20,8 @@ class Ring:
     char: int = 0
 
     def __post_init__(self) -> None:
-        # the bound first: is_prime trial-divides up to sqrt(char)
-        if self.char > MAX_PRIME:
-            raise ValueError(
-                f"characteristic must be 0 or a prime at most {MAX_PRIME}, got {self.char}"
-            )
-        if self.char != 0 and not is_prime(self.char):
-            raise ValueError(f"characteristic must be 0 or a prime, got {self.char}")
+        if self.char != 0:
+            check_prime(self.char)
 
     @property
     def is_field(self) -> bool:

@@ -27,6 +27,7 @@ from .koszul import (
     koszul_homology_closed_form,
     predicted_bar_homology,
 )
+from .modp import check_prime
 from .predict import (
     FUNCTORS,
     cartan_field_generators,
@@ -229,9 +230,11 @@ def run_suite(
 ) -> SuiteResult:
     """Dispatch a named suite of :data:`SUITES` with bounded parameters.
 
-    Raises ``ValueError`` for ``m != 1`` on a suite outside
-    :data:`SUITES_WITH_M`, which would otherwise ignore it.
+    Raises ``ValueError`` unless ``p`` is a supported prime, and for
+    ``m != 1`` on a suite outside :data:`SUITES_WITH_M`, which would
+    otherwise ignore it.
     """
+    check_prime(p)
     if m != 1 and suite not in SUITES_WITH_M:
         raise ValueError(f"suite {suite!r} runs at m = 1 only, got m = {m}")
     if suite not in SUITES:

@@ -7,7 +7,7 @@ stays fast and deterministic enough for CI.
 import pytest
 from hypothesis import HealthCheck, settings
 
-import extbar.homology
+import extbar.algebra
 
 settings.register_profile(
     "bounded",
@@ -20,14 +20,14 @@ settings.load_profile("bounded")
 
 @pytest.fixture()
 def square_checks(monkeypatch):
-    """The weights the d^2 = 0 check (``extbar.homology._check_square``)
+    """The weights the d^2 = 0 check (``extbar.algebra._check_square``)
     runs on during the test, in call order."""
     weights = []
-    check = extbar.homology._check_square
+    check = extbar.algebra._check_square
 
     def counted(algebra, weight, columns):
         weights.append(weight)
         check(algebra, weight, columns)
 
-    monkeypatch.setattr(extbar.homology, "_check_square", counted)
+    monkeypatch.setattr(extbar.algebra, "_check_square", counted)
     return weights

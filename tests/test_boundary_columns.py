@@ -3,7 +3,7 @@ a column-by-column evaluation of the differential, the bar construction's
 letter caches and memoized shuffle against the uncached formulas, the safety
 of the compiled-column cache, the d^2 = 0 check failing on differentials
 that do not square to zero or that leave their multi-weight block, and that
-check running once per compiled slice."""
+check running once per compiled slice, on the slices homology reads only."""
 
 import copy
 import itertools
@@ -35,7 +35,6 @@ from extbar.homology import (
     boundary_columns,
     boundary_matrix,
     check_boundary_squares_to_zero,
-    compile_slice,
 )
 from extbar.koszul import DERHAM, KOSZUL
 
@@ -130,7 +129,7 @@ def test_compiled_columns_match_reference(factory, weight_max):
     algebra = factory()
     for w in range(weight_max + 1):
         slice_ = algebra.weight_slice(w)
-        compiled = compile_slice(algebra, w)
+        compiled = algebra.slice_columns(w)
         assert sorted(compiled) == sorted(slice_)
         for i in sorted(slice_) + [max(slice_, default=0) + 1]:
             ref = reference_matrix(algebra, w, i)
@@ -195,8 +194,8 @@ def test_compiled_columns_are_cached_and_survive_homology_runs():
     weight_max = 5
     weights = range(weight_max + 1)
     for w in weights:
-        assert compile_slice(algebra, w) is compile_slice(algebra, w)
-    before = copy.deepcopy({w: compile_slice(algebra, w) for w in weights})
+        assert algebra.slice_columns(w) is algebra.slice_columns(w)
+    before = copy.deepcopy({w: algebra.slice_columns(w) for w in weights})
 
     def run():
         out = [homology_over_Z(algebra, w) for w in weights]
@@ -205,7 +204,7 @@ def test_compiled_columns_are_cached_and_survive_homology_runs():
 
     first = run()
     assert run() == first
-    assert {w: compile_slice(algebra, w) for w in weights} == before
+    assert {w: algebra.slice_columns(w) for w in weights} == before
 
 
 class _MissingWord(BarAlgebra):
@@ -219,12 +218,12 @@ class _MissingWord(BarAlgebra):
 def test_compile_checks_the_runs_of_the_basis():
     algebra = _MissingWord(GAMMA)
     for w in range(3):
-        compile_slice(algebra, w)
+        algebra.slice_columns(w)
     not_a_run = re.escape(
         f"the words starting with {G2} are not one run of 1 in slice (weight 3, degree 8)"
     )
     with pytest.raises(InternalAssertionError, match=not_a_run):
-        compile_slice(algebra, 3)
+        algebra.slice_columns(3)
 
 
 def test_bar_compile_does_not_evaluate_the_word_differential():
@@ -239,7 +238,7 @@ def test_bar_compile_does_not_evaluate_the_word_differential():
 
     algebra.diff_monomial = counted
     for w in range(7):
-        compile_slice(algebra, w)
+        algebra.slice_columns(w)
     assert calls == []
     boundary_columns(algebra, 2, 6)  # the per-word reference does call it
     assert calls
@@ -252,8 +251,7 @@ def test_bar_compile_does_not_evaluate_the_word_differential():
 
 def _with_entry_changed(algebra, columns, weight, change):
     """``columns`` of ``weight`` with the entry of d[g1|g1|g1] at [g2|g1]
-    replaced by ``change(entry)``; copied, so the algebra's cache keeps the
-    true columns."""
+    replaced by ``change(entry)``, in a copy."""
     word = (G1, G1, G1)
     if weight != algebra.bidegree(word).weight:
         return columns
@@ -274,16 +272,16 @@ class _SignFlipped(BarAlgebra):
     compiled columns: d[g1|g1|g1] = 2[g2|g1] + 2[g1|g2], whose boundary is
     -12[g3]."""
 
-    def slice_columns(self, weight):
-        return _with_entry_changed(self, super().slice_columns(weight), weight, lambda c: -c)
+    def _compile(self, weight):
+        return _with_entry_changed(self, super()._compile(weight), weight, lambda c: -c)
 
 
 class _CoefficientDoubled(BarAlgebra):
     """Bar(Gamma) with one coefficient doubled in the compiled columns:
     d[g1|g1|g1] = -4[g2|g1] + 2[g1|g2], whose boundary is 6[g3]."""
 
-    def slice_columns(self, weight):
-        return _with_entry_changed(self, super().slice_columns(weight), weight, lambda c: 2 * c)
+    def _compile(self, weight):
+        return _with_entry_changed(self, super()._compile(weight), weight, lambda c: 2 * c)
 
 
 class _LeavesSlice(BarAlgebra):
@@ -302,8 +300,8 @@ class _CrossesBlocks(BarAlgebra):
     the row of [xy] in the block of multi-weight (1, 1).  The rows of degree
     5 are single letters, cycles, so d^2 is still zero."""
 
-    def slice_columns(self, weight):
-        columns = super().slice_columns(weight)
+    def _compile(self, weight):
+        columns = super()._compile(weight)
         if weight != 2:
             return columns
         slice_ = self.weight_slice(2)
@@ -358,11 +356,11 @@ def test_square_check_is_exact_over_Z_for_field_homology(cls, p):
 def test_term_letter_of_the_wrong_bidegree_is_reported():
     algebra = _ProductOfWrongWeight(regrade(GAMMA, 3))
     for w in range(3):
-        compile_slice(algebra, w)
+        algebra.slice_columns(w)
     algebra.broken = True
     leaves = re.escape(f"differential of {(G1, G1, G1)} leaves slice (weight 3, degree 0)")
     with pytest.raises(InternalAssertionError, match=leaves):
-        compile_slice(algebra, 3)
+        algebra.slice_columns(3)
     with pytest.raises(InternalAssertionError, match=leaves):
         boundary_columns(algebra, 3, 0)
 
@@ -415,21 +413,22 @@ def test_square_check_runs_once_per_compiled_slice(square_checks):
         assert [homology_over_Fp(cold, w, p) for w in weights] == tables[p]
 
 
+@pytest.mark.parametrize("n, weight, ring", [(1, 9, "Z"), (2, 6, "Fp:3")])
+def test_single_weight_bar_homology_checks_that_weight_only(n, weight, ring, square_checks):
+    # compile builds the slice from the unchecked slices below it
+    args = ["bar-homology", "--n", str(n), "--weight", str(weight), "--ring", ring]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0
+    assert square_checks == [weight]
+
+
 class _Copied(BarAlgebra):
-    """Bar(Gamma) whose weight-3 columns come back as a new object on every
-    call, with the same entries."""
+    """Bar(Gamma) whose compiled weight-3 columns come back as a new object
+    on every call, with the same entries."""
 
-    def slice_columns(self, weight):
-        columns = super().slice_columns(weight)
+    def _compiled(self, weight):
+        columns = super()._compiled(weight)
         return dict(columns) if weight == 3 else columns
-
-
-class _SignFlippedInCache(BarAlgebra):
-    """:class:`_SignFlipped` with the flipped entry in the compiled-column
-    cache, so that every call returns the same broken columns object."""
-
-    def _compile(self, weight):
-        return _with_entry_changed(self, super()._compile(weight), weight, lambda c: -c)
 
 
 BLOCKS_CROSSED = re.escape(
@@ -441,14 +440,11 @@ BLOCKS_CROSSED = re.escape(
     "factory, weight, failure",
     [
         (lambda: _SignFlipped(GAMMA), 3, SQUARE_FAILURE),
-        (lambda: _SignFlippedInCache(GAMMA), 3, SQUARE_FAILURE),
         (lambda: _CoefficientDoubled(GAMMA), 3, SQUARE_FAILURE),
         (lambda: _CrossesBlocks(FreeAlgebra(DIVIDED, [(2, 1, 2)], ZZ)), 2, BLOCKS_CROSSED),
         (lambda: _Copied(GAMMA), 3, None),
     ],
-    ids=[
-        "sign-flipped", "sign-flipped-in-cache", "coefficient-doubled", "crosses-blocks", "copied"
-    ],
+    ids=["sign-flipped", "coefficient-doubled", "crosses-blocks", "copied"],
 )
 def test_columns_that_have_not_passed_are_checked_on_every_call(
     factory, weight, failure, square_checks

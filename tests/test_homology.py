@@ -40,7 +40,6 @@ from extbar.homology import (
     _slice_blocks,
     boundary_matrix,
     check_boundary_squares_to_zero,
-    compile_slice,
     rank_of_columns_mod_p,
     smith_normal_form_of_columns,
 )
@@ -357,7 +356,7 @@ def test_cleared_reduction_matches_each_degree_alone(n, m, weight_max):
     matrix of the bar slices, over Z and F_p."""
     algebra = bar_source_algebra(n, m)
     for d in range(weight_max + 1):
-        columns = compile_slice(algebra, d)
+        columns = algebra.slice_columns(d)
         integral = _reduce_slice(columns, 0)
         assert integral.keys() == columns.keys()
         for i, cols in columns.items():
@@ -373,7 +372,7 @@ def _dense_boundaries(algebra, weight):
     """``(i, rows, n)``: the boundary out of degree ``i`` of a weight slice
     as a dense ``rows`` matrix with ``n`` columns, for every degree."""
     slice_ = algebra.weight_slice(weight)
-    for i, cols in compile_slice(algebra, weight).items():
+    for i, cols in algebra.slice_columns(weight).items():
         n_rows = len(slice_.get(i - 1, ()))
         yield i, [[c.get(r, 0) for c in cols] for r in range(n_rows)], len(cols)
 
@@ -436,7 +435,7 @@ def test_blocks_of_one_orbit_reduce_alike(n, m, weight_max):
     mask = (1 << KEY_BITS) - 1
     sizes = set()
     for weight in range(1, weight_max + 1):
-        columns = compile_slice(algebra, weight)
+        columns = algebra.slice_columns(weight)
         words = algebra.weight_slice(weight)
         keys = algebra.block_keys(weight)
         assert keys.keys() == columns.keys()
@@ -487,7 +486,7 @@ def test_blocks_of_a_bar_construction_give_the_whole_slice(generators, flavor, s
     algebra = bar(FreeAlgebra(flavor, generators, ZZ))
     for weight in range(2, weight_max + 1):
         homology_over_Z(algebra, weight)  # checks that no entry crosses a block
-        columns = compile_slice(algebra, weight)
+        columns = algebra.slice_columns(weight)
         blocks = _slice_blocks(algebra, weight)
         keys = set(itertools.chain(*algebra.block_keys(weight).values()))
         assert len(keys) > 1

@@ -27,7 +27,9 @@ from extbar import (
     ext_field_predict,
     ext_integral_predict,
     ext_twisted_predict,
+    hom_dimension,
     poincare_dims,
+    run_suite,
     twist_shift,
 )
 from extbar.predict import AlgebraFactor, build_spec_algebra, regrade_bar_table
@@ -345,6 +347,23 @@ def test_invalid_arguments_rejected():
         twist_shift(ext_field_predict(SYMMETRIC, EXTERIOR, 2, 4), -1, EXTERIOR)
     with pytest.raises(ValueError):
         expand_by_even_offsets(ext_field_predict(SYMMETRIC, EXTERIOR, 2, 4), -1)
+
+
+NOT_PRIME_CALLS = {
+    "twisted S-Lambda": lambda p: ext_twisted_predict(SYMMETRIC, EXTERIOR, p, 0, 0, 5),
+    "twisted Lambda-Gamma": lambda p: ext_twisted_predict(EXTERIOR, DIVIDED, p, 1, 1, 9),
+    "field S-Gamma": lambda p: ext_field_predict(SYMMETRIC, DIVIDED, p, 5),
+    "hom dimension": lambda p: hom_dimension(SYMMETRIC, EXTERIOR, p, 4),
+    "cartan generators": lambda p: cartan_field_generators(p, 1, 4),
+    "twist-consistency suite": lambda p: run_suite("twist-consistency", p=p),
+}
+
+
+@pytest.mark.parametrize("call", NOT_PRIME_CALLS.values(), ids=NOT_PRIME_CALLS)
+@pytest.mark.parametrize("p", [4, 6])
+def test_predict_route_rejects_a_modulus_that_is_not_prime(call, p):
+    with pytest.raises(ValueError, match=f"modulus {p} is not a prime"):
+        call(p)
 
 
 # ----------------------------------------------------------------------
