@@ -292,30 +292,29 @@ def _check_square(
     column by column, i.e. on every basis monomial of the slice, over the
     algebra's ring.  When the algebra splits the slice into blocks
     (:meth:`WdgAlgebra.block_keys`), every entry is also checked to lie in
-    its column's block."""
+    its column's block, in the same walk: the first failing column of a
+    degree is reported, whichever check it fails."""
     slice_ = algebra.weight_slice(weight)
     keys = algebra.block_keys(weight)
     char = algebra.ring.char
     for i, cols in columns.items():
         below = columns.get(i - 1, ())
         if keys is not None:
-            row_keys = keys.get(i - 1, ())
-            for mono, key, column in zip(slice_[i], keys[i], cols):
-                for r in column:
-                    if row_keys[r] != key:
-                        raise InternalAssertionError(
-                            f"differential of {mono} leaves its block (weight {weight}, "
-                            f"degree {i})"
-                        )
-        for mono, column in zip(slice_[i], cols):
+            col_keys, row_keys = keys[i], keys.get(i - 1, ())
+        for j, column in enumerate(cols):
             acc: Dict[int, int] = {}
             for r, c in column.items():
+                if keys is not None and row_keys[r] != col_keys[j]:
+                    raise InternalAssertionError(
+                        f"differential of {slice_[i][j]} leaves its block (weight "
+                        f"{weight}, degree {i})"
+                    )
                 for s, e in below[r].items():
                     acc[s] = acc.get(s, 0) + c * e
             residues = (v % char for v in acc.values()) if char else acc.values()
             if any(residues):
                 raise InternalAssertionError(
-                    f"differential does not square to zero on {mono} "
+                    f"differential does not square to zero on {slice_[i][j]} "
                     f"(weight {weight})"
                 )
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import factorial
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .algebra import (
     Bidegree,
@@ -41,8 +41,13 @@ from .algebra import (
 
 #: A cached element: its ``(monomial, coefficient)`` pairs, immutable.
 Terms = Tuple[Tuple[Monomial, int], ...]
-#: The runs of one degree of a weight slice: first letter -> (start, length).
+#: The runs of one degree ``i`` of a weight slice: first letter ``a`` ->
+#: ``(start, length)``, the basis words ``[a | r]``, with ``r`` running over
+#: the slice of weight ``weight - w(a)`` and degree ``i - 1 - |a|`` in order.
 Runs = Dict[Monomial, Tuple[int, int]]
+#: A weight slice's runs by degree and, over two or more generators, the
+#: block key of every word by degree in basis order.
+Layout = Tuple[Dict[int, Runs], Optional[Dict[int, List[int]]]]
 #: Bits per generator in a block key: the multi-weight packed into one int,
 #: the exponent of generator ``g`` in bits ``16 g .. 16 g + 15``, so that
 #: keys add as multi-weights do.  A weight below ``2**16`` bounds every
@@ -71,10 +76,6 @@ class BarAlgebra(WdgAlgebra):
     slices below that compile reads.  :meth:`diff_monomial` evaluates the
     same differential one word at a time; it is the reference the compiled
     columns are tested against.
-
-    Over a free algebra on two or more generators, :meth:`block_keys` gives
-    each word its multi-weight, built run by run from the slices below as
-    ``key[a | r] = key(a) + key(r)`` and kept beside the runs.
     """
 
     def __init__(self, base: WdgAlgebra) -> None:
@@ -84,8 +85,7 @@ class BarAlgebra(WdgAlgebra):
         self._letter_product: Dict[Tuple[Monomial, Monomial], Terms] = {}
         self._letter_diff: Dict[Monomial, Terms] = {}
         self._shuffles: Dict[Tuple[Monomial, Monomial], Terms] = {}
-        self._run_cache: Dict[int, Dict[int, Runs]] = {}
-        self._key_cache: Dict[int, Dict[int, List[int]]] = {}
+        self._layouts: Dict[int, Layout] = {}
         self._letter_keys: Dict[Monomial, int] = {}
         # key fields: the innermost free algebra's generators, or 0 for no
         # keys; one generator gives every word the same key
@@ -134,55 +134,52 @@ class BarAlgebra(WdgAlgebra):
             weight += b.weight
         return Bidegree(degree, weight)
 
-    def _prefixed(self, weight: int) -> Iterator[Tuple[Monomial, int, Tuple[Monomial, ...]]]:
-        """``(a, i, rest)`` for each letter ``a`` of weight 1..``weight`` in
-        sorted order and each degree of the slice of weight ``weight - w(a)``
-        in increasing order: the words ``[a | r]`` for ``r`` in ``rest`` are
-        the words of degree ``i`` that start with ``a``."""
+    def _build_weight_slice(self, weight: int) -> Dict[int, Tuple[Monomial, ...]]:
+        """The words ``[a | r]``, one run for each letter ``a`` in sorted order
+        and each degree of the slice of weight ``weight - w(a)``, ``r`` in
+        its order, so the output is already sorted.  Records the slice's
+        :data:`Layout` on the way, ``key[a | r] = key(a) + key(r)``; the
+        weight-0 slice, the empty word, is one run without a first letter."""
+        keyed = self._fields and not weight >> KEY_BITS
+        if weight == 0:
+            self._layouts[0] = ({0: {None: (0, 1)}}, {0: [0]} if keyed else None)
+            return {0: ((),)}
         letters = sorted(
             letter
             for c in range(1, weight + 1)
             for basis in self.base.weight_slice(c).values()
             for letter in basis
         )
+        out: Dict[int, List[Monomial]] = {}
+        runs: Dict[int, Runs] = {}
+        keys: Optional[Dict[int, List[int]]] = {} if keyed else None
         for a in letters:
             b = self._bidegree_of(a)
-            for j, rest in self.weight_slice(weight - b.weight).items():
-                yield a, j + 1 + b.degree, rest
-
-    def _build_weight_slice(self, weight: int) -> Dict[int, Tuple[Monomial, ...]]:
-        # Each run ``[a | rest]`` is sorted and the runs come in letter
-        # order, so the output is already sorted.
-        if weight == 0:
-            return {0: ((),)}
-        out: Dict[int, List[Monomial]] = {}
-        for a, i, rest in self._prefixed(weight):
-            out.setdefault(i, []).extend([(a,) + r for r in rest])
+            lower = self.weight_slice(weight - b.weight)
+            lower_keys = self._layouts[weight - b.weight][1]
+            for j, rest in lower.items():
+                i = j + 1 + b.degree
+                words = out.setdefault(i, [])
+                runs.setdefault(i, {})[a] = (len(words), len(rest))
+                words.extend([(a,) + r for r in rest])
+                if keys is not None:
+                    ka = self._key_of(a)
+                    keys.setdefault(i, []).extend([ka + k for k in lower_keys[j]])
+        self._layouts[weight] = (runs, keys)
         return {i: tuple(ws) for i, ws in out.items()}
 
     def _runs(self, weight: int) -> Dict[int, Runs]:
-        """For every degree ``i`` of the weight slice, ``{a: (start, length)}``
-        in basis order: the words ``[a | r]`` of degree ``i`` are the basis
-        words ``start .. start + length - 1``, with ``r`` running over the
-        slice of weight ``weight - w(a)`` and degree ``i - 1 - |a|`` in
-        order.  The weight-0 slice, the empty word alone, has no runs.
-
-        Raises :class:`InternalAssertionError` unless each first letter
-        starts exactly one run whose length is the size of its lower slice.
-        """
-        got = self._run_cache.get(weight)
-        if got is not None:
-            return got
+        """The recorded runs of the weight slice by degree, checked against
+        its sorted basis: :class:`InternalAssertionError` unless each first
+        letter starts exactly one run whose length is the size of its lower
+        slice.  :meth:`_compile` asks once per weight ``>= 1``, and reads the
+        runs of the slices below, checked when they compiled, as recorded."""
         slice_ = self.weight_slice(weight)
-        sizes: Dict[int, Dict[Monomial, int]] = {}
-        for a, i, rest in self._prefixed(weight):
-            sizes.setdefault(i, {})[a] = len(rest)
-        got = {}
-        for i in sorted(slice_.keys() | sizes.keys()):
+        runs = self._layouts[weight][0]
+        for i in sorted(slice_.keys() | runs.keys()):
             words = slice_.get(i, ())
-            runs = got[i] = {}
-            start = 0
-            for a, n in sizes.get(i, {}).items():
+            end = 0
+            for a, (start, n) in runs.get(i, {}).items():
                 end = start + n
                 if not (
                     end <= len(words)
@@ -194,15 +191,12 @@ class BarAlgebra(WdgAlgebra):
                         f"the words starting with {a} are not one run of {n} in "
                         f"slice (weight {weight}, degree {i})"
                     )
-                runs[a] = (start, n)
-                start = end
-            if weight and start != len(words):
+            if end != len(words):
                 raise InternalAssertionError(
-                    f"runs cover {start} of {len(words)} words in slice "
+                    f"runs cover {end} of {len(words)} words in slice "
                     f"(weight {weight}, degree {i})"
                 )
-        self._run_cache[weight] = got
-        return got
+        return runs
 
     def _compile(self, weight: int) -> Dict[int, List[Column]]:
         """Boundary columns of the weight slice from the columns of the
@@ -227,8 +221,8 @@ class BarAlgebra(WdgAlgebra):
         ``a``, ``m`` of ``a r_1`` heavier than ``a``), so their coefficients,
         normalized by the ring, never need summing.
         """
-        if weight == 0:
-            return {0: [{}]}  # the empty word, a cycle
+        if weight <= 0:
+            return {0: [{}]} if weight == 0 else {}  # the empty word, a cycle
         p = self.ring.char
         runs = self._runs(weight)
         out: Dict[int, List[Column]] = {}
@@ -262,9 +256,7 @@ class BarAlgebra(WdgAlgebra):
                 run = below.get(a)
                 # rows of [a | dr]; without a run the columns below are empty
                 a_rows = rows[run[0] : run[0] + run[1]] if run else []
-                # the weight-0 slice is the empty word alone, with no first letter
-                lower_runs = self._runs(lw)[lj].items() if lw else [(None, (0, 1))]
-                for r1, (lstart, n) in lower_runs:
+                for r1, (lstart, n) in self._layouts[lw][0][lj].items():
                     terms = list(da)
                     if r1 is not None:
                         product_bidegree = ba + self._bidegree_of(r1)
@@ -304,23 +296,10 @@ class BarAlgebra(WdgAlgebra):
         """The multi-weight of every word of the weight slice, packed as
         :data:`KEY_BITS` describes, by degree in basis order; ``None`` unless
         the innermost algebra is free on two or more generators (or the
-        weight is too large to pack).  Word ``start(a) + k`` of a run gets
-        ``key(a)`` plus the key of the ``k``-th word of its lower slice.
-        Cached per weight."""
-        if not self._fields or weight >> KEY_BITS:
-            return None
-        got = self._key_cache.get(weight)
-        if got is None:
-            got = {} if weight else {0: [0]}  # the empty word
-            lower = [self.block_keys(w) for w in range(weight)]
-            for i, runs in self._runs(weight).items() if weight else ():
-                keys = got[i] = []
-                for a in runs:
-                    ba = self._bidegree_of(a)
-                    ka = self._key_of(a)
-                    keys.extend([ka + k for k in lower[weight - ba.weight][i - 1 - ba.degree]])
-            self._key_cache[weight] = got
-        return got
+        weight is too large to pack).  Recorded as the slice is built
+        (:meth:`_build_weight_slice`)."""
+        self.weight_slice(weight)
+        return self._layouts.get(weight, (None, None))[1]
 
     def block_multiplicity(self, key: int) -> int:
         """With generators of one degree and weight, the block whose

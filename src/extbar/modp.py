@@ -7,7 +7,8 @@ for a matrix given as dense rows.
 The public entry points that take a modulus (:func:`rank_mod_p`,
 :func:`extbar.homology.rank_of_columns_mod_p`,
 :func:`extbar.homology.homology_over_Fp`, the predictors of
-:mod:`extbar.predict`, :func:`extbar.verify.run_suite` and
+:mod:`extbar.predict`, the word enumerators of :mod:`extbar.words`,
+:func:`extbar.koszul.build_Xp`, :func:`extbar.verify.run_suite` and
 :class:`extbar.rings.Ring`) reject with ``ValueError`` any modulus that is
 not a prime in 2..:data:`MAX_PRIME` (:func:`check_prime`).
 """

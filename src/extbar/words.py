@@ -18,12 +18,17 @@ Each general admissible word other than ``s**n`` belongs to exactly one
 with the s before it for an f, or back.  The two members differ by one in
 degree and share their twisting; :func:`enumerate_p_pairs` lists each pair
 once, keyed by its lower-degree (g-side) member.
+
+The degree bound and the enumerators raise ``ValueError`` unless ``p`` is a
+supported prime (:func:`extbar.modp.check_prime`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
+
+from .modp import check_prime
 
 SUSPENSION = "s"
 TWISTED_POWER = "f"
@@ -66,6 +71,7 @@ def word_degree_bound(p: int, height: int, weight_max: int) -> int:
     additive contribution is multiplied by at most ``p**t``), and weights
     ``p**t <= weight_max`` force ``t <= log_p(weight_max)``.
     """
+    check_prime(p)
     t_max = 0
     while p ** (t_max + 1) <= weight_max:
         t_max += 1
@@ -149,6 +155,7 @@ def enumerate_words(p: int, height: int, max_degree: int) -> List[Word]:
     """All admissible words of the given height with degree <= max_degree,
     sorted by (degree, word).  Uses the mod-2 alphabet when p = 2 and the
     general one for odd primes."""
+    check_prime(p)
     if p == 2:
         found = set(_enumerate_mod2(height, max_degree))
     else:
@@ -158,6 +165,7 @@ def enumerate_words(p: int, height: int, max_degree: int) -> List[Word]:
 
 def enumerate_general_words(p: int, height: int, max_degree: int) -> List[Word]:
     """General-alphabet admissible words for any prime (used for pairing)."""
+    check_prime(p)
     found = set(_enumerate_general(p, height, max_degree))
     return sorted(found, key=lambda w: (word_degree(w, p), w))
 

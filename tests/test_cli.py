@@ -3,6 +3,7 @@ subcommand, the documented exit codes, byte-for-byte determinism, and what a
 fresh interpreter loads to run them."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import extbar
-from extbar import InternalAssertionError, SuiteResult, run_suite
+from extbar import AbelianGroup, InternalAssertionError, SuiteResult, run_suite
 from extbar.cli import main
 
 #: The directory holding the ``extbar`` package under test, for fresh
@@ -157,6 +158,16 @@ def test_bar_homology_usage_errors(runner):
     result = runner.invoke(main, ["bar-homology", "--ring", "Fp:4", "--weight", "2"])
     assert result.exit_code == 2
     assert "4 is not prime" in result.output
+
+
+@pytest.mark.parametrize("ring", ["Fp:x", "Q"])
+@pytest.mark.parametrize(
+    "command", [["bar-homology", "--weight", "2"], ["ext-table", "--source", "S", "--target", "Gamma"]]
+)
+def test_ring_that_is_not_z_or_fp_is_a_usage_error(runner, command, ring):
+    result = runner.invoke(main, [*command, "--ring", ring])
+    assert result.exit_code == 2
+    assert f"invalid ring '{ring}': expected 'Z' or 'Fp:<prime>'" in result.output
 
 
 # ----------------------------------------------------------------------
@@ -443,6 +454,59 @@ def test_verify_failure_exits_one(runner, monkeypatch):
     assert result.output.splitlines() == [
         "tables: FAIL (at (0, 0): computed 1, predicted 2)"
     ]
+
+
+def _with_wrong_entries(monkeypatch, name, wrong, call=1):
+    """Patch ``extbar.verify.<name>`` so that the table its ``call``-th call
+    returns also holds the entries of ``wrong``."""
+    real = getattr(extbar.verify, name)
+    calls = itertools.count(1)
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return {**out, **wrong} if next(calls) == call else out
+
+    monkeypatch.setattr(extbar.verify, name, patched)
+
+
+Z2, Z3, Z7 = (AbelianGroup.cyclic(n) for n in (2, 3, 7))
+
+
+@pytest.mark.parametrize(
+    "suite, name, wrong, call, mismatch",
+    [
+        # weight by weight: (50, 1) is compared before (40, 2)
+        ("cartan-field", "poincare_dims", {(50, 1): 7, (40, 2): 7}, 1,
+         "at (50, 1) [p=2 n=1 m=1]: computed None, predicted 7"),
+        ("cartan-integral", "predicted_bar_homology", {(50, 1): Z2, (40, 2): Z2}, 1,
+         f"at (40, 2) [n=1 m=1]: computed None, predicted {Z2!r}"),
+        ("koszul", "koszul_homology_closed_form", {(50, 1): Z2, (40, 2): Z2}, 1,
+         f"at (40, 2) [variant=Koszul h=2]: computed None, predicted {Z2!r}"),
+        # the first call is the direct table of the first pair
+        ("twist-consistency", "poincare_dims", {(50, 1): 7, (40, 2): 7}, 1,
+         "at (40, 2) [S->S p=2 s=0 t=0]: computed None, predicted 7"),
+        # the third call is the rank-1 slice of weight 1; its entry is
+        # convolved with the unit twice
+        ("exponential", "homology_over_Fp", {50: 7}, 3,
+         "at (50, 1) [p=2 n=1]: computed None, predicted 14"),
+    ],
+    ids=["cartan-field", "cartan-integral", "koszul", "twist-consistency", "exponential"],
+)
+def test_verify_reports_the_first_mismatch_and_exits_one(
+    runner, monkeypatch, suite, name, wrong, call, mismatch
+):
+    _with_wrong_entries(monkeypatch, name, wrong, call)
+    result = runner.invoke(main, ["verify", "--suite", suite])
+    assert result.exit_code == 1
+    assert result.output == f"{suite}: FAIL ({mismatch})\n"
+
+
+def test_verify_tables_reports_the_first_mismatch_and_exits_one(runner, monkeypatch):
+    monkeypatch.setitem(extbar.verify.GOLDEN_WEIGHT4_SINGLE, 10, Z7)
+    monkeypatch.setitem(extbar.verify.GOLDEN_WEIGHT4_SINGLE, 50, Z7)
+    result = runner.invoke(main, ["verify", "--suite", "tables"])
+    assert result.exit_code == 1
+    assert result.output == f"tables: FAIL (at (10, 4) [n=1]: computed {Z3!r}, predicted {Z7!r})\n"
 
 
 def test_internal_assertion_exits_three(runner, monkeypatch):

@@ -39,6 +39,7 @@ BUDGET_S = 10.0
         ("cartan-field", 3, 3, 1, 9),
         ("cartan-field", 2, 1, 1, 17),
         ("cartan-field", 3, 1, 1, 17),
+        ("cartan-integral", 2, 2, 1, 11),
     ],
     ids=[
         "cartan-field-p2-n2-w9",
@@ -61,6 +62,7 @@ BUDGET_S = 10.0
         "cartan-field-p3-n3-w9",
         "cartan-field-p2-n1-w17",
         "cartan-field-p3-n1-w17",
+        "cartan-integral-n2-w11",
     ],
 )
 def test_frontier_suite_passes_within_budget(suite, p, n, m, weight_max):

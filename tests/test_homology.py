@@ -631,6 +631,12 @@ def test_group_construction_and_normalization():
     assert AbelianGroup.from_invariant_factors([2, 4]).primary == ((2, (2, 1)),)
 
 
+def test_invariant_factor_zero_counts_as_free_rank():
+    g = AbelianGroup.from_invariant_factors([0, 2, 0, 6], free_rank=1)
+    assert g == AbelianGroup.sum_of([AbelianGroup.free(3), Zmod(2), Zmod(6)])
+    assert AbelianGroup.from_invariant_factors([0]) == Z
+
+
 def test_invariant_factors_round_trip():
     g = AbelianGroup.from_invariant_factors([2, 4])
     assert g.invariant_factors() == (2, 4)

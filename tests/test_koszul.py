@@ -179,6 +179,12 @@ def test_build_Xp_trivial_below_p():
     assert alg.dims(2) == {}
 
 
+@pytest.mark.parametrize("p", [4, 6])
+def test_build_Xp_rejects_a_modulus_that_is_not_prime(p):
+    with pytest.raises(ValueError, match=f"modulus {p} is not a prime"):
+        build_Xp(p, 2, 5)
+
+
 def test_xp_homology_table_smallest_case():
     assert xp_homology_table(2, 3, 2) == {(0, 0): Z, (5, 2): Zmod(2)}
     assert xp_homology_table(3, 3, 3) == {(0, 0): Z, (7, 3): Zmod(3)}

@@ -224,3 +224,25 @@ def test_word_degree_bound_covers_every_word_under_the_weight_cap(p, height):
             for w in alphabet(p, height, 2 * bound):
                 if p ** word_twisting(w) <= weight_max:
                     assert word_degree(w, p) <= bound, (w, weight_max)
+
+
+@pytest.mark.parametrize(
+    "call, p",
+    [
+        (enumerate_words, 4),
+        (enumerate_words, 0),
+        (enumerate_words, 1),
+        (enumerate_general_words, 4),
+        (enumerate_general_words, 1),
+        (enumerate_p_pairs, 4),
+        (enumerate_p_pairs, 1),
+        (word_degree_bound, 4),
+        (word_degree_bound, 6),
+        (word_degree_bound, -3),
+    ],
+)
+def test_words_reject_a_modulus_that_is_not_prime(call, p):
+    # p = 0 and 1 would recurse without end in the enumerators and loop
+    # without end in the degree bound; p = 4 would list words as if prime
+    with pytest.raises(ValueError, match=f"modulus {p} is not a prime"):
+        call(p, 3, 20)
