@@ -92,8 +92,8 @@ class WdgAlgebra:
     checked for d^2 = 0 before :meth:`slice_columns` hands them out.
     Instances are immutable after construction; their caches (weight
     slices, compiled columns and the columns that passed the check here;
-    letter products, differentials and bidegrees and shuffle products in
-    :class:`~extbar.bar.BarAlgebra`) are filled idempotently, so sharing an
+    layouts, letter products, differentials and bidegrees and shuffle
+    products in :class:`~extbar.bar.BarAlgebra`) are filled idempotently, so sharing an
     instance across threads is safe.  Elements returned by products and
     differentials are never shared with a cache, so callers may mutate
     them; compiled columns are shared and must not be.
@@ -293,8 +293,7 @@ def _check_square(
     algebra's ring.  When the algebra splits the slice into blocks
     (:meth:`WdgAlgebra.block_keys`), every entry is also checked to lie in
     its column's block, in the same walk: the first failing column of a
-    degree is reported, whichever check it fails."""
-    slice_ = algebra.weight_slice(weight)
+    degree is reported, whichever check it fails, and only then looked up."""
     keys = algebra.block_keys(weight)
     char = algebra.ring.char
     for i, cols in columns.items():
@@ -306,16 +305,16 @@ def _check_square(
             for r, c in column.items():
                 if keys is not None and row_keys[r] != col_keys[j]:
                     raise InternalAssertionError(
-                        f"differential of {slice_[i][j]} leaves its block (weight "
-                        f"{weight}, degree {i})"
+                        f"differential of {algebra.weight_slice(weight)[i][j]} leaves "
+                        f"its block (weight {weight}, degree {i})"
                     )
                 for s, e in below[r].items():
                     acc[s] = acc.get(s, 0) + c * e
             residues = (v % char for v in acc.values()) if char else acc.values()
             if any(residues):
+                word = algebra.weight_slice(weight)[i][j]
                 raise InternalAssertionError(
-                    f"differential does not square to zero on {slice_[i][j]} "
-                    f"(weight {weight})"
+                    f"differential does not square to zero on {word} (weight {weight})"
                 )
 
 

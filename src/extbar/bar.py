@@ -45,9 +45,10 @@ Terms = Tuple[Tuple[Monomial, int], ...]
 #: ``(start, length)``, the basis words ``[a | r]``, with ``r`` running over
 #: the slice of weight ``weight - w(a)`` and degree ``i - 1 - |a|`` in order.
 Runs = Dict[Monomial, Tuple[int, int]]
-#: A weight slice's runs by degree and, over two or more generators, the
-#: block key of every word by degree in basis order.
-Layout = Tuple[Dict[int, Runs], Optional[Dict[int, List[int]]]]
+#: A weight slice's runs and number of words by degree, degrees increasing,
+#: and, over two or more generators, the block key of every word by degree in
+#: basis order.
+Layout = Tuple[Dict[int, Runs], Dict[int, int], Optional[Dict[int, List[int]]]]
 #: Bits per generator in a block key: the multi-weight packed into one int,
 #: the exponent of generator ``g`` in bits ``16 g .. 16 g + 15``, so that
 #: keys add as multi-weights do.  A weight below ``2**16`` bounds every
@@ -68,10 +69,12 @@ class BarAlgebra(WdgAlgebra):
 
     A word is ``[a | r]`` with ``r`` a word of lower weight, and the basis
     lists the words that start with ``a`` as one contiguous *run*, ordered as
-    ``r`` is in its own slice.  So :meth:`_compile` builds the boundary
-    columns of a weight slice from the columns of the slices below it by
-    run-offset arithmetic, without building a word; the base class keeps
-    them for the life of the algebra and checks d^2 = 0 on the slices that
+    ``r`` is in its own slice.  A weight slice is kept as its
+    :data:`Layout` (:meth:`_layout`); its words are built only when asked
+    for, as the letters of the level above or to name a word in an error.
+    :meth:`_compile` builds the boundary columns of a weight slice from the
+    columns of the slices below it by run-offset arithmetic; the base class
+    keeps them for the life of the algebra and checks d^2 = 0 on the slices that
     :meth:`~extbar.algebra.WdgAlgebra.slice_columns` hands out, not on the
     slices below that compile reads.  :meth:`diff_monomial` evaluates the
     same differential one word at a time; it is the reference the compiled
@@ -85,7 +88,6 @@ class BarAlgebra(WdgAlgebra):
         self._letter_product: Dict[Tuple[Monomial, Monomial], Terms] = {}
         self._letter_diff: Dict[Monomial, Terms] = {}
         self._shuffles: Dict[Tuple[Monomial, Monomial], Terms] = {}
-        self._layouts: Dict[int, Layout] = {}
         self._letter_keys: Dict[Monomial, int] = {}
         # key fields: the innermost free algebra's generators, or 0 for no
         # keys; one generator gives every word the same key
@@ -95,6 +97,10 @@ class BarAlgebra(WdgAlgebra):
             gens = base.generators if isinstance(base, FreeAlgebra) else ()
             self._fields = len(gens) if len(gens) > 1 else 0
             self._symmetric = len(set(gens)) == 1
+        # the weight-0 slice, the empty word, is one run without a first letter
+        self._layouts: Dict[int, Layout] = {
+            0: ({0: {None: (0, 1)}}, {0: 1}, {0: [0]} if self._fields else None)
+        }
 
     def __repr__(self) -> str:
         return f"Bar({self.base!r})"
@@ -134,69 +140,63 @@ class BarAlgebra(WdgAlgebra):
             weight += b.weight
         return Bidegree(degree, weight)
 
-    def _build_weight_slice(self, weight: int) -> Dict[int, Tuple[Monomial, ...]]:
-        """The words ``[a | r]``, one run for each letter ``a`` in sorted order
-        and each degree of the slice of weight ``weight - w(a)``, ``r`` in
-        its order, so the output is already sorted.  Records the slice's
-        :data:`Layout` on the way, ``key[a | r] = key(a) + key(r)``; the
-        weight-0 slice, the empty word, is one run without a first letter."""
-        keyed = self._fields and not weight >> KEY_BITS
-        if weight == 0:
-            self._layouts[0] = ({0: {None: (0, 1)}}, {0: [0]} if keyed else None)
-            return {0: ((),)}
+    def _layout(self, weight: int) -> Layout:
+        """The weight slice's :data:`Layout`, from the letters and the layouts
+        below, without building a word: one run for each letter ``a`` in
+        sorted order and each degree of the slice of weight ``weight - w(a)``,
+        ``key[a | r] = key(a) + key(r)``.  :class:`InternalAssertionError`
+        unless the letters strictly ascend: with the lower slices sorted, the
+        words laid out run by run are then sorted, so the basis keeps the
+        layout's order."""
+        got = self._layouts.get(weight)
+        if got is not None:
+            return got
         letters = sorted(
             letter
             for c in range(1, weight + 1)
             for basis in self.base.weight_slice(c).values()
             for letter in basis
         )
-        out: Dict[int, List[Monomial]] = {}
+        for x, y in zip(letters, letters[1:]):
+            if not x < y:
+                raise InternalAssertionError(
+                    f"the letters of slice (weight {weight}) do not strictly ascend at {y}"
+                )
         runs: Dict[int, Runs] = {}
+        sizes: Dict[int, int] = {}
+        keyed = self._fields and not weight >> KEY_BITS
         keys: Optional[Dict[int, List[int]]] = {} if keyed else None
         for a in letters:
             b = self._bidegree_of(a)
-            lower = self.weight_slice(weight - b.weight)
-            lower_keys = self._layouts[weight - b.weight][1]
-            for j, rest in lower.items():
+            _, lower_sizes, lower_keys = self._layout(weight - b.weight)
+            for j, n in lower_sizes.items():
                 i = j + 1 + b.degree
-                words = out.setdefault(i, [])
-                runs.setdefault(i, {})[a] = (len(words), len(rest))
-                words.extend([(a,) + r for r in rest])
+                start = sizes.get(i, 0)
+                runs.setdefault(i, {})[a] = (start, n)
+                sizes[i] = start + n
                 if keys is not None:
                     ka = self._key_of(a)
                     keys.setdefault(i, []).extend([ka + k for k in lower_keys[j]])
-        self._layouts[weight] = (runs, keys)
-        return {i: tuple(ws) for i, ws in out.items()}
+        got = self._layouts[weight] = (runs, dict(sorted(sizes.items())), keys)
+        return got
 
-    def _runs(self, weight: int) -> Dict[int, Runs]:
-        """The recorded runs of the weight slice by degree, checked against
-        its sorted basis: :class:`InternalAssertionError` unless each first
-        letter starts exactly one run whose length is the size of its lower
-        slice.  :meth:`_compile` asks once per weight ``>= 1``, and reads the
-        runs of the slices below, checked when they compiled, as recorded."""
-        slice_ = self.weight_slice(weight)
-        runs = self._layouts[weight][0]
-        for i in sorted(slice_.keys() | runs.keys()):
-            words = slice_.get(i, ())
-            end = 0
-            for a, (start, n) in runs.get(i, {}).items():
-                end = start + n
-                if not (
-                    end <= len(words)
-                    and words[start][0] == a
-                    and words[end - 1][0] == a
-                    and (end == len(words) or words[end][0] != a)
-                ):
-                    raise InternalAssertionError(
-                        f"the words starting with {a} are not one run of {n} in "
-                        f"slice (weight {weight}, degree {i})"
-                    )
-            if end != len(words):
-                raise InternalAssertionError(
-                    f"runs cover {end} of {len(words)} words in slice "
-                    f"(weight {weight}, degree {i})"
-                )
-        return runs
+    def _build_weight_slice(self, weight: int) -> Dict[int, Tuple[Monomial, ...]]:
+        """The words of the weight slice, laid out run by run
+        (:meth:`_layout`), so already sorted."""
+        if weight == 0:
+            return {0: ((),)}
+        out: Dict[int, Tuple[Monomial, ...]] = {}
+        for i, runs in self._layout(weight)[0].items():
+            words: List[Monomial] = []
+            for a in runs:
+                b = self._bidegree_of(a)
+                rest = self.weight_slice(weight - b.weight)[i - 1 - b.degree]
+                words.extend([(a,) + r for r in rest])
+            out[i] = tuple(words)
+        return out
+
+    def dims(self, weight: int) -> Dict[int, int]:
+        return dict(self._layout(weight)[1])
 
     def _compile(self, weight: int) -> Dict[int, List[Column]]:
         """Boundary columns of the weight slice from the columns of the
@@ -224,21 +224,20 @@ class BarAlgebra(WdgAlgebra):
         if weight <= 0:
             return {0: [{}]} if weight == 0 else {}  # the empty word, a cycle
         p = self.ring.char
-        runs = self._runs(weight)
+        runs, sizes, _ = self._layout(weight)
         out: Dict[int, List[Column]] = {}
-        slice_ = self.weight_slice(weight)
-        for i, words in slice_.items():
+        for i in sizes:
             below = runs.get(i - 1, {})
             # the columns take their row keys from here, so that they share
             # one int object per row rather than each holding its own
-            rows = list(range(len(slice_.get(i - 1, ()))))
+            rows = list(range(sizes.get(i - 1, 0)))
 
-            def row_of(m: Monomial, bidegree: Bidegree, word: Monomial) -> int:
+            def row_of(m: Monomial, bidegree: Bidegree, column: int) -> int:
                 run = below.get(m)
                 if run is None or self._bidegree_of(m) != bidegree:
                     raise InternalAssertionError(
-                        f"differential of {word} leaves slice (weight {weight}, "
-                        f"degree {i})"
+                        f"differential of {self.weight_slice(weight)[i][column]} "
+                        f"leaves slice (weight {weight}, degree {i})"
                     )
                 return run[0]
 
@@ -250,19 +249,19 @@ class BarAlgebra(WdgAlgebra):
                 s = -1 if ba.degree % 2 == 0 else 1
                 da_bidegree = Bidegree(ba.degree - 1, ba.weight)
                 da = [
-                    (row_of(m, da_bidegree, words[start]), self.ring.normalize(-c))
+                    (row_of(m, da_bidegree, start), self.ring.normalize(-c))
                     for m, c in self._diff_of(a)
                 ]
                 run = below.get(a)
                 # rows of [a | dr]; without a run the columns below are empty
                 a_rows = rows[run[0] : run[0] + run[1]] if run else []
-                for r1, (lstart, n) in self._layouts[lw][0][lj].items():
+                for r1, (lstart, n) in self._layout(lw)[0][lj].items():
                     terms = list(da)
                     if r1 is not None:
                         product_bidegree = ba + self._bidegree_of(r1)
                         terms.extend(
                             (
-                                row_of(m, product_bidegree, words[start + lstart]) - lstart,
+                                row_of(m, product_bidegree, start + lstart) - lstart,
                                 self.ring.normalize(s * c),
                             )
                             for m, c in self._product_of(a, r1)
@@ -296,10 +295,9 @@ class BarAlgebra(WdgAlgebra):
         """The multi-weight of every word of the weight slice, packed as
         :data:`KEY_BITS` describes, by degree in basis order; ``None`` unless
         the innermost algebra is free on two or more generators (or the
-        weight is too large to pack).  Recorded as the slice is built
-        (:meth:`_build_weight_slice`)."""
-        self.weight_slice(weight)
-        return self._layouts.get(weight, (None, None))[1]
+        weight is too large to pack).  Recorded in the slice's layout
+        (:meth:`_layout`)."""
+        return self._layout(weight)[2]
 
     def block_multiplicity(self, key: int) -> int:
         """With generators of one degree and weight, the block whose

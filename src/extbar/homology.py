@@ -8,9 +8,11 @@ Each homology computation reads its weight slice's sparse boundary columns,
 once, keeps them, and checks d^2 = 0 on them as the exact sparse product
 ``D_{i-1} D_i = 0`` over its ring, once per compiled object.  So every
 slice that integral and mod-p slice homology read has passed the check.
-By default the differential of every basis monomial is evaluated one time
+They read the slice's size in each degree from
+:meth:`~extbar.algebra.WdgAlgebra.dims`, and its basis monomials not at
+all.  By default the differential of every basis monomial is evaluated once
 (:func:`boundary_columns`); the bar construction instead builds each slice's
-columns from those of the slices below it.  Since
+columns, and its sizes, from its layout and the slices below it.  Since
 :func:`extbar.extract.bar_source_algebra` shares one tower per process, a
 bar slice is compiled and checked once per process, whatever the prime,
 and only its reduction runs again.  There is one reduction routine per
@@ -603,12 +605,12 @@ def _reduce_slice(
 
 def homology_over_Z(algebra: WdgAlgebra, weight: int) -> Dict[int, AbelianGroup]:
     """Integral homology of one weight slice, trivial degrees omitted."""
-    slice_ = algebra.weight_slice(weight)
+    dims = algebra.dims(weight)
     diagonals = _reduce_slice(algebra.slice_columns(weight), 0, _slice_blocks(algebra, weight))
     out: Dict[int, AbelianGroup] = {}
-    for i in slice_:
+    for i, n in dims.items():
         below = diagonals.get(i + 1, ())
-        free = len(slice_[i]) - len(diagonals[i]) - len(below)
+        free = n - len(diagonals[i]) - len(below)
         if free < 0:
             raise InternalAssertionError(f"negative free rank at degree {i}")
         torsion = [d for d in below if d > 1]
@@ -621,12 +623,12 @@ def homology_over_Z(algebra: WdgAlgebra, weight: int) -> Dict[int, AbelianGroup]
 def homology_over_Fp(algebra: WdgAlgebra, weight: int, p: int) -> Dict[int, int]:
     """Dimensions of mod-p homology of one weight slice (zeros omitted)."""
     check_prime(p)
-    slice_ = algebra.weight_slice(weight)
+    dims = algebra.dims(weight)
     diagonals = _reduce_slice(algebra.slice_columns(weight), p, _slice_blocks(algebra, weight))
     ranks = {i: len(d) for i, d in diagonals.items()}
     out: Dict[int, int] = {}
-    for i in slice_:
-        dim = len(slice_[i]) - ranks[i] - ranks.get(i + 1, 0)
+    for i, n in dims.items():
+        dim = n - ranks[i] - ranks.get(i + 1, 0)
         if dim < 0:
             raise InternalAssertionError(f"negative mod-{p} dimension at degree {i}")
         if dim:

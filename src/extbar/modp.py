@@ -15,6 +15,7 @@ not a prime in 2..:data:`MAX_PRIME` (:func:`check_prime`).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 #: The largest prime modulus extbar supports.  Exact integers would allow any
@@ -23,9 +24,10 @@ from typing import Sequence
 MAX_PRIME = 3037000493
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division: about 27,500 odd
-    trial divisors at :data:`MAX_PRIME`."""
+    trial divisors at :data:`MAX_PRIME`, run once per ``n`` in a process."""
     if n < 2:
         return False
     if n % 2 == 0:

@@ -155,12 +155,10 @@ def enumerate_words(p: int, height: int, max_degree: int) -> List[Word]:
     """All admissible words of the given height with degree <= max_degree,
     sorted by (degree, word).  Uses the mod-2 alphabet when p = 2 and the
     general one for odd primes."""
-    check_prime(p)
-    if p == 2:
-        found = set(_enumerate_mod2(height, max_degree))
-    else:
-        found = set(_enumerate_general(p, height, max_degree))
-    return sorted(found, key=lambda w: (word_degree(w, p), w))
+    if p != 2:
+        return enumerate_general_words(p, height, max_degree)
+    found = set(_enumerate_mod2(height, max_degree))
+    return sorted(found, key=lambda w: (word_degree(w, 2), w))
 
 
 def enumerate_general_words(p: int, height: int, max_degree: int) -> List[Word]:

@@ -1,5 +1,5 @@
-"""Tests for the bar construction: word bases, differential signs, the
-shuffle product, iteration, and suspension."""
+"""Tests for the bar construction: word bases and their run layout,
+differential signs, the shuffle product, iteration, and suspension."""
 
 import pytest
 from hypothesis import given
@@ -10,7 +10,9 @@ from extbar import (
     FreeAlgebra,
     ZZ,
     bar,
+    bar_source_algebra,
     check_one_eps_commutative,
+    homology_over_Fp,
     iterate_bar,
     regrade,
     suspension_chain,
@@ -60,6 +62,36 @@ def test_double_bar_weight4_dimension():
     # letters are single-bar words of weights 1..4 (counts 1, 2, 4, 8);
     # summing over compositions of 4 gives 27 basis words.
     assert sum(iterate_bar(GAMMA, 2).dims(4).values()) == 27
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n, weight_max", [(1, 6), (2, 5), (3, 4)])
+def test_layout_lays_out_the_sorted_basis_run_by_run(n, m, weight_max):
+    algebra = bar_source_algebra(n, m)
+    assert algebra._layout(0)[0] == {0: {None: (0, 1)}}
+    for weight in range(1, weight_max + 1):
+        runs, sizes, keys = algebra._layout(weight)
+        slice_ = algebra.weight_slice(weight)
+        assert sizes == algebra.dims(weight) == {i: len(ws) for i, ws in slice_.items()}
+        if m > 1:
+            assert {i: len(ks) for i, ks in keys.items()} == sizes
+        assert runs.keys() == slice_.keys()
+        for i, words in slice_.items():
+            laid_out = []
+            for a, (start, length) in runs[i].items():
+                assert start == len(laid_out)
+                b = algebra.base.bidegree(a)
+                rest = algebra.weight_slice(weight - b.weight)[i - 1 - b.degree]
+                assert length == len(rest)
+                laid_out.extend((a,) + r for r in rest)
+            assert tuple(laid_out) == words == tuple(sorted(words))
+
+
+def test_homology_builds_no_word_of_the_level_it_reduces():
+    algebra = bar_source_algebra(2, 1)
+    homology_over_Fp(algebra, 7, 3)
+    assert not algebra._slice_cache  # no words of weight 7, nor of those below
+    assert 7 in algebra.base._slice_cache  # the letters of weight 7
 
 
 def test_iterate_bar_degenerate_cases():

@@ -207,23 +207,22 @@ def test_compiled_columns_are_cached_and_survive_homology_runs():
     assert {w: algebra.slice_columns(w) for w in weights} == before
 
 
-class _MissingWord(BarAlgebra):
-    """Bar(Gamma) whose weight-3 basis lacks [g2|g1]."""
+class _LetterTwice(FreeAlgebra):
+    """Gamma on one generator whose weight-2 slice lists gamma_2 twice."""
 
     def _build_weight_slice(self, weight):
         out = super()._build_weight_slice(weight)
-        return {i: tuple(w for w in ws if w != (G2, G1)) for i, ws in out.items()}
+        return {i: ms * 2 for i, ms in out.items()} if weight == 2 else out
 
 
-def test_compile_checks_the_runs_of_the_basis():
-    algebra = _MissingWord(GAMMA)
-    for w in range(3):
-        algebra.slice_columns(w)
-    not_a_run = re.escape(
-        f"the words starting with {G2} are not one run of 1 in slice (weight 3, degree 8)"
-    )
-    with pytest.raises(InternalAssertionError, match=not_a_run):
-        algebra.slice_columns(3)
+def test_layout_checks_that_the_letters_strictly_ascend():
+    algebra = BarAlgebra(_LetterTwice(DIVIDED, [(2, 1, 1)], ZZ))
+    algebra.slice_columns(1)
+    twice = re.escape(f"the letters of slice (weight 2) do not strictly ascend at {G2}")
+    with pytest.raises(InternalAssertionError, match=twice):
+        algebra._layout(2)
+    with pytest.raises(InternalAssertionError, match=twice):
+        homology_over_Fp(algebra, 2, 2)
 
 
 def test_bar_compile_does_not_evaluate_the_word_differential():

@@ -1,6 +1,7 @@
 """Tests for linear algebra over F_p: ranks and the pivot rows of the
 lowest-pivot column reduction against a small pure-Python reference, the
-shape check on dense matrices, and the bound on the supported modulus."""
+shape check on dense matrices, and the bound on the supported modulus,
+whose primality is tested once per process."""
 
 import random
 import re
@@ -17,7 +18,8 @@ from extbar import (
     integral_homology_table,
 )
 from extbar.homology import _pivot_rows_mod_p, rank_of_columns_mod_p
-from extbar.modp import MAX_PRIME, rank_mod_p
+from extbar.modp import MAX_PRIME, is_prime, rank_mod_p
+from extbar.predict import cartan_field_generators
 
 
 def reference_rref(rows, n, p):
@@ -204,6 +206,14 @@ def test_homology_over_Fp_rejects_primes_past_the_bound():
         homology_over_Fp(bar_source_algebra(1, 1), 1, 3037000507)
     with pytest.raises(ValueError, match=str(MAX_PRIME)):
         rank_of_columns_mod_p([{0: 1}], 3037000507)
+
+
+def test_each_modulus_is_tested_for_primality_once():
+    # cartan_field_generators, the word degree bound and the word
+    # enumeration each check the modulus; trial division runs only the first time
+    is_prime.cache_clear()
+    cartan_field_generators(MAX_PRIME, 1, 4)
+    assert is_prime.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3])
