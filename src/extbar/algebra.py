@@ -91,10 +91,10 @@ class WdgAlgebra:
     columns of a weight slice, compiled once by :meth:`_compile`, kept, and
     checked for d^2 = 0 before :meth:`slice_columns` hands them out.
     Instances are immutable after construction; their caches (weight
-    slices, compiled columns and the columns that passed the check here;
-    layouts, letter products, differentials and bidegrees and shuffle
-    products in :class:`~extbar.bar.BarAlgebra`) are filled idempotently, so sharing an
-    instance across threads is safe.  Elements returned by products and
+    slices, compiled columns, orbit columns and the columns that passed the
+    check here; layouts, letter products, differentials and bidegrees and
+    shuffle products in :class:`~extbar.bar.BarAlgebra`) are filled
+    idempotently, so sharing an instance across threads is safe.  Elements returned by products and
     differentials are never shared with a cache, so callers may mutate
     them; compiled columns are shared and must not be.
     """
@@ -105,7 +105,8 @@ class WdgAlgebra:
         self.ring = ring
         self._slice_cache: Dict[int, Dict[int, Tuple[Monomial, ...]]] = {}
         self._column_cache: Dict[int, Dict[int, List[Column]]] = {}
-        self._checked_columns: Dict[int, Dict[int, List[Column]]] = {}
+        self._orbit_columns: Dict[int, Dict[int, List[Optional[Column]]]] = {}
+        self._checked_columns: Dict[int, Dict[int, List[Optional[Column]]]] = {}
 
     # ------------------------------------------------------------------
     # interface
@@ -147,35 +148,67 @@ class WdgAlgebra:
             self._slice_cache[weight] = got
         return got
 
-    def slice_columns(self, weight: int) -> Dict[int, List[Column]]:
+    def slice_columns(self, weight: int) -> Dict[int, List[Optional[Column]]]:
         """Boundary columns out of every degree of the weight slice, keyed by
         degree: column ``j`` of degree ``i`` holds the differential of the
         ``j``-th basis monomial of degree ``i`` as ``{row: coefficient}``,
         rows indexing the degree-``i - 1`` basis.  Every homology
         computation reads its columns from here; they must not be mutated.
 
-        d^2 = 0 is checked (:func:`_check_square`) once per object that
-        :meth:`_compiled` returns: the object that passed is recorded per
-        weight (the object, not its ``id``, which a later one could reuse),
-        and columns that failed are checked again on every call."""
-        columns = self._compiled(weight)
+        When another block of its orbit stands for a block
+        (:meth:`block_multiplicity` 0), homology never reads its columns, so
+        they are ``None`` here: only the others are compiled and checked
+        (:meth:`_orbit_slice`).  :meth:`_compiled` has them all.
+
+        d^2 = 0 is checked (:func:`_check_square`) once per object handed
+        out: the object that passed is recorded per weight (the object, not
+        its ``id``, which a later one could reuse), and columns that failed
+        are checked again on every call."""
+        columns = self._orbit_slice(weight)
         if self._checked_columns.get(weight) is not columns:
             _check_square(self, weight, columns)
             self._checked_columns[weight] = columns
         return columns
 
+    def _orbit_slice(self, weight: int) -> Dict[int, List[Optional[Column]]]:
+        """The columns :meth:`slice_columns` hands out: :meth:`_compiled`
+        when every block of the weight slice stands for itself or more;
+        otherwise the columns of the blocks with a nonzero
+        :meth:`block_multiplicity` and ``None`` for the rest, cached per
+        weight, picked from :meth:`_compiled` if it has the slice and else
+        compiled alone."""
+        got = self._orbit_columns.get(weight)
+        if got is not None:
+            return got
+        keys = self.block_keys(weight)
+        multiplicity = block_multiplicities(self, keys)
+        if keys is None or all(multiplicity.values()):
+            return self._compiled(weight)
+        wanted = {i: [multiplicity[k] != 0 for k in ks] for i, ks in keys.items()}
+        full = self._column_cache.get(weight)
+        if full is None:
+            got = self._compile(weight, wanted)
+        else:
+            got = {i: [c if w else None for c, w in zip(full[i], wanted[i])] for i in full}
+        self._orbit_columns[weight] = got
+        return got
+
     def _compiled(self, weight: int) -> Dict[int, List[Column]]:
-        """The columns :meth:`_compile` builds, cached per weight and not
+        """All the columns :meth:`_compile` builds, cached per weight and not
         checked: for building other slices from them."""
         got = self._column_cache.get(weight)
         if got is None:
-            got = self._column_cache[weight] = self._compile(weight)
+            got = self._column_cache[weight] = self._compile(weight)  # type: ignore[assignment]
         return got
 
-    def _compile(self, weight: int) -> Dict[int, List[Column]]:
+    def _compile(
+        self, weight: int, wanted: Optional[Mapping[int, Sequence[bool]]] = None
+    ) -> Dict[int, List[Optional[Column]]]:
         """The boundary columns of the weight slice, as :meth:`slice_columns`
-        describes them.  Here :func:`boundary_columns` evaluates
-        ``diff_monomial`` once per basis monomial; an algebra that can do
+        describes them; ``wanted``, by degree in basis order, says which
+        columns must be built, all if ``None``, and a column left out may be
+        ``None``.  Here :func:`boundary_columns` evaluates ``diff_monomial``
+        once per basis monomial, for every column; an algebra that can do
         better overrides this."""
         return {i: boundary_columns(self, weight, i) for i in self.weight_slice(weight)}
 
@@ -258,6 +291,19 @@ class WdgAlgebra:
         return bid
 
 
+def block_multiplicities(
+    algebra: WdgAlgebra, keys: Optional[Mapping[int, Sequence[int]]]
+) -> Dict[int, int]:
+    """:meth:`WdgAlgebra.block_multiplicity` of every distinct key of a
+    slice's :meth:`WdgAlgebra.block_keys`, asked once per key; empty for
+    ``None``."""
+    out: Dict[int, int] = {}
+    for ks in (keys or {}).values():
+        for k in set(ks).difference(out):
+            out[k] = algebra.block_multiplicity(k)
+    return out
+
+
 def boundary_columns(algebra: WdgAlgebra, weight: int, degree: int) -> List[Column]:
     """Sparse columns of the differential out of ``degree`` in the given
     weight slice.
@@ -285,14 +331,14 @@ def boundary_columns(algebra: WdgAlgebra, weight: int, degree: int) -> List[Colu
 
 
 def _check_square(
-    algebra: WdgAlgebra, weight: int, columns: Mapping[int, Sequence[Column]]
+    algebra: WdgAlgebra, weight: int, columns: Mapping[int, Sequence[Optional[Column]]]
 ) -> None:
     """Raise :class:`InternalAssertionError` unless the exact sparse product
     ``D_{i-1} D_i`` of the slice's columns is zero for every degree, checked
-    column by column, i.e. on every basis monomial of the slice, over the
-    algebra's ring.  When the algebra splits the slice into blocks
-    (:meth:`WdgAlgebra.block_keys`), every entry is also checked to lie in
-    its column's block, in the same walk: the first failing column of a
+    column by column, i.e. on every basis monomial of the slice whose column
+    is not ``None``, over the algebra's ring.  When the algebra splits the
+    slice into blocks (:meth:`WdgAlgebra.block_keys`), every entry is also
+    checked to lie in its column's block, in the same walk: the first failing column of a
     degree is reported, whichever check it fails, and only then looked up."""
     keys = algebra.block_keys(weight)
     char = algebra.ring.char
@@ -301,6 +347,8 @@ def _check_square(
         if keys is not None:
             col_keys, row_keys = keys[i], keys.get(i - 1, ())
         for j, column in enumerate(cols):
+            if column is None:
+                continue
             acc: Dict[int, int] = {}
             for r, c in column.items():
                 if keys is not None and row_keys[r] != col_keys[j]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import factorial
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     Bidegree,
@@ -62,10 +62,14 @@ class BarAlgebra(WdgAlgebra):
     The differential and the shuffle product ask only three things of the
     base, all about letters: bidegrees, products of two letters and
     differentials of one.  Each answer is cached here, keyed by the
-    letter(s), the first time it is asked for.  Products and differentials
-    are stored as tuples of ``(monomial, coefficient)`` pairs, so every
-    element this algebra returns is built afresh and a caller may mutate it.
-    Shuffle products are memoized on pairs of word suffixes.
+    letter(s), the first time it is asked for; over a bar construction the
+    differentials of all the letters of one weight are read at once from
+    the base's compiled columns (:meth:`_diff_of`), so each level's columns
+    are compiled once and also serve the level above as letter data.
+    Products and differentials are stored as tuples of ``(monomial,
+    coefficient)`` pairs, so every element this algebra returns is built
+    afresh and a caller may mutate it.  Shuffle products are memoized on
+    pairs of word suffixes.
 
     A word is ``[a | r]`` with ``r`` a word of lower weight, and the basis
     lists the words that start with ``a`` as one contiguous *run*, ordered as
@@ -74,11 +78,12 @@ class BarAlgebra(WdgAlgebra):
     for, as the letters of the level above or to name a word in an error.
     :meth:`_compile` builds the boundary columns of a weight slice from the
     columns of the slices below it by run-offset arithmetic; the base class
-    keeps them for the life of the algebra and checks d^2 = 0 on the slices that
-    :meth:`~extbar.algebra.WdgAlgebra.slice_columns` hands out, not on the
-    slices below that compile reads.  :meth:`diff_monomial` evaluates the
-    same differential one word at a time; it is the reference the compiled
-    columns are tested against.
+    keeps them for the life of the algebra and checks d^2 = 0 on the slices
+    that :meth:`~extbar.algebra.WdgAlgebra.slice_columns` hands out, not on
+    the slices below that compile reads.  Over symmetric generators it hands
+    out, and so compiles first, only the blocks that homology reduces.
+    :meth:`diff_monomial` evaluates the same differential one word at a
+    time; it is the reference the compiled columns are tested against.
     """
 
     def __init__(self, base: WdgAlgebra) -> None:
@@ -124,9 +129,23 @@ class BarAlgebra(WdgAlgebra):
         return got
 
     def _diff_of(self, letter: Monomial) -> Terms:
+        """The differential of a letter.  Over a bar construction it is read
+        from the base's compiled columns (:meth:`_compiled`) of the letter's
+        weight, for every letter of that weight at once, the rows named by
+        the base's words; over any other base it is ``diff_monomial``."""
         got = self._letter_diff.get(letter)
         if got is None:
-            got = self._letter_diff[letter] = tuple(self.base.diff_monomial(letter).items())
+            base = self.base
+            if isinstance(base, BarAlgebra):
+                weight = self._bidegree_of(letter).weight
+                words = base.weight_slice(weight)
+                for i, columns in base._compiled(weight).items():
+                    rows = words.get(i - 1, ())
+                    for word, column in zip(words[i], columns):
+                        self._letter_diff[word] = tuple((rows[r], c) for r, c in column.items())
+                got = self._letter_diff[letter]
+            else:
+                got = self._letter_diff[letter] = tuple(base.diff_monomial(letter).items())
         return got
 
     # -- interface ----------------------------------------------------------
@@ -198,9 +217,14 @@ class BarAlgebra(WdgAlgebra):
     def dims(self, weight: int) -> Dict[int, int]:
         return dict(self._layout(weight)[1])
 
-    def _compile(self, weight: int) -> Dict[int, List[Column]]:
+    def _compile(
+        self, weight: int, wanted: Optional[Mapping[int, Sequence[bool]]] = None
+    ) -> Dict[int, List[Optional[Column]]]:
         """Boundary columns of the weight slice from the columns of the
-        slices below it, read unchecked (:meth:`_compiled`).
+        slices below it, read unchecked (:meth:`_compiled`): those that
+        ``wanted`` asks for, ``None`` for the others.  A column that the
+        slice's orbit columns (:meth:`~extbar.algebra.WdgAlgebra._orbit_slice`)
+        already hold is that same object, not built again.
 
         Column ``start(a) + k`` of degree ``i`` is ``d[a | r]`` for the
         ``k``-th word ``r`` of its lower slice, and with ``s = (-1)**(1 +
@@ -225,8 +249,11 @@ class BarAlgebra(WdgAlgebra):
             return {0: [{}]} if weight == 0 else {}  # the empty word, a cycle
         p = self.ring.char
         runs, sizes, _ = self._layout(weight)
-        out: Dict[int, List[Column]] = {}
+        built = self._orbit_columns.get(weight) if wanted is None else None
+        out: Dict[int, List[Optional[Column]]] = {}
         for i in sizes:
+            need = wanted[i] if wanted is not None else None
+            have = built[i] if built is not None else None
             below = runs.get(i - 1, {})
             # the columns take their row keys from here, so that they share
             # one int object per row rather than each holding its own
@@ -241,7 +268,7 @@ class BarAlgebra(WdgAlgebra):
                     )
                 return run[0]
 
-            columns: List[Column] = []
+            columns: List[Optional[Column]] = []
             for a, (start, _) in runs[i].items():
                 ba = self._bidegree_of(a)
                 lw, lj = weight - ba.weight, i - 1 - ba.degree
@@ -267,6 +294,12 @@ class BarAlgebra(WdgAlgebra):
                             for m, c in self._product_of(a, r1)
                         )
                     for k in range(lstart, lstart + n):
+                        if need is not None and not need[start + k]:
+                            columns.append(None)
+                            continue
+                        if have is not None and have[start + k] is not None:
+                            columns.append(have[start + k])
+                            continue
                         if s == 1:
                             col = {a_rows[r]: c for r, c in lower[k].items()}
                         elif p:

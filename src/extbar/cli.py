@@ -272,7 +272,9 @@ def verify(
 ) -> None:
     """Run a named cross-check suite; exit 1 on the first mismatch."""
     _require_prime(p)
-    _require(n >= 0 and m >= 1 and max_weight >= 0, "bounds must be nonnegative")
+    _require(n >= 0, "--n must be >= 0")
+    _require(m >= 1, "--m must be >= 1")
+    _require(max_weight >= 0, "--max-weight must be >= 0")
     _require(max_s >= 0 and max_t >= 0, "--max-s/--max-t must be >= 0")
     _require(
         m == 1 or suite in SUITES_WITH_M,

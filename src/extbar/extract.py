@@ -51,35 +51,36 @@ class ExtTable:
             raise ValueError("exactly one of groups/dims must be given")
 
 
-#: The tower :func:`bar_source_algebra` serves, as ``(m, levels)``:
+#: The towers :func:`bar_source_algebra` serves, by generator rank ``m``:
 #: ``levels[0]`` is divided powers on ``m`` generators and each level above
-#: is the bar construction of the one below.  It is rebound whole, never
-#: mutated, so a thread that reads it sees one complete tower.
-_tower: Tuple[int, Tuple[WdgAlgebra, ...]] = (0, ())
+#: is the bar construction of the one below.  The map is rebound whole,
+#: never mutated, so a thread that reads it sees complete towers.
+_towers: Dict[int, Tuple[WdgAlgebra, ...]] = {}
 
 
 def bar_source_algebra(n: int, m: int) -> WdgAlgebra:
     """The corner of the pipeline: the n-fold bar construction of divided
     powers on m weight-1 generators of degree 2.
 
-    One tower is shared per process: level ``n`` of the last tower asked
-    for is returned when that tower has the same ``m``; a tower too short
-    for ``n`` grows by bar constructions on top, and a tower on another
-    ``m`` is replaced by a new one.  So callers asking for the same ``m``
-    get the same instances, with the columns they have compiled and the
-    slices that passed the d^2 check, which the tower keeps until it is
-    replaced.  The tower is built as a tuple and bound in one assignment,
-    so callers in several threads each get a tower of depth ``n`` on ``m``
-    generators."""
-    global _tower
+    One tower per rank ``m`` is shared per process: level ``n`` of the
+    tower on ``m`` generators is returned, and a tower too short for ``n``
+    grows by bar constructions on top.  Towers on other ranks are kept
+    alongside, so callers asking for the same ``m`` get the same instances,
+    with the columns they have compiled and the slices that passed the d^2
+    check, for the life of the process.  Each level's compiled columns are
+    also the letter differentials of the level above
+    (:meth:`~extbar.bar.BarAlgebra._diff_of`).  The map of towers is built
+    anew and bound in one assignment, so callers in several threads each get
+    a tower of depth ``n`` on ``m`` generators."""
+    global _towers
     if n < 0:
         raise ValueError("bar iteration count must be >= 0")
-    tower_m, levels = _tower
-    if tower_m != m or not levels:
-        levels = (FreeAlgebra(DIVIDED, [(2, 1, m)], ZZ),)
-    while len(levels) <= n:
-        levels += (BarAlgebra(levels[-1]),)
-    _tower = (m, levels)
+    levels = _towers.get(m, ())
+    if len(levels) <= n:
+        levels = levels or (FreeAlgebra(DIVIDED, [(2, 1, m)], ZZ),)
+        while len(levels) <= n:
+            levels += (BarAlgebra(levels[-1]),)
+        _towers = {**_towers, m: levels}
     return levels[n]
 
 

@@ -13,10 +13,10 @@ They read the slice's size in each degree from
 all.  By default the differential of every basis monomial is evaluated once
 (:func:`boundary_columns`); the bar construction instead builds each slice's
 columns, and its sizes, from its layout and the slices below it.  Since
-:func:`extbar.extract.bar_source_algebra` shares one tower per process, a
-bar slice is compiled and checked once per process, whatever the prime,
-and only its reduction runs again.  There is one reduction routine per
-ring, and neither densifies anything.  Over Z, a sparse elimination
+:func:`extbar.extract.bar_source_algebra` shares one tower per generator
+rank per process, a bar slice is compiled and checked once per process,
+whatever the prime, and only its reduction runs again.  There is one
+reduction routine per ring, and neither densifies anything.  Over Z, a sparse elimination
 (:func:`_eliminate`) keeps rows and columns as dicts and takes one pivot
 step, on units from a Markowitz queue while there are any and then on the
 smallest entry; Smith normal form is a gcd/lcm pass over its diagonal
@@ -35,7 +35,8 @@ multi-weight of a bar construction on several generators), the slice is a
 direct sum of blocks: the check also asserts that no entry leaves its
 column's block, and the reduction runs block by block, one block for each
 orbit of blocks with isomorphic complexes, its diagonal counted once per
-block of the orbit (:func:`_slice_blocks`); an F_2 mask numbers the rows
+block of the orbit (:func:`_slice_blocks`), and only the columns of those
+blocks are compiled and checked for it; an F_2 mask numbers the rows
 within its block, so its size follows the block, not the slice.  Nothing
 here mutates the columns an algebra keeps.
 
@@ -53,7 +54,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import Column, InternalAssertionError, WdgAlgebra, boundary_columns
+from .algebra import (
+    Column,
+    InternalAssertionError,
+    WdgAlgebra,
+    block_multiplicities,
+    boundary_columns,
+)
 from .modp import check_prime
 
 Matrix = List[List[int]]
@@ -509,8 +516,9 @@ def boundary_matrix(algebra: WdgAlgebra, weight: int, degree: int) -> Matrix:
 
 
 def check_boundary_squares_to_zero(algebra: WdgAlgebra, weight: int) -> None:
-    """Verify d(d(m)) = 0 for every basis monomial of the slice, once per
-    compiled slice (:meth:`~extbar.algebra.WdgAlgebra.slice_columns`)."""
+    """Verify d(d(m)) = 0 for every basis monomial of the slice whose
+    column homology reads, once per compiled slice
+    (:meth:`~extbar.algebra.WdgAlgebra.slice_columns`)."""
     algebra.slice_columns(weight)
 
 
@@ -528,11 +536,9 @@ def _slice_blocks(algebra: WdgAlgebra, weight: int) -> Optional[List[Block]]:
     keys = algebra.block_keys(weight)
     if keys is None:
         return None
-    multiplicity: Dict[int, int] = {}
+    multiplicity = block_multiplicities(algebra, keys)
     indices: Dict[int, Dict[int, List[int]]] = {}
     for i, ks in keys.items():
-        for k in set(ks).difference(multiplicity):
-            multiplicity[k] = algebra.block_multiplicity(k)
         for j, k in enumerate(ks):
             if multiplicity[k]:
                 indices.setdefault(k, {}).setdefault(i, []).append(j)
@@ -540,7 +546,9 @@ def _slice_blocks(algebra: WdgAlgebra, weight: int) -> Optional[List[Block]]:
 
 
 def _reduce_slice(
-    columns: Mapping[int, Sequence[Column]], p: int, blocks: Optional[Sequence[Block]] = None
+    columns: Mapping[int, Sequence[Optional[Column]]],
+    p: int,
+    blocks: Optional[Sequence[Block]] = None,
 ) -> Dict[int, List[int]]:
     """The diagonal of every boundary matrix ``D_i`` of a complex, given as
     ``{degree: columns}``: over Z for ``p == 0`` the :func:`_eliminate`
@@ -551,8 +559,8 @@ def _reduce_slice(
     ``blocks`` lists ``(indices, multiplicity)``: the columns of a block by
     degree, which the differential must send into the rows of the same
     block, and the number of blocks with its homology it stands for; its
-    diagonal is counted that many times.  ``None`` is the whole complex as
-    one block.  Within a block the degrees are reduced from the top down,
+    diagonal is counted that many times.  A column in no block is not read
+    and may be ``None``.  ``None`` is the whole complex as one block.  Within a block the degrees are reduced from the top down,
     and before ``D_i`` is reduced its columns at the pivot rows ``R`` of
     ``D_{i+1}`` are dropped: over Z the rows of its unit pivots, over F_p
     all of them.  The rows are keyed by degree, so a gap in the degrees

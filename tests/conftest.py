@@ -31,3 +31,19 @@ def square_checks(monkeypatch):
 
     monkeypatch.setattr(extbar.algebra, "_check_square", counted)
     return weights
+
+
+@pytest.fixture()
+def full_columns():
+    """A function giving every boundary column of a weight slice, the
+    blocks that ``slice_columns`` leaves out included: the algebra's
+    compiled columns (``_compiled``), which heavier slices read, checked for
+    d^2 = 0 by ``extbar.algebra._check_square`` as ``slice_columns`` checks
+    the columns it hands out."""
+
+    def get(algebra, weight):
+        columns = algebra._compiled(weight)
+        extbar.algebra._check_square(algebra, weight, columns)
+        return columns
+
+    return get

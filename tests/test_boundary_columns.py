@@ -125,12 +125,14 @@ CASES = [
 
 
 @pytest.mark.parametrize("factory, weight_max", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_compiled_columns_match_reference(factory, weight_max):
+def test_compiled_columns_match_reference(factory, weight_max, full_columns):
     algebra = factory()
     for w in range(weight_max + 1):
         slice_ = algebra.weight_slice(w)
-        compiled = algebra.slice_columns(w)
+        handed_out = algebra.slice_columns(w)
+        compiled = full_columns(algebra, w)
         assert sorted(compiled) == sorted(slice_)
+        assert handed_out.keys() == compiled.keys()
         for i in sorted(slice_) + [max(slice_, default=0) + 1]:
             ref = reference_matrix(algebra, w, i)
             assert boundary_matrix(algebra, w, i) == ref
@@ -141,6 +143,8 @@ def test_compiled_columns_match_reference(factory, weight_max):
             assert boundary_columns(algebra, w, i) == ref_columns
             if i in slice_:
                 assert compiled[i] == ref_columns
+                assert len(handed_out[i]) == len(ref_columns)
+                assert all(c is None or c == r for c, r in zip(handed_out[i], ref_columns))
         check_boundary_squares_to_zero(algebra, w)
 
 
@@ -205,6 +209,65 @@ def test_compiled_columns_are_cached_and_survive_homology_runs():
     first = run()
     assert run() == first
     assert {w: algebra.slice_columns(w) for w in weights} == before
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+def test_letter_differentials_are_read_from_the_compiled_columns(n, m, monkeypatch):
+    algebra = bar_source_algebra(n, m)
+    base = algebra.base
+    letters = [a for w in range(1, 6) for b in base.weight_slice(w).values() for a in b]
+
+    def evaluated(letter):
+        raise AssertionError(f"diff_monomial({letter}) evaluated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(base, "diff_monomial", evaluated)
+        read = {a: dict(algebra._diff_of(a)) for a in letters}
+    assert read == {a: base.diff_monomial(a) for a in letters}
+    assert any(read.values())
+
+
+def _homology(algebra, weight):
+    """Integral, mod-2 and mod-3 homology of a weight slice."""
+    return (
+        homology_over_Z(algebra, weight),
+        homology_over_Fp(algebra, weight, 2),
+        homology_over_Fp(algebra, weight, 3),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, m, weight_max", [(1, 2, 7), (2, 2, 5), (3, 2, 4), (1, 3, 5), (2, 3, 4)]
+)
+def test_orbit_columns_give_the_homology_of_a_cold_full_compile(n, m, weight_max, square_checks):
+    """Over symmetric generators homology compiles and checks the columns of
+    one block per orbit; a heavier slice compiles the rest of a lighter one
+    and keeps the column objects already built."""
+    weights = range(weight_max + 1)
+    algebra = bar_source_algebra(n, m)
+    got = [_homology(algebra, w) for w in weights]
+    assert square_checks == list(weights)
+    orbit = {w: algebra.slice_columns(w) for w in weights}
+    for w in weights[1:]:
+        assert any(c is None for cols in orbit[w].values() for c in cols)
+        assert any(c is not None for cols in orbit[w].values() for c in cols)
+    for w in weights[:-1]:
+        full = algebra._compiled(w)
+        assert full.keys() == orbit[w].keys()
+        for i, cols in orbit[w].items():
+            assert None not in full[i] and len(full[i]) == len(cols)
+            assert all(c is None or c is f for c, f in zip(cols, full[i]))
+    assert weight_max not in algebra._column_cache
+    assert [_homology(algebra, w) for w in weights] == got
+    assert square_checks == list(weights)
+
+    square_checks.clear()
+    cold = iterate_bar(FreeAlgebra(DIVIDED, [(2, 1, m)], ZZ), n)
+    cold.block_keys = lambda weight: None  # one block: every column compiled and checked
+    assert [_homology(cold, w) for w in weights] == got
+    assert square_checks == list(weights)
+    assert all(None not in cols for w in weights for cols in cold.slice_columns(w).values())
 
 
 class _LetterTwice(FreeAlgebra):
@@ -299,8 +362,8 @@ class _CrossesBlocks(BarAlgebra):
     the row of [xy] in the block of multi-weight (1, 1).  The rows of degree
     5 are single letters, cycles, so d^2 is still zero."""
 
-    def _compile(self, weight):
-        columns = super()._compile(weight)
+    def _compile(self, weight, wanted=None):
+        columns = super()._compile(weight, wanted)
         if weight != 2:
             return columns
         slice_ = self.weight_slice(2)

@@ -340,7 +340,7 @@ def test_verify_on_a_shared_tower_prints_what_a_lone_run_prints(runner, square_c
     assert square_checks == list(range(8))
     alone = []
     for p in (3, 5):
-        extbar.extract._tower = (0, ())  # as a fresh process starts
+        extbar.extract._towers = {}  # as a fresh process starts
         alone.append(verify(p))
     assert shared == alone
     assert shared[0] == b"cartan-field: PASS (22 checks)\n"
@@ -353,6 +353,23 @@ def test_verify_rejects_unknown_suite_and_bad_prime(runner):
     result = runner.invoke(main, ["verify", "--suite", "tables", "--p", "6"])
     assert result.exit_code == 2
     assert "--p must be prime, got 6" in result.output
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--n", "-1", "--n must be >= 0"),
+        ("--m", "0", "--m must be >= 1"),
+        ("--max-weight", "-1", "--max-weight must be >= 0"),
+        ("--max-s", "-1", "--max-s/--max-t must be >= 0"),
+        ("--max-t", "-1", "--max-s/--max-t must be >= 0"),
+    ],
+)
+def test_verify_names_the_option_out_of_bounds(runner, option, value, message):
+    result = runner.invoke(main, ["verify", "--suite", "cartan-field", option, value])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "nonnegative" not in result.output
 
 
 @pytest.mark.parametrize("suite", ["exponential", "koszul", "twist-consistency", "tables"])

@@ -63,15 +63,19 @@ def test_one_tower_is_shared():
     assert depth_and_rank(bar_source_algebra(4, 1)) == (4, 1)
 
 
-def test_another_rank_replaces_the_tower():
+def test_towers_of_two_ranks_coexist():
     rank1 = bar_source_algebra(2, 1)
     rank2 = bar_source_algebra(2, 2)
     assert rank2 is not rank1
+    assert depth_and_rank(rank1) == (2, 1)
     assert depth_and_rank(rank2) == (2, 2)
-    assert bar_source_algebra(1, 2) is rank2.base
-    again = bar_source_algebra(2, 1)
-    assert again is not rank1
-    assert depth_and_rank(again) == (2, 1)
+    levels = {m: [bar_source_algebra(n, m) for n in range(4)] for m in (1, 2)}
+    assert levels[1][2] is rank1 and levels[2][2] is rank2
+    for m in (2, 1, 2):
+        again = [bar_source_algebra(n, m) for n in range(4)]
+        assert all(a is b for a, b in zip(again, levels[m]))
+    for m in (1, 2):
+        assert all(level.base is below for below, level in zip(levels[m], levels[m][1:]))
 
 
 def test_the_tower_rejects_a_negative_depth():

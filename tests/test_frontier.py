@@ -40,6 +40,7 @@ BUDGET_S = 10.0
         ("cartan-field", 2, 1, 1, 17),
         ("cartan-field", 3, 1, 1, 17),
         ("cartan-integral", 2, 2, 1, 11),
+        ("exponential", 2, 1, 1, 11),
     ],
     ids=[
         "cartan-field-p2-n2-w9",
@@ -63,6 +64,7 @@ BUDGET_S = 10.0
         "cartan-field-p2-n1-w17",
         "cartan-field-p3-n1-w17",
         "cartan-integral-n2-w11",
+        "exponential-p2-n1-w11",
     ],
 )
 def test_frontier_suite_passes_within_budget(suite, p, n, m, weight_max):

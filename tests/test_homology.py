@@ -351,12 +351,12 @@ def test_integral_elimination_keeps_entries_within_64_bits(n, weight_max, monkey
 @pytest.mark.parametrize(
     "n, m, weight_max", [(1, 1, 8), (1, 2, 6), (2, 1, 7), (2, 2, 5), (3, 1, 6), (3, 2, 4)]
 )
-def test_cleared_reduction_matches_each_degree_alone(n, m, weight_max):
+def test_cleared_reduction_matches_each_degree_alone(n, m, weight_max, full_columns):
     """Clearing keeps the rank and invariant factors of every boundary
     matrix of the bar slices, over Z and F_p."""
     algebra = bar_source_algebra(n, m)
     for d in range(weight_max + 1):
-        columns = algebra.slice_columns(d)
+        columns = full_columns(algebra, d)
         integral = _reduce_slice(columns, 0)
         assert integral.keys() == columns.keys()
         for i, cols in columns.items():
@@ -425,7 +425,7 @@ def _multiweight(word, n):
 @pytest.mark.parametrize(
     "n, m, weight_max", [(1, 2, 7), (2, 2, 5), (3, 2, 4), (1, 3, 5), (2, 3, 4), (1, 4, 4)]
 )
-def test_blocks_of_one_orbit_reduce_alike(n, m, weight_max):
+def test_blocks_of_one_orbit_reduce_alike(n, m, weight_max, full_columns):
     """Every block of a slice, reduced on its own, has the block sizes and
     the invariant factors in each degree of every other block of its orbit
     under permutations of the generators, over Z, F_2 and F_3.  The blocks
@@ -435,7 +435,7 @@ def test_blocks_of_one_orbit_reduce_alike(n, m, weight_max):
     mask = (1 << KEY_BITS) - 1
     sizes = set()
     for weight in range(1, weight_max + 1):
-        columns = algebra.slice_columns(weight)
+        columns = full_columns(algebra, weight)
         words = algebra.weight_slice(weight)
         keys = algebra.block_keys(weight)
         assert keys.keys() == columns.keys()
@@ -466,6 +466,7 @@ def test_blocks_of_one_orbit_reduce_alike(n, m, weight_max):
             blocks = _slice_blocks(algebra, weight)
             assert len(blocks) == len(orbits)
             assert _factors(_reduce_slice(columns, p, blocks)) == whole
+            assert _factors(_reduce_slice(algebra.slice_columns(weight), p, blocks)) == whole
     assert sizes == {2: {1, 2}, 3: {1, 3, 6}, 4: {1, 4, 6, 12}}[m]
 
 
@@ -478,7 +479,9 @@ def test_blocks_of_one_orbit_reduce_alike(n, m, weight_max):
     ],
     ids=["two-degrees", "two-weights", "exterior"],
 )
-def test_blocks_of_a_bar_construction_give_the_whole_slice(generators, flavor, symmetric, weight_max):
+def test_blocks_of_a_bar_construction_give_the_whole_slice(
+    generators, flavor, symmetric, weight_max, full_columns
+):
     """Blocks are reduced one per orbit only when the generators share
     degree and weight, and every block otherwise; either way the invariant
     factors are those of the whole slice.  Over Lambda a key is the
@@ -486,14 +489,16 @@ def test_blocks_of_a_bar_construction_give_the_whole_slice(generators, flavor, s
     algebra = bar(FreeAlgebra(flavor, generators, ZZ))
     for weight in range(2, weight_max + 1):
         homology_over_Z(algebra, weight)  # checks that no entry crosses a block
-        columns = algebra.slice_columns(weight)
+        columns = full_columns(algebra, weight)
         blocks = _slice_blocks(algebra, weight)
         keys = set(itertools.chain(*algebra.block_keys(weight).values()))
         assert len(keys) > 1
         assert (len(blocks) < len(keys)) == symmetric
         assert sum(multiplicity for _, multiplicity in blocks) == len(keys)
         for p in (0, 2, 3):
-            assert _factors(_reduce_slice(columns, p, blocks)) == _factors(_reduce_slice(columns, p))
+            whole = _factors(_reduce_slice(columns, p))
+            assert _factors(_reduce_slice(columns, p, blocks)) == whole
+            assert _factors(_reduce_slice(algebra.slice_columns(weight), p, blocks)) == whole
 
 
 def test_only_bar_constructions_on_several_free_generators_have_blocks():
