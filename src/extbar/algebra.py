@@ -25,6 +25,7 @@ Concrete algebras provided here:
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -51,6 +52,9 @@ Monomial = tuple
 Element = Dict[Monomial, int]
 #: One column of a boundary matrix: codomain row index -> nonzero coefficient.
 Column = Dict[int, int]
+#: One block of a weight slice as homology reduces it: its column indices by
+#: degree, and how many blocks with its homology it stands for.
+Block = Tuple[Mapping[int, Sequence[int]], int]
 
 #: Flavors of free algebras on weighted graded generators.
 DIVIDED = "Gamma"
@@ -91,12 +95,12 @@ class WdgAlgebra:
     columns of a weight slice, compiled once by :meth:`_compile`, kept, and
     checked for d^2 = 0 before :meth:`slice_columns` hands them out.
     Instances are immutable after construction; their caches (weight
-    slices, compiled columns, orbit columns and the columns that passed the
-    check here; layouts, letter products, differentials and bidegrees and
-    shuffle products in :class:`~extbar.bar.BarAlgebra`) are filled
-    idempotently, so sharing an instance across threads is safe.  Elements returned by products and
-    differentials are never shared with a cache, so callers may mutate
-    them; compiled columns are shared and must not be.
+    slices, compiled columns, and the checked columns with their blocks
+    here; layouts, letter products, differentials and bidegrees and shuffle
+    products in :class:`~extbar.bar.BarAlgebra`) are filled idempotently,
+    so sharing an instance across threads is safe.  Elements returned by
+    products and differentials are never shared with a cache, so callers
+    may mutate them; compiled columns are shared and must not be.
     """
 
     ring: Ring
@@ -105,8 +109,9 @@ class WdgAlgebra:
         self.ring = ring
         self._slice_cache: Dict[int, Dict[int, Tuple[Monomial, ...]]] = {}
         self._column_cache: Dict[int, Dict[int, List[Column]]] = {}
-        self._orbit_columns: Dict[int, Dict[int, List[Optional[Column]]]] = {}
-        self._checked_columns: Dict[int, Dict[int, List[Optional[Column]]]] = {}
+        self._checked_slices: Dict[
+            int, Tuple[Dict[int, List[Optional[Column]]], Optional[List[Block]]]
+        ] = {}
 
     # ------------------------------------------------------------------
     # interface
@@ -153,44 +158,62 @@ class WdgAlgebra:
         degree: column ``j`` of degree ``i`` holds the differential of the
         ``j``-th basis monomial of degree ``i`` as ``{row: coefficient}``,
         rows indexing the degree-``i - 1`` basis.  Every homology
-        computation reads its columns from here; they must not be mutated.
+        computation reads its columns from here, checked for d^2 = 0
+        (:meth:`_checked_slice`); they must not be mutated.
 
         When another block of its orbit stands for a block
         (:meth:`block_multiplicity` 0), homology never reads its columns, so
-        they are ``None`` here: only the others are compiled and checked
-        (:meth:`_orbit_slice`).  :meth:`_compiled` has them all.
+        they are ``None`` here, neither compiled nor checked for it.
+        :meth:`_compiled` has them all."""
+        return self._checked_slice(weight)[0]
 
-        d^2 = 0 is checked (:func:`_check_square`) once per object handed
-        out: the object that passed is recorded per weight (the object, not
-        its ``id``, which a later one could reuse), and columns that failed
-        are checked again on every call."""
-        columns = self._orbit_slice(weight)
-        if self._checked_columns.get(weight) is not columns:
-            _check_square(self, weight, columns)
-            self._checked_columns[weight] = columns
-        return columns
+    def _checked_slice(
+        self, weight: int
+    ) -> Tuple[Dict[int, List[Optional[Column]]], Optional[List[Block]]]:
+        """The columns :meth:`slice_columns` hands out and the blocks homology
+        reduces them by (``None``: the whole slice as one block), kept per
+        weight once :func:`_check_square` passes on the columns; a slice
+        that fails is checked again on every call.
 
-    def _orbit_slice(self, weight: int) -> Dict[int, List[Optional[Column]]]:
-        """The columns :meth:`slice_columns` hands out: :meth:`_compiled`
-        when every block of the weight slice stands for itself or more;
-        otherwise the columns of the blocks with a nonzero
-        :meth:`block_multiplicity` and ``None`` for the rest, cached per
-        weight, picked from :meth:`_compiled` if it has the slice and else
-        compiled alone."""
-        got = self._orbit_columns.get(weight)
+        One walk of :meth:`block_keys` asks each distinct key's
+        :meth:`block_multiplicity` once and makes each key of nonzero
+        multiplicity a block: its indices by degree and that multiplicity.
+        The other blocks' columns are ``None``, and they are not compiled
+        here; their columns are picked from :meth:`_compiled` if it has
+        the slice."""
+        got = self._checked_slices.get(weight)
         if got is not None:
             return got
         keys = self.block_keys(weight)
-        multiplicity = block_multiplicities(self, keys)
-        if keys is None or all(multiplicity.values()):
-            return self._compiled(weight)
-        wanted = {i: [multiplicity[k] != 0 for k in ks] for i, ks in keys.items()}
-        full = self._column_cache.get(weight)
-        if full is None:
-            got = self._compile(weight, wanted)
+        blocks: Optional[List[Block]] = None
+        multiplicity: Dict[int, int] = {}
+        wanted: Dict[int, List[bool]] = {}
+        if keys is not None:
+            indices: Dict[int, Dict[int, array]] = {}
+            for i, ks in keys.items():
+                need = wanted[i] = []
+                here: Dict[int, array] = {}
+                for j, k in enumerate(ks):
+                    m = multiplicity.get(k)
+                    if m is None:
+                        m = multiplicity[k] = self.block_multiplicity(k)
+                    need.append(m != 0)
+                    if m:
+                        block = here.get(k)
+                        if block is None:
+                            block = here[k] = indices.setdefault(k, {})[i] = array("l")
+                        block.append(j)
+            blocks = [(block, multiplicity[k]) for k, block in indices.items()]
+        if all(multiplicity.values()):
+            columns = self._compiled(weight)
         else:
-            got = {i: [c if w else None for c, w in zip(full[i], wanted[i])] for i in full}
-        self._orbit_columns[weight] = got
+            full = self._column_cache.get(weight)
+            if full is None:
+                columns = self._compile(weight, wanted)
+            else:
+                columns = {i: [c if w else None for c, w in zip(full[i], wanted[i])] for i in full}
+        _check_square(self, weight, columns)
+        got = self._checked_slices[weight] = (columns, blocks)
         return got
 
     def _compiled(self, weight: int) -> Dict[int, List[Column]]:
@@ -289,19 +312,6 @@ class WdgAlgebra:
             elif bid != b:
                 raise ValueError(f"inhomogeneous element: bidegrees {bid} and {b}")
         return bid
-
-
-def block_multiplicities(
-    algebra: WdgAlgebra, keys: Optional[Mapping[int, Sequence[int]]]
-) -> Dict[int, int]:
-    """:meth:`WdgAlgebra.block_multiplicity` of every distinct key of a
-    slice's :meth:`WdgAlgebra.block_keys`, asked once per key; empty for
-    ``None``."""
-    out: Dict[int, int] = {}
-    for ks in (keys or {}).values():
-        for k in set(ks).difference(out):
-            out[k] = algebra.block_multiplicity(k)
-    return out
 
 
 def boundary_columns(algebra: WdgAlgebra, weight: int, degree: int) -> List[Column]:

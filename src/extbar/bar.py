@@ -223,8 +223,9 @@ class BarAlgebra(WdgAlgebra):
         """Boundary columns of the weight slice from the columns of the
         slices below it, read unchecked (:meth:`_compiled`): those that
         ``wanted`` asks for, ``None`` for the others.  A column that the
-        slice's orbit columns (:meth:`~extbar.algebra.WdgAlgebra._orbit_slice`)
-        already hold is that same object, not built again.
+        slice's checked columns
+        (:meth:`~extbar.algebra.WdgAlgebra._checked_slice`) already hold is
+        that same object, not built again.
 
         Column ``start(a) + k`` of degree ``i`` is ``d[a | r]`` for the
         ``k``-th word ``r`` of its lower slice, and with ``s = (-1)**(1 +
@@ -249,7 +250,8 @@ class BarAlgebra(WdgAlgebra):
             return {0: [{}]} if weight == 0 else {}  # the empty word, a cycle
         p = self.ring.char
         runs, sizes, _ = self._layout(weight)
-        built = self._orbit_columns.get(weight) if wanted is None else None
+        checked = self._checked_slices.get(weight) if wanted is None else None
+        built = checked[0] if checked is not None else None
         out: Dict[int, List[Optional[Column]]] = {}
         for i in sizes:
             need = wanted[i] if wanted is not None else None

@@ -3,11 +3,12 @@ generated abelian groups, mod-p dimensions, and the Kunneth assembly of
 weighted homology tables.
 
 Each homology computation reads its weight slice's sparse boundary columns,
-``{row: coefficient}`` per basis monomial, from the algebra
-(:meth:`~extbar.algebra.WdgAlgebra.slice_columns`), which compiles them
-once, keeps them, and checks d^2 = 0 on them as the exact sparse product
-``D_{i-1} D_i = 0`` over its ring, once per compiled object.  So every
-slice that integral and mod-p slice homology read has passed the check.
+``{row: coefficient}`` per basis monomial, and the blocks it reduces them
+by from the algebra (:meth:`~extbar.algebra.WdgAlgebra._checked_slice`),
+which compiles the columns once, checks d^2 = 0 on them as the exact sparse
+product ``D_{i-1} D_i = 0`` over its ring, and keeps them with their blocks
+only once they pass.  So every slice that integral and mod-p slice homology
+read has passed the check.
 They read the slice's size in each degree from
 :meth:`~extbar.algebra.WdgAlgebra.dims`, and its basis monomials not at
 all.  By default the differential of every basis monomial is evaluated once
@@ -35,10 +36,10 @@ multi-weight of a bar construction on several generators), the slice is a
 direct sum of blocks: the check also asserts that no entry leaves its
 column's block, and the reduction runs block by block, one block for each
 orbit of blocks with isomorphic complexes, its diagonal counted once per
-block of the orbit (:func:`_slice_blocks`), and only the columns of those
-blocks are compiled and checked for it; an F_2 mask numbers the rows
-within its block, so its size follows the block, not the slice.  Nothing
-here mutates the columns an algebra keeps.
+block of the orbit, and only the columns of those blocks are compiled and
+checked for it, found in one walk of the slice's block keys; an F_2 mask
+numbers the rows within its block, so its size follows the block, not the
+slice.  Nothing here mutates the columns an algebra keeps.
 
 A *weighted table* is a mapping ``(degree, weight) -> AbelianGroup`` holding
 the homology of a weighted complex, with trivial groups omitted.  Tables are
@@ -54,20 +55,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import (
-    Column,
-    InternalAssertionError,
-    WdgAlgebra,
-    block_multiplicities,
-    boundary_columns,
-)
+from .algebra import Block, Column, InternalAssertionError, WdgAlgebra, boundary_columns
 from .modp import check_prime
 
 Matrix = List[List[int]]
 TableKey = Tuple[int, int]
-#: One block of a weight slice as :func:`_reduce_slice` takes it: its column
-#: indices by degree, and how many blocks with its homology it stands for.
-Block = Tuple[Mapping[int, Sequence[int]], int]
 
 
 # ----------------------------------------------------------------------
@@ -527,24 +519,6 @@ def check_boundary_squares_to_zero(algebra: WdgAlgebra, weight: int) -> None:
 # ----------------------------------------------------------------------
 
 
-def _slice_blocks(algebra: WdgAlgebra, weight: int) -> Optional[List[Block]]:
-    """The blocks of the weight slice that :func:`_reduce_slice` reduces:
-    for each key of :meth:`~extbar.algebra.WdgAlgebra.block_keys` with a
-    nonzero :meth:`~extbar.algebra.WdgAlgebra.block_multiplicity`, the
-    indices of its words by degree and that multiplicity.  ``None`` when the
-    algebra reports no keys, for the whole slice as one block."""
-    keys = algebra.block_keys(weight)
-    if keys is None:
-        return None
-    multiplicity = block_multiplicities(algebra, keys)
-    indices: Dict[int, Dict[int, List[int]]] = {}
-    for i, ks in keys.items():
-        for j, k in enumerate(ks):
-            if multiplicity[k]:
-                indices.setdefault(k, {}).setdefault(i, []).append(j)
-    return [(block, multiplicity[k]) for k, block in indices.items()]
-
-
 def _reduce_slice(
     columns: Mapping[int, Sequence[Optional[Column]]],
     p: int,
@@ -560,12 +534,13 @@ def _reduce_slice(
     degree, which the differential must send into the rows of the same
     block, and the number of blocks with its homology it stands for; its
     diagonal is counted that many times.  A column in no block is not read
-    and may be ``None``.  ``None`` is the whole complex as one block.  Within a block the degrees are reduced from the top down,
-    and before ``D_i`` is reduced its columns at the pivot rows ``R`` of
-    ``D_{i+1}`` are dropped: over Z the rows of its unit pivots, over F_p
-    all of them.  The rows are keyed by degree, so a gap in the degrees
-    clears nothing.  Each diagonal has the rank and the invariant factors
-    of the whole ``D_i``, which is all that homology needs.
+    and may be ``None``.  ``None`` is the whole complex as one block.
+    Within a block the degrees are reduced from the top down, and before
+    ``D_i`` is reduced its columns at the pivot rows ``R`` of ``D_{i+1}``
+    are dropped: over Z the rows of its unit pivots, over F_p all of them.
+    The rows are keyed by degree, so a gap in the degrees clears nothing.
+    Each diagonal has the rank and the invariant factors of the whole
+    ``D_i``, which is all that homology needs.
 
     Why this is exact: let ``K`` be the columns of ``D_{i+1}`` whose pivots
     have the rows ``R``.  The block ``D_{i+1}[R, K]`` is invertible over
@@ -614,7 +589,8 @@ def _reduce_slice(
 def homology_over_Z(algebra: WdgAlgebra, weight: int) -> Dict[int, AbelianGroup]:
     """Integral homology of one weight slice, trivial degrees omitted."""
     dims = algebra.dims(weight)
-    diagonals = _reduce_slice(algebra.slice_columns(weight), 0, _slice_blocks(algebra, weight))
+    columns, blocks = algebra._checked_slice(weight)
+    diagonals = _reduce_slice(columns, 0, blocks)
     out: Dict[int, AbelianGroup] = {}
     for i, n in dims.items():
         below = diagonals.get(i + 1, ())
@@ -632,7 +608,8 @@ def homology_over_Fp(algebra: WdgAlgebra, weight: int, p: int) -> Dict[int, int]
     """Dimensions of mod-p homology of one weight slice (zeros omitted)."""
     check_prime(p)
     dims = algebra.dims(weight)
-    diagonals = _reduce_slice(algebra.slice_columns(weight), p, _slice_blocks(algebra, weight))
+    columns, blocks = algebra._checked_slice(weight)
+    diagonals = _reduce_slice(columns, p, blocks)
     ranks = {i: len(d) for i, d in diagonals.items()}
     out: Dict[int, int] = {}
     for i, n in dims.items():

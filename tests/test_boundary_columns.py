@@ -29,7 +29,7 @@ from extbar import (
     tensor_signed,
     weight_twist,
 )
-from extbar.bar import BarAlgebra
+from extbar.bar import KEY_BITS, BarAlgebra
 from extbar.cli import main
 from extbar.homology import (
     boundary_columns,
@@ -237,6 +237,13 @@ def _homology(algebra, weight):
     )
 
 
+def _orbit_of(key, m):
+    """The exponents of a block key over m generators, sorted: the same
+    for every block of one orbit under permutations of the generators."""
+    mask = (1 << KEY_BITS) - 1
+    return tuple(sorted(key >> (KEY_BITS * g) & mask for g in range(m)))
+
+
 @pytest.mark.parametrize(
     "n, m, weight_max", [(1, 2, 7), (2, 2, 5), (3, 2, 4), (1, 3, 5), (2, 3, 4)]
 )
@@ -252,6 +259,19 @@ def test_orbit_columns_give_the_homology_of_a_cold_full_compile(n, m, weight_max
     for w in weights[1:]:
         assert any(c is None for cols in orbit[w].values() for c in cols)
         assert any(c is not None for cols in orbit[w].values() for c in cols)
+    for w in weights:
+        # the columns held are those of the blocks, one block per orbit
+        columns, blocks = algebra._checked_slice(w)
+        held = {(i, j) for i, cols in columns.items() for j, c in enumerate(cols) if c is not None}
+        indexed = [(i, j) for block, _ in blocks for i, js in block.items() for j in js]
+        assert len(indexed) == len(set(indexed)) and set(indexed) == held
+        keys = algebra.block_keys(w)
+        block_orbits = []
+        for block, _ in blocks:
+            (key,) = {keys[i][j] for i, js in block.items() for j in js}
+            block_orbits.append(_orbit_of(key, m))
+        assert sorted(block_orbits) == sorted({_orbit_of(k, m) for ks in keys.values() for k in ks})
+        assert sum(multiplicity for _, multiplicity in blocks) == len(set().union(*keys.values()))
     for w in weights[:-1]:
         full = algebra._compiled(w)
         assert full.keys() == orbit[w].keys()
@@ -268,6 +288,33 @@ def test_orbit_columns_give_the_homology_of_a_cold_full_compile(n, m, weight_max
     assert [_homology(cold, w) for w in weights] == got
     assert square_checks == list(weights)
     assert all(None not in cols for w in weights for cols in cold.slice_columns(w).values())
+
+
+@pytest.mark.parametrize("n, weight", [(1, 7), (2, 5)])
+def test_block_keys_of_a_slice_are_walked_once(n, weight, square_checks, monkeypatch):
+    """Homology over Z, F_2 and F_3 walks a slice's block keys, and asks
+    each distinct key's multiplicity, on its first call only; later calls
+    read the blocks kept with the checked columns."""
+    algebra = iterate_bar(FreeAlgebra(DIVIDED, [(2, 1, 2)], ZZ), n)
+    asked = []
+    multiplicity_of = algebra.block_multiplicity
+
+    def counted(key):
+        asked.append(key)
+        return multiplicity_of(key)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "block_multiplicity", counted)
+        got = _homology(algebra, weight)
+    assert sorted(asked) == sorted(set().union(*algebra.block_keys(weight).values()))
+
+    def walk(*args):
+        raise AssertionError("block keys walked again")
+
+    monkeypatch.setattr(algebra, "block_keys", walk)
+    monkeypatch.setattr(algebra, "block_multiplicity", walk)
+    assert _homology(algebra, weight) == got
+    assert square_checks == [weight]
 
 
 class _LetterTwice(FreeAlgebra):
@@ -484,15 +531,6 @@ def test_single_weight_bar_homology_checks_that_weight_only(n, weight, ring, squ
     assert square_checks == [weight]
 
 
-class _Copied(BarAlgebra):
-    """Bar(Gamma) whose compiled weight-3 columns come back as a new object
-    on every call, with the same entries."""
-
-    def _compiled(self, weight):
-        columns = super()._compiled(weight)
-        return dict(columns) if weight == 3 else columns
-
-
 BLOCKS_CROSSED = re.escape(
     f"differential of {((1, 0), (1, 0))} leaves its block (weight 2, degree 6)"
 )
@@ -504,9 +542,8 @@ BLOCKS_CROSSED = re.escape(
         (lambda: _SignFlipped(GAMMA), 3, SQUARE_FAILURE),
         (lambda: _CoefficientDoubled(GAMMA), 3, SQUARE_FAILURE),
         (lambda: _CrossesBlocks(FreeAlgebra(DIVIDED, [(2, 1, 2)], ZZ)), 2, BLOCKS_CROSSED),
-        (lambda: _Copied(GAMMA), 3, None),
     ],
-    ids=["sign-flipped", "coefficient-doubled", "crosses-blocks", "copied"],
+    ids=["sign-flipped", "coefficient-doubled", "crosses-blocks"],
 )
 def test_columns_that_have_not_passed_are_checked_on_every_call(
     factory, weight, failure, square_checks
@@ -522,11 +559,8 @@ def test_columns_that_have_not_passed_are_checked_on_every_call(
         lambda: homology_over_Fp(algebra, weight, 5),
     ]
     for call in calls * 2:
-        if failure is None:
+        with pytest.raises(InternalAssertionError, match=failure):
             call()
-        else:
-            with pytest.raises(InternalAssertionError, match=failure):
-                call()
     assert square_checks == [weight] * 8
     # a slice below, compiled once and cached, passed once and is not checked again
     homology_over_Z(algebra, weight - 1)

@@ -37,7 +37,6 @@ from extbar.homology import (
     _eliminate,
     _pivot_rows_mod_p,
     _reduce_slice,
-    _slice_blocks,
     boundary_matrix,
     check_boundary_squares_to_zero,
     rank_of_columns_mod_p,
@@ -463,7 +462,7 @@ def test_blocks_of_one_orbit_reduce_alike(n, m, weight_max, full_columns):
                 for i, d in _reduce_slice(columns, p, [(orbit[top], len(orbit))]).items():
                     kept[i].extend(d)
             assert _factors(kept) == whole
-            blocks = _slice_blocks(algebra, weight)
+            blocks = algebra._checked_slice(weight)[1]
             assert len(blocks) == len(orbits)
             assert _factors(_reduce_slice(columns, p, blocks)) == whole
             assert _factors(_reduce_slice(algebra.slice_columns(weight), p, blocks)) == whole
@@ -490,7 +489,7 @@ def test_blocks_of_a_bar_construction_give_the_whole_slice(
     for weight in range(2, weight_max + 1):
         homology_over_Z(algebra, weight)  # checks that no entry crosses a block
         columns = full_columns(algebra, weight)
-        blocks = _slice_blocks(algebra, weight)
+        blocks = algebra._checked_slice(weight)[1]
         keys = set(itertools.chain(*algebra.block_keys(weight).values()))
         assert len(keys) > 1
         assert (len(blocks) < len(keys)) == symmetric
@@ -511,7 +510,7 @@ def test_only_bar_constructions_on_several_free_generators_have_blocks():
         bar(build_koszul(KoszulSpec(((1, 1, 2),), h=2, variant="Koszul"))),
     ]:
         assert algebra.block_keys(3) is None
-        assert _slice_blocks(algebra, 3) is None
+        assert algebra._checked_slice(3)[1] is None
 
 
 def test_clearing_ignores_smallest_entry_pivot_rows():
