@@ -14,8 +14,9 @@ exact bigraded dimension tables.  A table is the product of one factor per
 generator family, ``(1+y)^m`` for an exterior family and ``1/(1-y)^m`` for a
 symmetric or divided-power one, with ``y = x^(degree, weight)`` and ``m`` the
 multiplicity; each factor is applied in place by a recurrence over the
-table's weight rows, descending for ``(1+y)^m`` and ascending for
-``1/(1-y)^m``, so nothing past the weight cap is ever formed.
+table's weight rows, each row one int with a fixed-width digit per degree,
+descending for ``(1+y)^m`` and ascending for ``1/(1-y)^m``, so nothing past
+the weight cap is ever formed.
 
 Two transforms implement the reduction of twisted pairs to untwisted ones:
 :func:`twist_shift` trades a source twist for a degree regrading of the
@@ -36,8 +37,12 @@ cohomological degree ``(n + 2) * d - j``.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, replace
+from itertools import chain, compress, count, product, repeat
 from math import comb, gcd
+from operator import lshift, or_
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar
 
 from .algebra import (
@@ -158,26 +163,44 @@ def poincare_dims(spec: FreeAlgebraSpec, weight_max: int) -> Dict[TableKey, int]
 
     * **Lattice.** Families past the cap or of multiplicity 0 are dropped.
       Every monomial of the rest has a weight divisible by the gcd ``g`` of
-      their weights, so the table keeps one ``{degree: count}`` row per
-      multiple ``d * g`` of ``g`` up to the cap, and a family of weight ``w``
-      steps ``w // g`` rows.
+      their weights, so the table keeps one row per multiple ``d * g`` of
+      ``g`` up to the cap, and a family of weight ``w`` steps ``w // g``
+      rows.
     * **Order.** The factors commute, so the families are applied heaviest
       first (a stable sort): a heavy family multiplies a table that is still
       sparse, and the light families, which fill the rows, come last.
+    * **Rows.** Each row is one int, the row's polynomial in the degree
+      evaluated at ``2**B``: the count of degree ``i`` is the ``B``-bit digit
+      ``i`` (Kronecker substitution).  Multiplying a row by ``y^j`` is then
+      a shift by ``j * a * B`` bits, for a family of degree ``a``.
     * **Recurrence.** Each family is applied in place, in a single pass over
       the rows, with ``w`` its step in rows and ``a`` its degree:
 
       - exterior, rows in descending weight:
-        ``row[d][i] += sum_{j=1..m} C(m, j) * row[d-j*w][i-j*a]``;
+        ``row[d] += sum_{j=1..m} C(m, j) * (row[d-j*w] << j*a*B)``;
       - symmetric or divided power, rows in ascending weight, so the rows
         read already carry the family (this divides by ``(1-y)^m``):
-        ``row[d][i] += sum_j (-1)^(j+1) C(m, j) * row[d-j*w][i-j*a]``, over
-        the same ``j``;
+        ``row[d] += sum_j (-1)^(j+1) C(m, j) * (row[d-j*w] << j*a*B)``,
+        over the same ``j``;
 
-      both sums stop at the first row, so nothing past the cap is formed.
-    * **Assembly.** Walking the rows in weight order, each count is put in
-      its degree's bucket; the buckets are then read in degree order.  So the
-      keys come out sorted, degree first, without comparing any key tuples.
+      both sums stop at the first row, so nothing past the cap is formed;
+      at ``m = 1`` a family costs one shift-add per row.
+    * **Width.** The same recurrence with ``B = 0`` gives each row's total
+      count (the table at ``x = 1``), and ``B`` is the bit length of the
+      largest total, rounded up to whole machine words.  Counts are
+      nonnegative, so each is at most its row's total; so is every count of
+      a partial product, since each factor has nonnegative coefficients and
+      constant term 1.  Python ints are exact, so a signed sum that passes
+      through negative values still ends on the row's polynomial at
+      ``2**B``, and with every count below ``2**B`` no digit carries into
+      the next.
+    * **Assembly.** The rows' bytes are joined into one array of machine
+      words, behind the OR of all rows, whose nonzero digits are the degree
+      columns that hold any count.  Only those columns are read, each by
+      one strided slice over the rows (digits wider than one word are
+      recombined from their 64-bit limbs, column by column), in degree
+      order and then weight order, so the keys come out sorted without
+      comparing any key tuples.
 
     One exterior family of multiplicity 2 on a generator of degree 1 and
     weight 1, times one divided-power family on a generator of degree 2 and
@@ -195,7 +218,8 @@ def poincare_dims(spec: FreeAlgebraSpec, weight_max: int) -> Dict[TableKey, int]
     {(0, 0): 1, (1, 1): 2, (2, 1): 1, (2, 2): 1, (3, 2): 2, (4, 2): 1}
 
     Raises ``ValueError`` on a negative ``weight_max``, a generator of weight
-    below 1 (even one past the cap) or a negative multiplicity.
+    below 1 or of negative degree (even one past the cap) or a negative
+    multiplicity.
     """
     if weight_max < 0:
         raise ValueError("weight_max must be >= 0")
@@ -203,39 +227,90 @@ def poincare_dims(spec: FreeAlgebraSpec, weight_max: int) -> Dict[TableKey, int]
     for flavor, fam in spec.all_generators():
         if fam.weight < 1:
             raise ValueError("generator weights must be >= 1")
+        if fam.degree < 0:
+            raise ValueError("generator degrees must be >= 0")
         if fam.multiplicity < 0:
             raise ValueError("generator multiplicities must be >= 0")
         if fam.weight <= weight_max and fam.multiplicity > 0:
             families.append((flavor, fam))
     g = gcd(*(fam.weight for _, fam in families)) or 1
     top = weight_max // g
-    rows: List[Dict[int, int]] = [{} for _ in range(top + 1)]
-    rows[0][0] = 1
     families.sort(key=lambda flavor_fam: -flavor_fam[1].weight)
-    for flavor, fam in families:
-        a, w, m = fam.degree, fam.weight // g, fam.multiplicity
-        js = range(1, min(m, top // w) + 1)
+    steps = [(flavor, fam.degree, fam.weight // g, fam.multiplicity) for flavor, fam in families]
+    # A digit is one machine word of 1, 2, 4 or 8 bytes, or whole 64-bit
+    # limbs, wide enough for the largest row total.
+    nbytes = -(-max(_packed_rows(steps, top, 0)).bit_length() // 8)
+    digit_bytes = 1 << (nbytes - 1).bit_length() if nbytes <= 8 else -(-nbytes // 8) * 8
+    return _unpack_rows(_packed_rows(steps, top, 8 * digit_bytes), g, digit_bytes)
+
+
+def _packed_rows(steps: List[Tuple[str, int, int, int]], top: int, width: int) -> List[int]:
+    """The rows ``0..top`` of the product of the families ``steps``, each as
+    ``(flavor, degree, step in rows, multiplicity)``, with the count of
+    degree ``i`` as the ``width``-bit digit ``i`` of its row's int; width 0
+    gives each row's total count."""
+    rows = [0] * (top + 1)
+    rows[0] = 1
+    for flavor, a, w, m in steps:
+        shift = a * width
         if flavor == EXTERIOR:
-            terms = [(j * w, j * a, comb(m, j)) for j in js]
             order = range(top, w - 1, -1)
+            sign = 1
         else:
-            terms = [(j * w, j * a, (-1) ** (j + 1) * comb(m, j)) for j in js]
             order = range(w, top + 1)
+            sign = -1
+        if m == 1:
+            for d in order:
+                rows[d] += rows[d - w] << shift
+            continue
+        js = range(1, min(m, top // w) + 1)
+        terms = [(j * w, j * shift, sign ** (j + 1) * comb(m, j)) for j in js]
         for d in order:
             row = rows[d]
-            for dw, da, c in terms:
+            for dw, sh, c in terms:
                 if dw > d:
                     break
-                for i, n in rows[d - dw].items():
-                    row[i + da] = row.get(i + da, 0) + c * n
-    # A count is only ever touched from a nonzero count of a lighter row, so
-    # its final value is positive: no zeros are stored.
-    by_degree: Dict[int, List[Tuple[int, int]]] = {}
-    for d, row in enumerate(rows):
-        weight = d * g
-        for i, n in row.items():
-            by_degree.setdefault(i, []).append((weight, n))
-    return {(i, weight): n for i in sorted(by_degree) for weight, n in by_degree[i]}
+                row += c * (rows[d - dw] << sh)
+            rows[d] = row
+    return rows
+
+
+#: Array typecodes by item size in bytes: the machine words digits are read as.
+_WORD_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _unpack_rows(rows: List[int], g: int, digit_bytes: int) -> Dict[TableKey, int]:
+    """The table of :func:`poincare_dims` from its packed rows (row ``d``
+    at weight ``d * g``, ``digit_bytes`` bytes per digit), zeros omitted,
+    keys sorted by degree, then weight."""
+    mask = 0
+    for row in rows:
+        mask |= row
+    limbs = -(-digit_bytes // 8)
+    columns = -(-mask.bit_length() // (8 * digit_bytes))
+    stride = columns * limbs  # words per row
+    words = array(_WORD_CODES[digit_bytes // limbs])
+    row_bytes = columns * digit_bytes
+    # The OR of the rows goes first: its nonzero digits are the degree
+    # columns that hold any count, and only those are read.
+    words.frombytes(b"".join(row.to_bytes(row_bytes, "little") for row in [mask, *rows]))
+    if sys.byteorder == "big":
+        words.byteswap()
+
+    def digits(starts: List[int], stop: Optional[int], step: int) -> List[int]:
+        """The digits whose low limbs are ``words[start:stop:step]``, for
+        each start in turn."""
+        out: List[int] = []
+        for limb in range(limbs):
+            slices = [slice(start + limb, stop, step) for start in starts]
+            part = chain.from_iterable(map(words.__getitem__, slices))
+            out = list(map(or_, out, map(lshift, part, repeat(64 * limb)))) if limb else list(part)
+        return out
+
+    occupied = list(compress(count(), digits([0], stride, limbs)))
+    counts = digits([stride + i * limbs for i in occupied], None, stride)
+    keys = product(occupied, range(0, len(rows) * g, g))
+    return dict(compress(zip(keys, counts), counts))
 
 
 def build_spec_algebra(spec: FreeAlgebraSpec, ring: Optional[Ring] = None) -> WdgAlgebra:

@@ -105,3 +105,9 @@ def test_predict_route_symmetric_to_divided_through_weight_400_within_budget():
     lines = _predict_symmetric_to_divided_lines(400)
     assert lines[0] == "Ext^0 (weight 0) = dim 1"
     assert len(lines) == 157467
+
+
+def test_predict_route_symmetric_to_divided_through_weight_600_within_budget():
+    lines = _predict_symmetric_to_divided_lines(600)
+    assert lines[0] == "Ext^0 (weight 0) = dim 1"
+    assert len(lines) == 355873

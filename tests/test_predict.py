@@ -3,6 +3,7 @@ the nine functor-pair generator descriptions, the two twist-reduction
 transforms, duality, and the integral assembly."""
 
 import doctest
+import hashlib
 import itertools
 from math import comb
 
@@ -167,6 +168,8 @@ def _spec_of(*factors):
 @example(_spec_of((DIVIDED, [(2, 3, 0, 2), (1, 2, 0, 0)]), (EXTERIOR, [(1, 6, 0, 1)])), 12)
 # families listed lightest first, in one factor and across factors
 @example(_spec_of((EXTERIOR, [(1, 1, 0, 1), (2, 2, 0, 2)]), (SYMMETRIC, [(3, 3, 0, 2), (0, 5, 0, 1)])), 12)
+# counts of 105 bits, so digits of two 64-bit limbs
+@example(_spec_of((DIVIDED, [(2, 1, 0, 50)]), (EXTERIOR, [(1, 2, 0, 3)])), 60)
 def test_poincare_dims_match_convolution_reference(spec, weight_max):
     got = poincare_dims(spec, weight_max)
     want = reference_poincare_dims(spec, weight_max)
@@ -185,6 +188,57 @@ def test_poincare_dims_reject_bad_generators(flavor):
     for gens in [[(1, 1, 0, -1)], [(1, 50, 0, -1)]]:
         with pytest.raises(ValueError, match="multiplicities"):
             poincare_dims(_spec_of((flavor, gens)), 4)
+    for gens in [[(-1, 1, 0, 1)], [(-2, 1, 0, 0)], [(1, 1, 0, 1), (-1, 50, 0, 1)]]:
+        with pytest.raises(ValueError, match="degrees must be >= 0"):
+            poincare_dims(_spec_of((flavor, gens)), 4)
+
+
+@pytest.mark.parametrize(
+    "factors, weight_max, count_bits, total_bits",
+    [
+        # divided powers of multiplicity 50: counts C(49 + d, d)
+        ([(DIVIDED, [(2, 1, 0, 50)])], 60, 105, 105),
+        # an exterior family of multiplicity 200: counts C(200, d)
+        ([(EXTERIOR, [(1, 1, 0, 200)])], 200, 196, 196),
+        # the same beside a symmetric family on the weight lattice of 3
+        ([(EXTERIOR, [(1, 3, 0, 40)]), (SYMMETRIC, [(4, 6, 0, 30), (0, 3, 0, 2)])], 120, 70, 74),
+        # counts C(67, d) and C(67, d - 1) in degrees 0 and 1 fit 64 bits,
+        # but their row total C(68, 34) does not
+        ([(EXTERIOR, [(0, 1, 0, 67)]), (EXTERIOR, [(1, 1, 0, 1)])], 67, 64, 65),
+    ],
+    ids=["divided-m50", "exterior-m200", "lattice-3", "totals-past-64-bits"],
+)
+def test_poincare_dims_with_digits_past_64_bits_match_the_reference(
+    factors, weight_max, count_bits, total_bits
+):
+    spec = _spec_of(*factors)
+    got = poincare_dims(spec, weight_max)
+    assert list(got.items()) == list(reference_poincare_dims(spec, weight_max).items())
+    assert max(got.values()).bit_length() == count_bits
+    totals = {}
+    for (_, weight), n in got.items():
+        totals[weight] = totals.get(weight, 0) + n
+    assert max(totals.values()).bit_length() == total_bits
+
+
+#: One digest over the Poincaré tables that the ``predict_twisted`` benchmark
+#: builds: the nine functor pairs for p in {2, 3, 5} and s, t in {0, 1, 2} at
+#: weight 70, each from its direct spec and its composite
+#: ``twist_shift`` -> ``expand_by_even_offsets`` spec, hashed as the ``repr``
+#: of each table's item list in turn.  Taken before the tables were packed.
+TWISTED_TABLES_DIGEST = "885a8ed013583881472885f43b1bb8c4a6c84e8c62bdfae8cc3c75c7049668d4"
+
+
+def test_twisted_poincare_tables_keep_their_digest():
+    digest = hashlib.sha256()
+    for p, s, t in itertools.product((2, 3, 5), range(3), range(3)):
+        for source, target in PAIRS:
+            direct = ext_twisted_predict(source, target, p, s, t, 70)
+            base = ext_field_predict(source, target, p, 70)
+            composite = expand_by_even_offsets(twist_shift(base, t, target), s)
+            for spec in (direct, composite):
+                digest.update(repr(list(poincare_dims(spec, 70).items())).encode())
+    assert digest.hexdigest() == TWISTED_TABLES_DIGEST
 
 
 def test_poincare_dims_reject_negative_weight_cap():
