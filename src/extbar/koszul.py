@@ -231,8 +231,11 @@ def predicted_bar_homology(
     The free part comes from :func:`build_X0` at height ``n + 2``; each
     prime ``p <= weight_max`` contributes the p-primary unitalization of its
     :func:`xp_homology_table`.  Cross-prime torsion products vanish, so the
-    final fold is a plain Kunneth product.
+    final fold is a plain Kunneth product.  Raises ``ValueError`` on a
+    negative ``n``.
     """
+    if n < 0:
+        raise ValueError("bar iteration count must be >= 0")
     height = n + 2
     x0 = build_X0(height, m)
     x0_table: Dict[TableKey, AbelianGroup] = {}

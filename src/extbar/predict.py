@@ -9,7 +9,9 @@ twist, and a multiplicity.
 The exported builders produce, for any prime and any pair of the three
 classical functor flavors (symmetric ``S``, exterior ``Lambda``, divided
 power ``Gamma``), the generator description of the graded maps-algebra
-between their twisted versions; :func:`poincare_dims` turns any spec into
+between their twisted versions.  In :func:`ext_twisted_predict` each closed
+form is one degree formula, and one enumerator owns the weight cut shared by
+all of them.  :func:`poincare_dims` turns any spec into
 exact bigraded dimension tables.  A table is the product of one factor per
 generator family, ``(1+y)^m`` for an exterior family and ``1/(1-y)^m`` for a
 symmetric or divided-power one, with ``y = x^(degree, weight)`` and ``m`` the
@@ -21,8 +23,10 @@ the weight cap is ever formed.
 Two transforms implement the reduction of twisted pairs to untwisted ones:
 :func:`twist_shift` trades a source twist for a degree regrading of the
 target, and :func:`expand_by_even_offsets` spreads each generator into a
-family along even degree offsets.  Composing them from the untwisted tables
-must match the direct closed forms of
+family along even degree offsets.  Both, like :meth:`FreeAlgebraSpec.truncate`
+and :meth:`FreeAlgebraSpec.scaled_multiplicity`, map each generator in turn
+through one private map, keeping factors and order.  Composing them from the
+untwisted tables must match the direct closed forms of
 :func:`ext_twisted_predict` — that equality is this module's central
 self-consistency property, exercised by the verification suites.
 
@@ -43,7 +47,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, compress, count, product, repeat
 from math import comb, gcd
 from operator import lshift, or_
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar
 
 from .algebra import (
     DIVIDED,
@@ -68,9 +72,16 @@ _DUAL = {SYMMETRIC: DIVIDED, DIVIDED: SYMMETRIC, EXTERIOR: EXTERIOR}
 V = TypeVar("V")
 
 
+def _check_functors(*names: str) -> None:
+    if not set(names) <= set(FUNCTORS):
+        raise ValueError(f"functors must be in {FUNCTORS}")
+
+
 def duality_flip(source: str, target: str) -> Tuple[str, str]:
     """The dual pair ``(Y*, X*)`` with S* = Gamma, Gamma* = S, Lambda* = Lambda;
-    its table coincides with the table of ``(X, Y)``."""
+    its table coincides with the table of ``(X, Y)``.  Raises ``ValueError``
+    on a name outside :data:`FUNCTORS`."""
+    _check_functors(source, target)
     return _DUAL[target], _DUAL[source]
 
 
@@ -115,36 +126,29 @@ class FreeAlgebraSpec:
 
     def truncate(self, weight_max: int) -> "FreeAlgebraSpec":
         """Drop generators too heavy to touch any slice within the cap."""
-        factors = tuple(
-            replace(
-                f,
-                generators=tuple(g for g in f.generators if g.weight <= weight_max),
-            )
-            for f in self.factors
-        )
-        return replace(self, factors=factors)
+        return _map_generators(self, lambda g: (g,) if g.weight <= weight_max else ())
 
     def scaled_multiplicity(self, m: int) -> "FreeAlgebraSpec":
-        factors = tuple(
-            replace(
-                f,
-                generators=tuple(
-                    replace(g, multiplicity=g.multiplicity * m) for g in f.generators
-                ),
-            )
-            for f in self.factors
-        )
-        return replace(self, factors=factors)
+        return _map_generators(self, lambda g: (replace(g, multiplicity=g.multiplicity * m),))
 
     def all_generators(self) -> List[Tuple[str, GeneratorFamily]]:
         return [(f.flavor, g) for f in self.factors for g in f.generators]
 
 
-def _spec(p: int, *factors: AlgebraFactor, eps: Iterable[int] = ()) -> FreeAlgebraSpec:
-    eps = tuple(eps)
-    if not eps:
-        eps = (0,) * max(len(factors) - 1, 0)
-    return FreeAlgebraSpec(p, tuple(factors), eps)
+def _spec(p: int, *factors: AlgebraFactor, eps: Tuple[int, ...] = ()) -> FreeAlgebraSpec:
+    return FreeAlgebraSpec(p, factors, eps or (0,) * max(len(factors) - 1, 0))
+
+
+def _map_generators(
+    spec: FreeAlgebraSpec, fn: Callable[[GeneratorFamily], Iterable[GeneratorFamily]]
+) -> FreeAlgebraSpec:
+    """``spec`` with each generator ``g`` replaced, in order, by the
+    generators ``fn(g)``; factors and junction signs are kept."""
+    factors = tuple(
+        replace(f, generators=tuple(chain.from_iterable(map(fn, f.generators))))
+        for f in spec.factors
+    )
+    return replace(spec, factors=factors)
 
 
 # ----------------------------------------------------------------------
@@ -339,14 +343,6 @@ def build_spec_algebra(spec: FreeAlgebraSpec, ring: Optional[Ring] = None) -> Wd
 # ----------------------------------------------------------------------
 
 
-def _twist_range(p: int, weight_max: int, offset: int = 0) -> Iterable[int]:
-    """All k >= 0 with p**(k + offset) <= weight_max."""
-    k = 0
-    while p ** (k + offset) <= weight_max:
-        yield k
-        k += 1
-
-
 def cartan_field_generators(
     p: int, n: int, weight_max: int, m: int = 1
 ) -> FreeAlgebraSpec:
@@ -357,9 +353,12 @@ def cartan_field_generators(
     degree, weight ``p**twisting``.  For odd primes, odd-degree words span
     an exterior factor and even-degree words a divided-power factor; at
     p = 2 everything is divided-power.  Words heavier than the cap are cut.
-    Raises ``ValueError`` unless ``p`` is a supported prime.
+    Raises ``ValueError`` unless ``p`` is a supported prime, or on a
+    negative ``n``.
     """
     check_prime(p)
+    if n < 0:
+        raise ValueError("bar iteration count must be >= 0")
     from .words import enumerate_words, word_degree, word_degree_bound, word_twisting
 
     height = n + 2
@@ -394,119 +393,100 @@ def ext_twisted_predict(
     (s+t)-twisted source to the s-twisted target, truncated by weight.
 
     All nine flavor pairs are covered.  ``m`` is the rank of the evaluation
-    variable (each family repeats m times).  Raises ``ValueError`` unless
-    ``p`` is a supported prime.
+    variable (each family repeats m times).  Each closed form is one degree
+    formula in ``(i, k, l)`` handed to a single enumerator, which owns the
+    weight cut: a family of twist ``r`` exists iff ``p**r <= weight_max``.
+    At p = 3 the symmetric-to-exterior table is an exterior factor on the
+    degrees ``3**k - 1`` tensor a twisted divided-power one on ``3**(k+1) - 2``:
+
+    >>> [[(g.degree, g.weight) for g in f.generators]
+    ...  for f in ext_twisted_predict(SYMMETRIC, EXTERIOR, 3, 0, 0, 9).factors]
+    [[(0, 1), (2, 3), (8, 9)], [(1, 3), (7, 9)]]
+
+    Raises ``ValueError`` unless ``p`` is a supported prime and both names
+    are in :data:`FUNCTORS`, or on a negative twist.
     """
     check_prime(p)
-    if source not in FUNCTORS or target not in FUNCTORS:
-        raise ValueError(f"functors must be in {FUNCTORS}")
+    _check_functors(source, target)
     if s < 0 or t < 0:
         raise ValueError("twists must be >= 0")
-    W = weight_max
-    ps = p**s
+    twists = 0  # the twists r with p**r <= weight_max are 0 .. twists - 1
+    while p**twists <= weight_max:
+        twists += 1
 
-    def fam(degree: int, twist: int) -> GeneratorFamily:
-        return GeneratorFamily(degree, p**twist, twist, m)
+    def families(
+        degree: Callable[[int, int, int], int], lead: int = 0, depth: int = 1
+    ) -> Tuple[GeneratorFamily, ...]:
+        """The families of degree ``degree(i, k, l)``, weight ``p**r`` and
+        twist ``r = k + l + lead + t + s``, for every ``i < p**s`` and every
+        ``k`` (``k = 0`` only at depth 0) and ``l`` (``l = 0`` only below
+        depth 2) with ``p**r <= weight_max``; ordered by k, then l, then i."""
+        room = twists - lead - t - s  # k + l < room
+        return tuple(
+            GeneratorFamily(degree(i, k, l), p**r, r, m)
+            for k in range(room if depth else min(room, 1))
+            for l in range(room - k if depth == 2 else 1)
+            for r in [k + l + lead + t + s]
+            for i in range(p**s)
+        )
 
-    def offsets(twist: int) -> range:
-        """The indices i < p**s of one parametrized family, none at all when
-        their common weight p**twist is past the truncation."""
-        return range(ps if p**twist <= W else 0)
-
-    def single(flavor: str, fams: Iterable[GeneratorFamily]) -> FreeAlgebraSpec:
-        return _spec(p, AlgebraFactor(flavor, tuple(fams)))
+    def single(flavor: str, fams: Tuple[GeneratorFamily, ...]) -> FreeAlgebraSpec:
+        return _spec(p, AlgebraFactor(flavor, fams))
 
     # Pairs with symmetric target: the dual flavor of the source on one
     # parametrized family at even degrees.
     if target == SYMMETRIC:
-        return single(
-            _DUAL[source], (fam(2 * i * p**t, t + s) for i in offsets(t + s))
-        )
+        return single(_DUAL[source], families(lambda i, k, l: 2 * i * p**t, depth=0))
 
     # Pairs with source Gamma or the exterior-exterior pair: a single family.
-    if source == DIVIDED or (source == EXTERIOR and target == EXTERIOR):
-        if target == EXTERIOR:
-            flavor = EXTERIOR if source == DIVIDED else DIVIDED
-            degrees = ((2 * i + 1) * p**t - 1 for i in offsets(t + s))
-        else:  # target Gamma, source Gamma
-            flavor = DIVIDED
-            degrees = ((2 * i + 2) * p**t - 2 for i in offsets(t + s))
-        return single(flavor, (fam(a, t + s) for a in degrees))
+    if target == EXTERIOR and source != SYMMETRIC:
+        flavor = EXTERIOR if source == DIVIDED else DIVIDED
+        return single(flavor, families(lambda i, k, l: (2 * i + 1) * p**t - 1, depth=0))
+    if source == DIVIDED:  # target Gamma
+        return single(DIVIDED, families(lambda i, k, l: (2 * i + 2) * p**t - 2, depth=0))
 
-    # Remaining sources: S with target Lambda/Gamma, Lambda with target Gamma.
-    # At p = 2 each of these is its left family list alone, divided-power.
+    if source == SYMMETRIC and target == DIVIDED:
+        if p == 2:
+            return single(
+                DIVIDED,
+                families(lambda i, k, l: (2 * i + 2) * 2 ** (k + l + t) - 2**k - 1, depth=2),
+            )
+        first = families(lambda i, k, l: (2 * i + 2) * p ** (k + t) - 2)
+        second = families(
+            lambda i, k, l: (2 * i + 2) * p ** (k + l + 1 + t) - 2 * p**k - 1, lead=1, depth=2
+        )
+        third = families(
+            lambda i, k, l: (2 * i + 2) * p ** (k + l + 2 + t) - 2 * p ** (k + 1) - 2,
+            lead=2,
+            depth=2,
+        )
+        return _spec(
+            p,
+            AlgebraFactor(DIVIDED, first),
+            AlgebraFactor(EXTERIOR, second),
+            AlgebraFactor(DIVIDED, third),
+            eps=(0, 0),
+        )
+
+    # (S, Lambda) and (Lambda, Gamma): at p = 2 the left list alone,
+    # divided-power; at odd p, Lambda(left) tensor_1 twisted Gamma(right).
     if target == EXTERIOR:  # source S
-        left = [
-            fam((2 * i + 1) * p ** (k + t) - 1, k + t + s)
-            for k in _twist_range(p, W, offset=t + s)
-            for i in offsets(k + t + s)
-        ]
-        if p == 2:
-            return single(DIVIDED, left)
-        right = [
-            fam((2 * i + 1) * p ** (k + 1 + t) - 2, k + 1 + t + s)
-            for k in _twist_range(p, W, offset=1 + t + s)
-            for i in offsets(k + 1 + t + s)
-        ]
-        return _spec(
-            p,
-            AlgebraFactor(EXTERIOR, tuple(left)),
-            AlgebraFactor(DIVIDED, tuple(right), True),
-            eps=(1,),
+        left, right = (
+            lambda i, k, l: (2 * i + 1) * p ** (k + t) - 1,
+            lambda i, k, l: (2 * i + 1) * p ** (k + 1 + t) - 2,
         )
-
-    if source == EXTERIOR:  # (Lambda, Gamma)
-        left = [
-            fam((2 * i + 2) * p ** (k + t) - p**k - 1, k + t + s)
-            for k in _twist_range(p, W, offset=t + s)
-            for i in offsets(k + t + s)
-        ]
-        if p == 2:
-            return single(DIVIDED, left)
-        right = [
-            fam((2 * i + 2) * p ** (k + 1 + t) - p ** (k + 1) - 2, k + 1 + t + s)
-            for k in _twist_range(p, W, offset=1 + t + s)
-            for i in offsets(k + 1 + t + s)
-        ]
-        return _spec(
-            p,
-            AlgebraFactor(EXTERIOR, tuple(left)),
-            AlgebraFactor(DIVIDED, tuple(right), True),
-            eps=(1,),
+    else:  # (Lambda, Gamma)
+        left, right = (
+            lambda i, k, l: (2 * i + 2) * p ** (k + t) - p**k - 1,
+            lambda i, k, l: (2 * i + 2) * p ** (k + 1 + t) - p ** (k + 1) - 2,
         )
-
-    # (S, Gamma)
     if p == 2:
-        fams = [
-            fam((2 * i + 2) * 2 ** (k + l + t) - 2**k - 1, k + l + t + s)
-            for k in _twist_range(2, W, offset=t + s)
-            for l in _twist_range(2, W, offset=k + t + s)
-            for i in offsets(k + l + t + s)
-        ]
-        return single(DIVIDED, fams)
-    first = [
-        fam((2 * i + 2) * p ** (k + t) - 2, k + t + s)
-        for k in _twist_range(p, W, offset=t + s)
-        for i in offsets(k + t + s)
-    ]
-    second = [
-        fam((2 * i + 2) * p ** (k + l + 1 + t) - 2 * p**k - 1, k + l + 1 + t + s)
-        for k in _twist_range(p, W, offset=1 + t + s)
-        for l in _twist_range(p, W, offset=k + 1 + t + s)
-        for i in offsets(k + l + 1 + t + s)
-    ]
-    third = [
-        fam((2 * i + 2) * p ** (k + l + 2 + t) - 2 * p ** (k + 1) - 2, k + l + 2 + t + s)
-        for k in _twist_range(p, W, offset=2 + t + s)
-        for l in _twist_range(p, W, offset=k + 2 + t + s)
-        for i in offsets(k + l + 2 + t + s)
-    ]
+        return single(DIVIDED, families(left))
     return _spec(
         p,
-        AlgebraFactor(DIVIDED, tuple(first)),
-        AlgebraFactor(EXTERIOR, tuple(second)),
-        AlgebraFactor(DIVIDED, tuple(third)),
-        eps=(0, 0),
+        AlgebraFactor(EXTERIOR, families(left)),
+        AlgebraFactor(DIVIDED, families(right, lead=1), True),
+        eps=(1,),
     )
 
 
@@ -531,22 +511,22 @@ _REGRADE_PER_WEIGHT = {
 def twist_shift(spec: FreeAlgebraSpec, t: int, target: str) -> FreeAlgebraSpec:
     """Trade a source twist by ``t`` for a target-dependent regrading:
     each generator (a, w, r) becomes (a + w*alpha, w*p**t, r + t) with
-    alpha = 0 / p**t - 1 / 2(p**t - 1) for target S / Lambda / Gamma."""
+    alpha = 0 / p**t - 1 / 2(p**t - 1) for target S / Lambda / Gamma.
+    Raises ``ValueError`` on a negative ``t`` or a target outside
+    :data:`FUNCTORS`."""
     if t < 0:
         raise ValueError("twist must be >= 0")
+    _check_functors(target)
     alpha = _REGRADE_PER_WEIGHT[target](spec.p, t)
     scale = spec.p**t
-
-    def shift(g: GeneratorFamily) -> GeneratorFamily:
-        return GeneratorFamily(
-            g.degree + g.weight * alpha, g.weight * scale, g.twist + t, g.multiplicity
-        )
-
-    factors = tuple(
-        replace(f, generators=tuple(shift(g) for g in f.generators))
-        for f in spec.factors
+    return _map_generators(
+        spec,
+        lambda g: (
+            GeneratorFamily(
+                g.degree + g.weight * alpha, g.weight * scale, g.twist + t, g.multiplicity
+            ),
+        ),
     )
-    return replace(spec, factors=factors)
 
 
 def expand_by_even_offsets(spec: FreeAlgebraSpec, s: int) -> FreeAlgebraSpec:
@@ -559,24 +539,16 @@ def expand_by_even_offsets(spec: FreeAlgebraSpec, s: int) -> FreeAlgebraSpec:
     if s < 0:
         raise ValueError("parameter must be >= 0")
     p = spec.p
-    count = p**s
-
-    def expand(g: GeneratorFamily) -> Tuple[GeneratorFamily, ...]:
-        return tuple(
+    copies = p**s
+    return _map_generators(
+        spec,
+        lambda g: (
             GeneratorFamily(
-                g.degree + 2 * i * p**g.twist,
-                g.weight * count,
-                g.twist + s,
-                g.multiplicity,
+                g.degree + 2 * i * p**g.twist, g.weight * copies, g.twist + s, g.multiplicity
             )
-            for i in range(count)
-        )
-
-    factors = tuple(
-        replace(f, generators=tuple(ng for g in f.generators for ng in expand(g)))
-        for f in spec.factors
+            for i in range(copies)
+        ),
     )
-    return replace(spec, factors=factors)
 
 
 # ----------------------------------------------------------------------

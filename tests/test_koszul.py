@@ -215,3 +215,9 @@ def test_predicted_single_bar_weight3():
         (7, 3): Zmod(3),
         (8, 3): Zmod(2),
     }
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_predicted_bar_homology_rejects_a_negative_bar_count(n):
+    with pytest.raises(ValueError, match="bar iteration count must be >= 0"):
+        predicted_bar_homology(n, 1, 3)

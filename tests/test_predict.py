@@ -241,6 +241,40 @@ def test_twisted_poincare_tables_keep_their_digest():
     assert digest.hexdigest() == TWISTED_TABLES_DIGEST
 
 
+#: The grid of the two spec digests below, outermost loop first: p, s, t,
+#: weight cap, multiplicity, then the nine functor pairs.
+SPEC_GRID = list(
+    itertools.product((2, 3, 5, 7), range(4), range(4), (0, 1, 2, 5, 9, 27, 70, 200), (1, 2), PAIRS)
+)
+
+#: sha256 of the ``repr`` of every direct spec of :data:`SPEC_GRID` in turn,
+#: generator order included.
+TWISTED_SPECS_DIGEST = "97f3354efab5f4e3d0d4ca59d11753dcfc066a0d2f5d74c22f7b6a79827c6981"
+
+#: sha256 of the ``repr`` of, for each point of :data:`SPEC_GRID`, the
+#: composite spec cut at the untwisted weight ``W // p**s`` and the untwisted
+#: spec at triple multiplicity.
+TRANSFORMED_SPECS_DIGEST = "5bad40efd3547cac1409c4fe2b6ff3a4beac5cc26d2c41ad9f4d421b122c423e"
+
+
+def test_twisted_specs_keep_their_digest():
+    digest = hashlib.sha256()
+    for p, s, t, weight_max, m, (source, target) in SPEC_GRID:
+        spec = ext_twisted_predict(source, target, p, s, t, weight_max, m)
+        digest.update(repr(spec).encode())
+    assert digest.hexdigest() == TWISTED_SPECS_DIGEST
+
+
+def test_transformed_specs_keep_their_digest():
+    digest = hashlib.sha256()
+    for p, s, t, weight_max, m, (source, target) in SPEC_GRID:
+        base = ext_field_predict(source, target, p, weight_max, m)
+        shifted = twist_shift(base, t, target).truncate(weight_max // p**s)
+        digest.update(repr(expand_by_even_offsets(shifted, s)).encode())
+        digest.update(repr(base.scaled_multiplicity(3)).encode())
+    assert digest.hexdigest() == TRANSFORMED_SPECS_DIGEST
+
+
 def test_poincare_dims_reject_negative_weight_cap():
     for spec in [_spec_of(), _spec_of((DIVIDED, [(2, 1, 0, 1)]))]:
         with pytest.raises(ValueError, match="weight_max"):
@@ -249,7 +283,7 @@ def test_poincare_dims_reject_negative_weight_cap():
 
 def test_predict_module_doctests_pass():
     failed, attempted = doctest.testmod(extbar.predict)
-    assert attempted >= 2
+    assert attempted >= 3
     assert failed == 0
 
 
@@ -403,6 +437,17 @@ def test_invalid_arguments_rejected():
         expand_by_even_offsets(ext_field_predict(SYMMETRIC, EXTERIOR, 2, 4), -1)
 
 
+def test_unknown_functor_names_rejected():
+    base = ext_field_predict(SYMMETRIC, EXTERIOR, 2, 4)
+    for call in [
+        lambda: twist_shift(base, 1, "T"),
+        lambda: duality_flip(SYMMETRIC, "T"),
+        lambda: duality_flip("T", SYMMETRIC),
+    ]:
+        with pytest.raises(ValueError, match=r"functors must be in \('S', 'Lambda', 'Gamma'\)"):
+            call()
+
+
 NOT_PRIME_CALLS = {
     "twisted S-Lambda": lambda p: ext_twisted_predict(SYMMETRIC, EXTERIOR, p, 0, 0, 5),
     "twisted Lambda-Gamma": lambda p: ext_twisted_predict(EXTERIOR, DIVIDED, p, 1, 1, 9),
@@ -494,6 +539,12 @@ def test_cartan_field_generators_at_p3_split_by_parity():
         EXTERIOR: [(3, 1), (7, 3)],
         DIVIDED: [(8, 3)],
     }
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_cartan_field_generators_reject_a_negative_bar_count(n):
+    with pytest.raises(ValueError, match="bar iteration count must be >= 0"):
+        cartan_field_generators(3, n, 4)
 
 
 def test_cartan_field_prediction_matches_bar_homology():
