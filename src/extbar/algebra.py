@@ -14,7 +14,7 @@ totally ordered, which keeps basis enumeration deterministic.
 Concrete algebras provided here:
 
 * free divided-power / exterior / symmetric algebras on weighted graded
-  generators (:func:`make_free_algebra`),
+  generators (:func:`make_free_algebra`), split into multi-weight blocks,
 * the degree regrading ``(i, d) -> (i - alpha*d, d)`` with its sign
   corrections (:func:`regrade`),
 * the weight twist, scaling products by ``(-1)**(w(x)*w(y))``
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -55,6 +56,11 @@ Column = Dict[int, int]
 #: One block of a weight slice as homology reduces it: its column indices by
 #: degree, and how many blocks with its homology it stands for.
 Block = Tuple[Mapping[int, Sequence[int]], int]
+#: Bits per generator in a block key: the multi-weight packed into one int,
+#: the exponent of generator ``g`` in bits ``16 g .. 16 g + 15``, so that
+#: keys add as multi-weights do.  A weight below ``2**16`` bounds every
+#: exponent below it.
+KEY_BITS = 16
 
 #: Flavors of free algebras on weighted graded generators.
 DIVIDED = "Gamma"
@@ -163,7 +169,7 @@ class WdgAlgebra:
 
         When another block of its orbit stands for a block
         (:meth:`block_multiplicity` 0), homology never reads its columns, so
-        they are ``None`` here, neither compiled nor checked for it.
+        they may be ``None`` here, neither compiled nor checked for it.
         :meth:`_compiled` has them all."""
         return self._checked_slice(weight)[0]
 
@@ -529,12 +535,42 @@ class FreeAlgebra(WdgAlgebra):
 
         yield from go(0, weight, ())
 
-    def exponents(self, mono: Monomial) -> Tuple[int, ...]:
-        """The exponent of each generator in ``mono``, its multi-weight,
-        which products add; for Lambda the indicator of its indices."""
-        if self.flavor == EXTERIOR:
-            return tuple(int(g in mono) for g in range(len(self.generators)))
-        return mono
+    def block_keys(self, weight: int) -> Optional[Dict[int, List[int]]]:
+        """The multi-weight of every monomial of the weight slice (for Lambda
+        the indicator of its indices), packed as :data:`KEY_BITS` describes,
+        by degree in basis order; ``None`` on fewer than two generators or
+        at a weight too large to pack."""
+        if len(self.generators) < 2 or weight >> KEY_BITS:
+            return None
+
+        def key(mono: Monomial) -> int:
+            exponents = ((g, 1) for g in mono) if self.flavor == EXTERIOR else enumerate(mono)
+            return sum(e << KEY_BITS * g for g, e in exponents)
+
+        return {i: list(map(key, basis)) for i, basis in self.weight_slice(weight).items()}
+
+    def block_multiplicity(self, key: int) -> int:
+        """With generators of one degree and weight, permuting them is an
+        automorphism: the block whose exponents do not increase stands for
+        its orbit, ``m! / prod_e k_e!`` blocks where ``k_e`` of the ``m``
+        generators have exponent ``e``, and every other block for none;
+        otherwise each block stands for itself.  Exponents (2, 1, 1) and
+        (1, 2, 1) on three identical generators:
+
+        >>> gamma = FreeAlgebra(DIVIDED, [(2, 1, 3)])
+        >>> gamma.block_multiplicity(0x0001_0001_0002), gamma.block_multiplicity(0x0001_0002_0001)
+        (3, 0)
+        """
+        if len(set(self.generators)) != 1:
+            return 1
+        mask = (1 << KEY_BITS) - 1
+        exponents = [key >> (KEY_BITS * g) & mask for g in range(len(self.generators))]
+        if any(x < y for x, y in zip(exponents, exponents[1:])):
+            return 0
+        out = factorial(len(exponents))
+        for k in Counter(exponents).values():
+            out //= factorial(k)
+        return out
 
     def mul_monomials(self, x: Monomial, y: Monomial) -> Element:
         if self.flavor == EXTERIOR:

@@ -13,27 +13,23 @@ product is the signed shuffle.  When ``A`` is (1,1)-commutative its bar
 construction is again a weighted dg-algebra of the same kind, so the
 construction can be iterated (:func:`iterate_bar`).
 
-Over a free algebra on ``m >= 2`` generators every word also has a
-multi-weight, the exponent of each generator summed over its letters, and
-the differential keeps it, so each weight slice splits into blocks
-(:meth:`BarAlgebra.block_keys`).  When the generators share degree and
-weight, permuting them is an automorphism of the free algebra, hence of
-every iterated bar construction on it, and blocks whose multi-weights are
-permutations of one another have isomorphic complexes
+The base is read only through the :class:`~extbar.algebra.WdgAlgebra`
+interface.  When it splits its slices into blocks, as a free algebra on two
+or more generators does by multi-weight, a word's key is the sum of its
+letters' keys, so each weight slice splits too (:meth:`BarAlgebra.block_keys`),
+and the base says which blocks stand for their orbits
 (:meth:`BarAlgebra.block_multiplicity`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from math import factorial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     Bidegree,
     Column,
+    KEY_BITS,
     Element,
-    FreeAlgebra,
     InternalAssertionError,
     Monomial,
     WdgAlgebra,
@@ -46,14 +42,9 @@ Terms = Tuple[Tuple[Monomial, int], ...]
 #: the slice of weight ``weight - w(a)`` and degree ``i - 1 - |a|`` in order.
 Runs = Dict[Monomial, Tuple[int, int]]
 #: A weight slice's runs and number of words by degree, degrees increasing,
-#: and, over two or more generators, the block key of every word by degree in
-#: basis order.
+#: and, when the base keys its letters, the block key of every word by degree
+#: in basis order.
 Layout = Tuple[Dict[int, Runs], Dict[int, int], Optional[Dict[int, List[int]]]]
-#: Bits per generator in a block key: the multi-weight packed into one int,
-#: the exponent of generator ``g`` in bits ``16 g .. 16 g + 15``, so that
-#: keys add as multi-weights do.  A weight below ``2**16`` bounds every
-#: exponent below it.
-KEY_BITS = 16
 
 
 class BarAlgebra(WdgAlgebra):
@@ -62,10 +53,10 @@ class BarAlgebra(WdgAlgebra):
     The differential and the shuffle product ask only three things of the
     base, all about letters: bidegrees, products of two letters and
     differentials of one.  Each answer is cached here, keyed by the
-    letter(s), the first time it is asked for; over a bar construction the
-    differentials of all the letters of one weight are read at once from
-    the base's compiled columns (:meth:`_diff_of`), so each level's columns
-    are compiled once and also serve the level above as letter data.
+    letter(s), the first time it is asked for; the differentials of all the
+    letters of one weight are read at once from the base's compiled columns
+    (:meth:`_diff_of`), so each level's columns are compiled once and also
+    serve the level above as letter data.
     Products and differentials are stored as tuples of ``(monomial,
     coefficient)`` pairs, so every element this algebra returns is built
     afresh and a caller may mutate it.  Shuffle products are memoized on
@@ -80,8 +71,8 @@ class BarAlgebra(WdgAlgebra):
     columns of the slices below it by run-offset arithmetic; the base class
     keeps them for the life of the algebra and checks d^2 = 0 on the slices
     that :meth:`~extbar.algebra.WdgAlgebra.slice_columns` hands out, not on
-    the slices below that compile reads.  Over symmetric generators it hands
-    out, and so compiles first, only the blocks that homology reduces.
+    the slices below that compile reads.  It hands out, and so compiles
+    first, only the blocks that homology reduces.
     :meth:`diff_monomial` evaluates the same differential one word at a
     time; it is the reference the compiled columns are tested against.
     """
@@ -93,18 +84,9 @@ class BarAlgebra(WdgAlgebra):
         self._letter_product: Dict[Tuple[Monomial, Monomial], Terms] = {}
         self._letter_diff: Dict[Monomial, Terms] = {}
         self._shuffles: Dict[Tuple[Monomial, Monomial], Terms] = {}
-        self._letter_keys: Dict[Monomial, int] = {}
-        # key fields: the innermost free algebra's generators, or 0 for no
-        # keys; one generator gives every word the same key
-        if isinstance(base, BarAlgebra):
-            self._fields, self._symmetric = base._fields, base._symmetric
-        else:
-            gens = base.generators if isinstance(base, FreeAlgebra) else ()
-            self._fields = len(gens) if len(gens) > 1 else 0
-            self._symmetric = len(set(gens)) == 1
         # the weight-0 slice, the empty word, is one run without a first letter
         self._layouts: Dict[int, Layout] = {
-            0: ({0: {None: (0, 1)}}, {0: 1}, {0: [0]} if self._fields else None)
+            0: ({0: {None: (0, 1)}}, {0: 1}, None if base.block_keys(0) is None else {0: [0]})
         }
 
     def __repr__(self) -> str:
@@ -129,23 +111,18 @@ class BarAlgebra(WdgAlgebra):
         return got
 
     def _diff_of(self, letter: Monomial) -> Terms:
-        """The differential of a letter.  Over a bar construction it is read
-        from the base's compiled columns (:meth:`_compiled`) of the letter's
-        weight, for every letter of that weight at once, the rows named by
-        the base's words; over any other base it is ``diff_monomial``."""
+        """The differential of a letter, read from the base's compiled
+        columns (:meth:`_compiled`) of the letter's weight, for every letter
+        of that weight at once, the rows named by the base's basis."""
         got = self._letter_diff.get(letter)
         if got is None:
-            base = self.base
-            if isinstance(base, BarAlgebra):
-                weight = self._bidegree_of(letter).weight
-                words = base.weight_slice(weight)
-                for i, columns in base._compiled(weight).items():
-                    rows = words.get(i - 1, ())
-                    for word, column in zip(words[i], columns):
-                        self._letter_diff[word] = tuple((rows[r], c) for r, c in column.items())
-                got = self._letter_diff[letter]
-            else:
-                got = self._letter_diff[letter] = tuple(base.diff_monomial(letter).items())
+            weight = self._bidegree_of(letter).weight
+            words = self.base.weight_slice(weight)
+            for i, columns in self.base._compiled(weight).items():
+                rows = words.get(i - 1, ())
+                for word, column in zip(words[i], columns):
+                    self._letter_diff[word] = tuple((rows[r], c) for r, c in column.items())
+            got = self._letter_diff[letter]
         return got
 
     # -- interface ----------------------------------------------------------
@@ -163,19 +140,23 @@ class BarAlgebra(WdgAlgebra):
         """The weight slice's :data:`Layout`, from the letters and the layouts
         below, without building a word: one run for each letter ``a`` in
         sorted order and each degree of the slice of weight ``weight - w(a)``,
-        ``key[a | r] = key(a) + key(r)``.  :class:`InternalAssertionError`
-        unless the letters strictly ascend: with the lower slices sorted, the
-        words laid out run by run are then sorted, so the basis keeps the
-        layout's order."""
+        ``key[a | r] = key(a) + key(r)`` if the base keys every weight up to
+        ``weight < 2**KEY_BITS``.  :class:`InternalAssertionError` unless the
+        letters strictly ascend: with the lower slices sorted, the words laid
+        out run by run are then sorted, so the basis keeps the layout's order."""
         got = self._layouts.get(weight)
         if got is not None:
             return got
-        letters = sorted(
-            letter
-            for c in range(1, weight + 1)
-            for basis in self.base.weight_slice(c).values()
-            for letter in basis
-        )
+        base_keys = [self.base.block_keys(c) for c in range(weight + 1)]
+        keyed = None not in base_keys and not weight >> KEY_BITS
+        letters: List[Monomial] = []
+        key_of: Dict[Monomial, int] = {}
+        for c in range(1, weight + 1):
+            for i, basis in self.base.weight_slice(c).items():
+                letters.extend(basis)
+                if keyed:
+                    key_of.update(zip(basis, base_keys[c][i]))
+        letters.sort()
         for x, y in zip(letters, letters[1:]):
             if not x < y:
                 raise InternalAssertionError(
@@ -183,7 +164,6 @@ class BarAlgebra(WdgAlgebra):
                 )
         runs: Dict[int, Runs] = {}
         sizes: Dict[int, int] = {}
-        keyed = self._fields and not weight >> KEY_BITS
         keys: Optional[Dict[int, List[int]]] = {} if keyed else None
         for a in letters:
             b = self._bidegree_of(a)
@@ -194,7 +174,7 @@ class BarAlgebra(WdgAlgebra):
                 runs.setdefault(i, {})[a] = (start, n)
                 sizes[i] = start + n
                 if keys is not None:
-                    ka = self._key_of(a)
+                    ka = key_of[a]
                     keys.setdefault(i, []).extend([ka + k for k in lower_keys[j]])
         got = self._layouts[weight] = (runs, dict(sorted(sizes.items())), keys)
         return got
@@ -314,42 +294,16 @@ class BarAlgebra(WdgAlgebra):
             out[i] = columns
         return out
 
-    def _key_of(self, letter: Monomial) -> int:
-        got = self._letter_keys.get(letter)
-        if got is None:
-            base = self.base
-            if isinstance(base, BarAlgebra):
-                got = sum(map(base._key_of, letter))
-            else:
-                exponents = base.exponents(letter)  # type: ignore[attr-defined]
-                got = sum(e << (KEY_BITS * g) for g, e in enumerate(exponents))
-            self._letter_keys[letter] = got
-        return got
-
     def block_keys(self, weight: int) -> Optional[Dict[int, List[int]]]:
-        """The multi-weight of every word of the weight slice, packed as
-        :data:`KEY_BITS` describes, by degree in basis order; ``None`` unless
-        the innermost algebra is free on two or more generators (or the
-        weight is too large to pack).  Recorded in the slice's layout
-        (:meth:`_layout`)."""
+        """The sum of its letters' keys for every word of the weight slice, by
+        degree in basis order, as laid out (:meth:`_layout`); ``None`` unless
+        the base keys its letters."""
         return self._layout(weight)[2]
 
     def block_multiplicity(self, key: int) -> int:
-        """With generators of one degree and weight, the block whose
-        exponents do not increase stands for its orbit under permutations of
-        the generators, ``m! / prod_e k_e!`` blocks where ``k_e`` generators
-        have exponent ``e``, and every other block for none.  Otherwise each
-        block stands for itself."""
-        if not self._symmetric:
-            return 1
-        mask = (1 << KEY_BITS) - 1
-        exponents = [key >> (KEY_BITS * g) & mask for g in range(self._fields)]
-        if any(x < y for x, y in zip(exponents, exponents[1:])):
-            return 0
-        out = factorial(self._fields)
-        for k in Counter(exponents).values():
-            out //= factorial(k)
-        return out
+        """The base's: an automorphism of the base acts letter by letter on
+        its bar construction, so it keeps the orbits of blocks here too."""
+        return self.base.block_multiplicity(key)
 
     def diff_monomial(self, word: Monomial) -> Element:
         # With prefix = k + |a_1| + ... + |a_k|, the suspended degree of the

@@ -32,7 +32,7 @@ unit pivots) are cleared, because up to an invertible change of basis they
 are boundaries and ``D_i`` sends them to zero.  When the algebra grades a
 slice more finely than by weight
 (:meth:`~extbar.algebra.WdgAlgebra.block_keys`, the
-multi-weight of a bar construction on several generators), the slice is a
+multi-weight over a free algebra on several generators), the slice is a
 direct sum of blocks: the check also asserts that no entry leaves its
 column's block, and the reduction runs block by block, one block for each
 orbit of blocks with isomorphic complexes, its diagonal counted once per

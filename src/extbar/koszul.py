@@ -132,10 +132,12 @@ def koszul_homology_closed_form(
     For an odd generator degree ``2i-1`` (Koszul variant): Z at (0,0) and
     Z/h at ``(2i*d - 1, d*weight)`` for every d >= 1 within the weight cap.
     For an even degree ``2i`` (De Rham variant): Z at (0,0) and Z/(d*h) at
-    ``(2i*d, d*weight)``.
+    ``(2i*d, d*weight)``.  It holds only for h != 0; h = 0 raises ``ValueError``.
     """
     if weight < 1:
         raise ValueError("generator weight must be >= 1")
+    if h == 0:
+        raise ValueError("the closed form needs h != 0")
     out: Dict[TableKey, AbelianGroup] = {(0, 0): AbelianGroup.free(1)}
     d = 1
     while d * weight <= weight_max:
@@ -201,7 +203,10 @@ def build_Xp(p: int, height: int, weight_max: int, m: int = 1) -> KoszulAlgebra 
 
 def build_X0(height: int, m: int = 1) -> FreeAlgebra:
     """The torsion-free factor: an exterior algebra on m weight-1 generators
-    in degree ``height`` when that is odd, divided powers when even."""
+    in degree ``height`` when that is odd, divided powers when even.
+    Raises ``ValueError`` on a negative height."""
+    if height < 0:
+        raise ValueError("height must be >= 0")
     flavor = EXTERIOR if height % 2 else DIVIDED
     return FreeAlgebra(flavor, [(height, 1, m)])
 

@@ -186,8 +186,11 @@ class PPair:
 def pair_partner(word: Word) -> Word:
     """The other member of the pair containing ``word``.
 
-    Raises ``ValueError`` on ``s**n``, which is unpaired.
+    Raises ``ValueError`` on ``s**n``, which is unpaired, or an unknown letter.
     """
+    for letter in word:
+        if letter not in LETTERS:
+            raise ValueError(f"unknown letter {letter!r} in word {word!r}")
     for j, letter in enumerate(word):
         if letter != SUSPENSION:
             if letter == DIVIDED_POWER:

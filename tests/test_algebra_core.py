@@ -2,6 +2,7 @@
 flavors, sign conventions, regrading, weight twisting, and signed tensor
 products."""
 
+import doctest
 import math
 import time
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import extbar.algebra
 from extbar import (
     DIVIDED,
     EXTERIOR,
@@ -34,6 +36,12 @@ from extbar import (
 
 def test_bidegree_addition():
     assert Bidegree(1, 2) + Bidegree(3, 4) == Bidegree(4, 6)
+
+
+def test_algebra_module_doctests_pass():
+    failed, attempted = doctest.testmod(extbar.algebra)
+    assert attempted >= 2
+    assert failed == 0
 
 
 def test_divided_power_product_has_binomial_coefficient():

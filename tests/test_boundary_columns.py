@@ -211,12 +211,23 @@ def test_compiled_columns_are_cached_and_survive_homology_runs():
     assert {w: algebra.slice_columns(w) for w in weights} == before
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("n", [2, 3])
-def test_letter_differentials_are_read_from_the_compiled_columns(n, m, monkeypatch):
-    algebra = bar_source_algebra(n, m)
+@pytest.mark.parametrize(
+    "make, nonzero",
+    [
+        *[(lambda n=n, m=m: bar_source_algebra(n, m), True) for n in (2, 3) for m in (1, 2)],
+        (lambda: bar(FreeAlgebra(DIVIDED, [(2, 1, 2)], ZZ)), False),
+        (lambda: bar(build_koszul(KoszulSpec(((1, 1, 2),), h=2, variant=KOSZUL))), True),
+    ],
+    ids=[f"{n}-{m}" for n in (2, 3) for m in (1, 2)] + ["free", "koszul"],
+)
+def test_letter_differentials_are_read_from_the_compiled_columns(make, nonzero, monkeypatch):
+    """Over every base the letters' differentials are its compiled columns:
+    once those are built, no letter's ``diff_monomial`` is evaluated."""
+    algebra = make()
     base = algebra.base
     letters = [a for w in range(1, 6) for b in base.weight_slice(w).values() for a in b]
+    for w in range(1, 6):
+        base._compiled(w)
 
     def evaluated(letter):
         raise AssertionError(f"diff_monomial({letter}) evaluated")
@@ -225,7 +236,7 @@ def test_letter_differentials_are_read_from_the_compiled_columns(n, m, monkeypat
         patch.setattr(base, "diff_monomial", evaluated)
         read = {a: dict(algebra._diff_of(a)) for a in letters}
     assert read == {a: base.diff_monomial(a) for a in letters}
-    assert any(read.values())
+    assert any(read.values()) == nonzero
 
 
 def _homology(algebra, weight):

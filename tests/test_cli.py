@@ -555,7 +555,9 @@ def test_identical_invocations_are_byte_identical(runner):
 
 #: ``(arguments, exit code, sha256 of stdout)`` for bar-route invocations
 #: over Z, F_2 and F_3 in every output format: slice homology must keep
-#: these output bytes.  The last row cuts the integral table at a codegree.
+#: these output bytes.  The ``--n 0 --json`` rows on two and three
+#: generators pin the free algebra's one block per orbit at level 0.  The
+#: last row cuts the integral table at a codegree.
 GOLDEN_DIGESTS = [
     ("bar-homology --ring Z --n 0 --m 1 --weight 8", 0, "facef771d67d2a22dfae277459f78acb74123aec34d6562687e3fe3f638b0923"),
     ("bar-homology --ring Z --n 0 --m 2 --weight 8", 0, "7ec15672d214f139da363252832eb1ca897082504f1c3100b5b35d7b5dc8e62a"),
@@ -608,6 +610,26 @@ GOLDEN_DIGESTS = [
     ("ext-table --source S --target Lambda --ring Fp:3 --method bar --max-weight 8", 0, "793655da2099a44ecbbcfc122f38aca1d80c913b6042015f088adb079b8d8765"),
     ("ext-table --source S --target Lambda --ring Fp:3 --method bar --max-weight 8 --json", 0, "aa7c7ced93dc1d4c087003d6739adb2cb75895b12ef390447017e707a421e43c"),
     ("ext-table --source S --target Lambda --ring Fp:3 --method bar --max-weight 8 --csv", 0, "7e2bbb300ab3b7bae3edbc6f0246c85f57a5c8ef95cb88773b4c693131fe41c2"),
+    ("bar-homology --ring Z --n 0 --m 2 --weight 0 --json", 0, "a2bf771cb4a2f67405ade6b9c81efa639df319c839a9197d9c8f0b085f0465ae"),
+    ("bar-homology --ring Z --n 0 --m 2 --weight 1 --json", 0, "4b9fef2e8d746d82824f9bef366a74a5a5f4f471e28e940889349768b6b9f64e"),
+    ("bar-homology --ring Z --n 0 --m 2 --weight 2 --json", 0, "4cf69296c70394b414a29d6375e72f7c34cabadac9daaa69b891d862d41e2eb4"),
+    ("bar-homology --ring Z --n 0 --m 2 --weight 3 --json", 0, "63748a713e66cd4857fa44bc1b7f28b4584863b6c59ee2a33a8d08702abd8210"),
+    ("bar-homology --ring Z --n 0 --m 2 --weight 4 --json", 0, "5bb3db0257545926e592847d92c859e5bfc8020b608648cb6062a1405255140f"),
+    ("bar-homology --ring Z --n 0 --m 3 --weight 0 --json", 0, "a6f2969afefb52e3a062fa6e5f625cdc4e3cd63d348a9662cbb159998f5ee427"),
+    ("bar-homology --ring Z --n 0 --m 3 --weight 1 --json", 0, "d43d396a0710a742bf48c1422b6641c477424e69c6a5dcdc450a3b0962ac3198"),
+    ("bar-homology --ring Z --n 0 --m 3 --weight 2 --json", 0, "1d169f96d03904de9cd15659fbbb1c6734757fe8daf9efb1c5953eedb38a5663"),
+    ("bar-homology --ring Z --n 0 --m 3 --weight 3 --json", 0, "6cdf0bcc1e246374ba80e3f741a77f83d9f5c7c6568a6b957673fcc3d28a79ce"),
+    ("bar-homology --ring Z --n 0 --m 3 --weight 4 --json", 0, "3f81f215134ad581350ee5b2017d867bc2f5bb991a5a9434501aec98f4120eda"),
+    ("bar-homology --ring Fp:2 --n 0 --m 2 --weight 0 --json", 0, "84daf759642d70097e1e7028a756e51b4fa09ae666be6ef775d8cab9255f48fa"),
+    ("bar-homology --ring Fp:2 --n 0 --m 2 --weight 1 --json", 0, "33b42a021eb7b79f1133a3b617ff704c63fbeb16a38e242897a15f77cedbec88"),
+    ("bar-homology --ring Fp:2 --n 0 --m 2 --weight 2 --json", 0, "5c0ace9e35eebc3aba1db848cc44dad82692dd7066c8df77b9be29a459074ab5"),
+    ("bar-homology --ring Fp:2 --n 0 --m 2 --weight 3 --json", 0, "14bbae07f3229c3f39a834b1fc6f035722151644221f755db2d12981ad0a16be"),
+    ("bar-homology --ring Fp:2 --n 0 --m 2 --weight 4 --json", 0, "0d603ba0fff746cdd20fb5f2143fb52ea41a4acefced90ca1d08b235428de0f2"),
+    ("bar-homology --ring Fp:2 --n 0 --m 3 --weight 0 --json", 0, "eef3b153f41b090352635dc24ee9d40ae5424c53dd8b6757b1dbf75493699703"),
+    ("bar-homology --ring Fp:2 --n 0 --m 3 --weight 1 --json", 0, "88c9a0f8b7a4dd931de3dec6a4a08b3857e6c4f976589fd94ffebcec49e3d411"),
+    ("bar-homology --ring Fp:2 --n 0 --m 3 --weight 2 --json", 0, "893aede6e71bef3faabd879fbb969d993b629077c89e98921c9b1831271187fd"),
+    ("bar-homology --ring Fp:2 --n 0 --m 3 --weight 3 --json", 0, "ec29b25a66039977979c5ae683ecf28e30da80b84271d3b194be3ce4d1eeac13"),
+    ("bar-homology --ring Fp:2 --n 0 --m 3 --weight 4 --json", 0, "193d60d7f6705a49ae7031cde8b4d2e36d33b1fba2a48a5c872079f89fea9e9d"),
     ("bar-homology --ring Z --n 2 --weight 5 --json", 0, "9e026d5a94509a8de4ce86293d60c3a169a3d302eb6a235544f23850ff2bdd79"),
     ("bar-homology --ring Z --n 2 --weight 5 --csv", 0, "6c81b71bc617f784af247a16281cca664fc0ded4e6b9b9f2ceb4f05643ed57aa"),
     ("bar-homology --ring Fp:3 --n 2 --weight 5 --json", 0, "52e454cdbeaf719acfad93884b4402c2b9a34b2a54bfb944b1fe0e50b3c8fc0f"),

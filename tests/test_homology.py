@@ -31,7 +31,7 @@ from extbar import (
     smith_normal_form,
     tensor_signed,
 )
-from extbar.bar import KEY_BITS
+from extbar.algebra import KEY_BITS
 from extbar.extract import bar_source_algebra
 from extbar.homology import (
     _eliminate,
@@ -422,7 +422,8 @@ def _multiweight(word, n):
 
 
 @pytest.mark.parametrize(
-    "n, m, weight_max", [(1, 2, 7), (2, 2, 5), (3, 2, 4), (1, 3, 5), (2, 3, 4), (1, 4, 4)]
+    "n, m, weight_max",
+    [(0, 2, 7), (1, 2, 7), (2, 2, 5), (3, 2, 4), (0, 3, 5), (1, 3, 5), (2, 3, 4), (1, 4, 4)],
 )
 def test_blocks_of_one_orbit_reduce_alike(n, m, weight_max, full_columns):
     """Every block of a slice, reduced on its own, has the block sizes and
@@ -500,15 +501,28 @@ def test_blocks_of_a_bar_construction_give_the_whole_slice(
             assert _factors(_reduce_slice(algebra.slice_columns(weight), p, blocks)) == whole
 
 
-def test_only_bar_constructions_on_several_free_generators_have_blocks():
+def test_only_free_algebras_on_several_generators_and_their_bars_have_blocks():
+    """A free algebra keys each monomial by its packed multi-weight (over
+    Lambda the indicator of its indices) below weight ``2**KEY_BITS``, and
+    its bar constructions sum their letters' keys; regraded, Koszul and
+    one-generator algebras have no keys."""
     free2 = FreeAlgebra(DIVIDED, [(2, 1, 2)], ZZ)
-    assert bar_source_algebra(2, 2).block_keys(3) is not None
+    lambda3 = FreeAlgebra(EXTERIOR, [(1, 1, 3)], ZZ)
+    x, y, z = (1 << KEY_BITS * g for g in range(3))
+    assert free2.block_keys(3) == {6: [3 * y, x + 2 * y, 2 * x + y, 3 * x]}
+    assert lambda3.block_keys(2) == {2: [x + y, x + z, y + z]}
+    assert free2.block_keys(1 << KEY_BITS) is None
+    for algebra in [free2, lambda3, bar(free2), bar_source_algebra(0, 2), bar_source_algebra(2, 2)]:
+        assert algebra.block_keys(3) is not None
+        assert algebra._checked_slice(3)[1] is not None
     for algebra in [
+        bar_source_algebra(0, 1),
         bar_source_algebra(2, 1),
-        free2,
         bar(regrade(free2, 2)),
+        build_koszul(KoszulSpec(((1, 1, 2),), h=2, variant="Koszul")),
         bar(build_koszul(KoszulSpec(((1, 1, 2),), h=2, variant="Koszul"))),
     ]:
+        assert algebra.block_keys(0) is None
         assert algebra.block_keys(3) is None
         assert algebra._checked_slice(3)[1] is None
 

@@ -149,6 +149,18 @@ def test_unit_parameter_gives_exact_complex():
     assert koszul_homology_closed_form(3, 1, 5) == {(0, 0): Z}
 
 
+@pytest.mark.parametrize(
+    "variant, degree, missed", [(KOSZUL, 3, [(4, 1), (8, 2)]), (DERHAM, 2, [(3, 1), (5, 2)])]
+)
+def test_closed_form_refuses_zero_parameter(variant, degree, missed):
+    """At h = 0 the differential vanishes, so every basis element is a
+    class, and direct homology has classes the closed form lacks."""
+    direct = integral_homology_table(build_koszul(KoszulSpec(((degree, 1, 1),), 0, variant)), 2)
+    assert all(direct[key] == Z for key in missed)
+    with pytest.raises(ValueError, match="h != 0"):
+        koszul_homology_closed_form(degree, 0, 2)
+
+
 def test_koszul_kernels_dims():
     assert koszul_kernels_dims([(3, 1, 1)], 2, 3, 20) == {
         (0, 0): 1,
@@ -170,6 +182,12 @@ def test_build_X0_parity():
     gamma = build_X0(4, m=1)
     assert gamma.flavor == DIVIDED
     assert gamma.dims(2) == {8: 1}
+
+
+def test_build_X0_refuses_a_negative_height():
+    with pytest.raises(ValueError, match="height must be >= 0"):
+        build_X0(-1)
+    assert build_X0(0).dims(1) == {0: 1}
 
 
 def test_build_Xp_trivial_below_p():

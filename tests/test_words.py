@@ -167,6 +167,9 @@ def test_pair_partner_rejects_unpaired_or_inadmissible():
         pair_partner("sss")
     with pytest.raises(ValueError):
         pair_partner("gss")
+    for word in ["xs", "sxs", "fsx"]:
+        with pytest.raises(ValueError, match=f"unknown letter 'x' in word '{word}'"):
+            pair_partner(word)
 
 
 @pytest.mark.parametrize("p,height,max_degree", [(2, 3, 20), (3, 3, 30), (5, 3, 30)])
