@@ -68,11 +68,14 @@ class BarAlgebra(WdgAlgebra):
     :data:`Layout` (:meth:`_layout`); its words are built only when asked
     for, as the letters of the level above or to name a word in an error.
     :meth:`_compile` builds the boundary columns of a weight slice from the
-    columns of the slices below it by run-offset arithmetic; the base class
-    keeps them for the life of the algebra and checks d^2 = 0 on the slices
-    that :meth:`~extbar.algebra.WdgAlgebra.slice_columns` hands out, not on
-    the slices below that compile reads.  It hands out, and so compiles
-    first, only the blocks that homology reduces.
+    columns of the slices below it by run-offset arithmetic, and checks
+    that each letter of ``da`` (once per run ``[a | ...]``) and of ``a r_1``
+    (once per sub-run ``[a | r_1 ...]`` it builds a column of) lands in a
+    run of its bidegree; the base class keeps the columns for the life of
+    the algebra and checks d^2 = 0 on the slices that
+    :meth:`~extbar.algebra.WdgAlgebra.slice_columns` hands out, not on the
+    slices below that compile reads.  It hands out, and so compiles first,
+    only the blocks that homology reduces.
     :meth:`diff_monomial` evaluates the same differential one word at a
     time; it is the reference the compiled columns are tested against.
     """
@@ -218,13 +221,20 @@ class BarAlgebra(WdgAlgebra):
           slice, so ``k - start'(r_1)`` is the index of ``r'`` in its slice;
         * ``s c`` at ``start(a) + row`` for each entry of ``r``'s column.
 
-        Each term letter ``m`` is checked to have the bidegree of ``da``, or
-        of ``a r_1``, and a run in degree ``i - 1``; otherwise
-        :class:`InternalAssertionError` names the first word whose
-        differential leaves the slice.  That makes the three parts land in
+        The work is done run by run, then sub-run by sub-run, a sub-run
+        being the words ``[a | r]`` of one run whose ``r`` share ``r_1``.
+        Once per run: ``a``'s bidegree, its lower columns and the rows of
+        ``da``; each term letter ``m`` of ``da`` is checked to have the
+        bidegree of ``da`` and a run in degree ``i - 1``.  Once per sub-run,
+        and only if ``wanted`` asks for one of its columns: the rows of ``a
+        r_1``, each term letter checked the same way against the bidegree of
+        ``a r_1``.  A failed check raises :class:`InternalAssertionError`
+        naming the first word of the run, or of the sub-run.  These checks
+        run on every slice compiled, products included: nothing checked is
+        kept from one slice to the next.  They make the three parts land in
         the runs of distinct letters (``m`` of ``da`` is one degree below
-        ``a``, ``m`` of ``a r_1`` heavier than ``a``), so their coefficients,
-        normalized by the ring, never need summing.
+        ``a``, ``m`` of ``a r_1`` heavier than ``a``), so their
+        coefficients, normalized over F_p, never need summing.
         """
         if weight <= 0:
             return {0: [{}]} if weight == 0 else {}  # the empty word, a cycle
@@ -232,6 +242,11 @@ class BarAlgebra(WdgAlgebra):
         runs, sizes, _ = self._layout(weight)
         checked = self._checked_slices.get(weight) if wanted is None else None
         built = checked[0] if checked is not None else None
+        # _layout has put every letter that has a run, of this slice or one
+        # below, in _letter_bidegree, so term letters with a run are read from
+        # it directly
+        bidegree_of = self._letter_bidegree
+        compiled, layout, product_of = self._compiled, self._layout, self._product_of
         out: Dict[int, List[Optional[Column]]] = {}
         for i in sizes:
             need = wanted[i] if wanted is not None else None
@@ -240,41 +255,38 @@ class BarAlgebra(WdgAlgebra):
             # the columns take their row keys from here, so that they share
             # one int object per row rather than each holding its own
             rows = list(range(sizes.get(i - 1, 0)))
-
-            def row_of(m: Monomial, bidegree: Bidegree, column: int) -> int:
-                run = below.get(m)
-                if run is None or self._bidegree_of(m) != bidegree:
-                    raise InternalAssertionError(
-                        f"differential of {self.weight_slice(weight)[i][column]} "
-                        f"leaves slice (weight {weight}, degree {i})"
-                    )
-                return run[0]
-
             columns: List[Optional[Column]] = []
             for a, (start, _) in runs[i].items():
-                ba = self._bidegree_of(a)
-                lw, lj = weight - ba.weight, i - 1 - ba.degree
-                lower = self._compiled(lw)[lj]
-                s = -1 if ba.degree % 2 == 0 else 1
-                da_bidegree = Bidegree(ba.degree - 1, ba.weight)
-                da = [
-                    (row_of(m, da_bidegree, start), self.ring.normalize(-c))
-                    for m, c in self._diff_of(a)
-                ]
+                a_degree, a_weight = bidegree_of[a]
+                lw, lj = weight - a_weight, i - 1 - a_degree
+                lower = compiled(lw)[lj]
+                s = -1 if a_degree % 2 == 0 else 1
+                da_bidegree = (a_degree - 1, a_weight)
+                da = []
+                for m, c in self._diff_of(a):
+                    run = below.get(m)
+                    if run is None or bidegree_of[m] != da_bidegree:
+                        raise self._leaves_slice(weight, i, start)
+                    da.append((run[0], -c % p if p else -c))
                 run = below.get(a)
                 # rows of [a | dr]; without a run the columns below are empty
                 a_rows = rows[run[0] : run[0] + run[1]] if run else []
-                for r1, (lstart, n) in self._layout(lw)[0][lj].items():
-                    terms = list(da)
-                    if r1 is not None:
-                        product_bidegree = ba + self._bidegree_of(r1)
-                        terms.extend(
-                            (
-                                row_of(m, product_bidegree, start + lstart) - lstart,
-                                self.ring.normalize(s * c),
-                            )
-                            for m, c in self._product_of(a, r1)
-                        )
+                for r1, (lstart, n) in layout(lw)[0][lj].items():
+                    first = start + lstart
+                    if need is not None and not any(need[first : first + n]):
+                        columns += [None] * n
+                        continue
+                    if r1 is None:
+                        terms = da
+                    else:
+                        r1_degree, r1_weight = bidegree_of[r1]
+                        product_bidegree = (a_degree + r1_degree, a_weight + r1_weight)
+                        terms = list(da)
+                        for m, c in product_of(a, r1):
+                            run = below.get(m)
+                            if run is None or bidegree_of[m] != product_bidegree:
+                                raise self._leaves_slice(weight, i, first)
+                            terms.append((run[0] - lstart, s * c % p if p else s * c))
                     for k in range(lstart, lstart + n):
                         if need is not None and not need[start + k]:
                             columns.append(None)
@@ -293,6 +305,14 @@ class BarAlgebra(WdgAlgebra):
                         columns.append(col)
             out[i] = columns
         return out
+
+    def _leaves_slice(self, weight: int, degree: int, column: int) -> InternalAssertionError:
+        """The error for a differential that leaves the slice, naming the
+        word of the column."""
+        return InternalAssertionError(
+            f"differential of {self.weight_slice(weight)[degree][column]} "
+            f"leaves slice (weight {weight}, degree {degree})"
+        )
 
     def block_keys(self, weight: int) -> Optional[Dict[int, List[int]]]:
         """The sum of its letters' keys for every word of the weight slice, by

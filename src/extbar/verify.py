@@ -230,13 +230,13 @@ def run_suite(
 ) -> SuiteResult:
     """Dispatch a named suite of :data:`SUITES` with bounded parameters.
 
-    Raises ``ValueError`` unless ``p`` is a supported prime, and for
-    ``m != 1`` on a suite outside :data:`SUITES_WITH_M`, which would
-    otherwise ignore it.
+    Raises ``ValueError`` unless ``p`` is a supported prime, on a suite not
+    in :data:`SUITES`, and for ``m != 1`` on a suite outside
+    :data:`SUITES_WITH_M`, which would otherwise ignore it.
     """
     check_prime(p)
-    if m != 1 and suite not in SUITES_WITH_M:
-        raise ValueError(f"suite {suite!r} runs at m = 1 only, got m = {m}")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    if m != 1 and suite not in SUITES_WITH_M:
+        raise ValueError(f"suite {suite!r} runs at m = 1 only, got m = {m}")
     return SUITES[suite](p=p, n=n, m=m, weight_max=weight_max, max_s=max_s, max_t=max_t)

@@ -53,14 +53,26 @@ def word_degree(word: Word, p: int) -> int:
     return deg
 
 
+def _letter_counts(word: Word) -> Tuple[int, int, int]:
+    """How many s, f and g the word has; ``ValueError`` on any other letter,
+    as :func:`word_degree` raises."""
+    s, f, g = word.count(SUSPENSION), word.count(TWISTED_POWER), word.count(DIVIDED_POWER)
+    if s + f + g != len(word):
+        letter = next(c for c in word if c not in LETTERS)
+        raise ValueError(f"unknown letter {letter!r} in word {word!r}")
+    return s, f, g
+
+
 def word_twisting(word: Word) -> int:
     """Number of letters in {f, g}."""
-    return sum(1 for c in word if c in (TWISTED_POWER, DIVIDED_POWER))
+    _, f, g = _letter_counts(word)
+    return f + g
 
 
 def word_height(word: Word) -> int:
     """Number of letters in {s, f}."""
-    return sum(1 for c in word if c in (SUSPENSION, TWISTED_POWER))
+    s, f, _ = _letter_counts(word)
+    return s + f
 
 
 def word_degree_bound(p: int, height: int, weight_max: int) -> int:

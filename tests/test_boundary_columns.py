@@ -300,6 +300,27 @@ def test_orbit_columns_give_the_homology_of_a_cold_full_compile(n, m, weight_max
     assert square_checks == list(weights)
     assert all(None not in cols for w in weights for cols in cold.slice_columns(w).values())
 
+    # the top weight, compiled for its blocks only: a column is built exactly
+    # where its block is reduced, and then equals the cold one entry for entry
+    top, cold_top = orbit[weight_max], cold.slice_columns(weight_max)
+    keys = algebra.block_keys(weight_max)
+    assert top.keys() == cold_top.keys()
+    for i, cols in top.items():
+        assert len(cols) == len(cold_top[i]) == len(keys[i])
+        for c, full, key in zip(cols, cold_top[i], keys[i]):
+            assert (c is None) == (algebra.block_multiplicity(key) == 0)
+            assert c is None or c == full
+    # sub-runs [a | r_1 ...] none of whose columns are built, skipped whole
+    runs = algebra._layout(weight_max)[0]
+    skipped = 0
+    for i, by_letter in runs.items():
+        for a, (start, _) in by_letter.items():
+            b = algebra.bidegree((a,))
+            lower = algebra._layout(weight_max - b.weight)[0][i - b.degree]
+            for lstart, n in lower.values():
+                skipped += all(c is None for c in top[i][start + lstart : start + lstart + n])
+    assert skipped
+
 
 @pytest.mark.parametrize("n, weight", [(1, 7), (2, 5)])
 def test_block_keys_of_a_slice_are_walked_once(n, weight, square_checks, monkeypatch):
@@ -483,6 +504,42 @@ def test_term_letter_of_the_wrong_bidegree_is_reported():
         algebra.slice_columns(3)
     with pytest.raises(InternalAssertionError, match=leaves):
         boundary_columns(algebra, 3, 0)
+
+
+class _LetterDiffOfWrongBidegree(BarAlgebra):
+    """Bar of Gamma on two generators whose letter differential of x = (1, 0),
+    zero in Gamma, is the letter ``term`` once that is set.  Then d[x | r]
+    has a term [term | r], and no letter has the bidegree (1, 1) of dx."""
+
+    term = None
+
+    def _diff_of(self, letter):
+        if self.term is not None and letter == (1, 0):
+            return ((self.term, 1),)
+        return super()._diff_of(letter)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        (3, 0),  # bidegree (6, 3), with a run [x^3] in degree 7 of weight 3
+        (0, 1),  # bidegree (2, 1), with no run in degree 7 of weight 3
+    ],
+)
+def test_letter_differential_of_the_wrong_bidegree_is_reported(term):
+    """The check of each term letter of da names the first word of the run
+    of a: here [x | y^2], of the run [x | y^2], [x | xy], [x | x^2] in
+    degree 8 of weight 3."""
+    algebra = _LetterDiffOfWrongBidegree(FreeAlgebra(DIVIDED, [(2, 1, 2)], ZZ))
+    for w in range(3):
+        algebra._compiled(w)  # every column, which weight 3 reads
+    algebra.term = term
+    start, n = algebra._layout(3)[0][8][(1, 0)]
+    assert start > 0 and n == 3
+    assert algebra.weight_slice(3)[8][start] == ((1, 0), (0, 2))
+    leaves = re.escape(f"differential of {((1, 0), (0, 2))} leaves slice (weight 3, degree 8)")
+    with pytest.raises(InternalAssertionError, match=leaves):
+        algebra.slice_columns(3)
 
 
 def test_differential_leaving_the_slice_is_reported():

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -377,8 +378,15 @@ def test_verify_rejects_m_for_suites_that_ignore_it(runner, suite):
     result = runner.invoke(main, ["verify", "--suite", suite, "--m", "2"])
     assert result.exit_code == 2
     assert "--m is taken only by the cartan-field and cartan-integral suites" in result.output
-    with pytest.raises(ValueError, match="m = 1 only"):
+    message = f"suite {suite!r} runs at m = 1 only, got m = 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_suite(suite, m=2)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_run_suite_names_an_unknown_suite_before_the_m_rule(m):
+    with pytest.raises(ValueError, match=re.escape("unknown suite 'nosuch'")):
+        run_suite("nosuch", m=m)
 
 
 def test_verify_takes_m_for_the_cartan_suites(runner):

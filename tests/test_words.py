@@ -3,6 +3,7 @@ admissibility notions, enumeration against a brute-force oracle, and the
 pairing of words."""
 
 import itertools
+import re
 
 import pytest
 
@@ -47,6 +48,13 @@ def test_height_and_twisting_count_letters():
     assert word_twisting("sgss") == 1
     assert word_twisting("fgss") == 2
     assert word_twisting("sss") == 0
+
+
+@pytest.mark.parametrize("count", [word_height, word_twisting])
+@pytest.mark.parametrize("word, letter", [("sxs", "x"), ("x", "x"), ("fgS", "S"), ("s s", " ")])
+def test_height_and_twisting_reject_unknown_letters(count, word, letter):
+    with pytest.raises(ValueError, match=re.escape(f"unknown letter {letter!r} in word {word!r}")):
+        count(word)
 
 
 def test_general_admissibility():
