@@ -276,8 +276,10 @@ def _pivot_rows_mod_p(
     of the rows, ``rows`` lists that block's rows and a row's bit is its
     position in the list.  The low rows order the columns in the same way
     as long as ``rows`` ascends.  For odd ``p`` a column is a
-    ``{row: entry}`` dict with entries in ``[1, p)``, stored scaled to 1 at
-    its pivot row, and ``rows`` is not needed.
+    ``{row: entry}`` dict with entries in ``[1, p)``, stored as it was
+    reduced, and ``rows`` is not needed; the multiple of a stored column
+    ``y`` that cancels the low of ``x`` is ``x[low] / y[low]`` mod p, read
+    off the two lows.
     """
     if p == 2:
         masks: Dict[int, int] = {}
@@ -303,15 +305,18 @@ def _pivot_rows_mod_p(
         return list(masks) if rows is None else [rows[k] for k in masks]
     stored: Dict[int, Dict[int, int]] = {}
     for column in columns:
-        x = {i: v % p for i, v in column.items() if v % p}
+        x = {}
+        for i, v in column.items():
+            v %= p
+            if v:
+                x[i] = v
         while x:
             low = max(x)
             y = stored.get(low)
             if y is None:
-                inverse = pow(x[low], -1, p)
-                stored[low] = {i: v * inverse % p for i, v in x.items()}
+                stored[low] = x
                 break
-            f = x[low]
+            f = x[low] * pow(y[low], -1, p) % p
             for i, e in y.items():
                 v = (x.get(i, 0) - f * e) % p
                 if v:
@@ -546,10 +551,11 @@ def _reduce_slice(
     have the rows ``R``.  The block ``D_{i+1}[R, K]`` is invertible over
     the ring.  Over Z the unit pivots come from Schur complements on units,
     so it has determinant +-1.  Over F_p, order ``K`` by the pivot rows:
-    the reduced columns on ``R x K`` are then triangular with a nonzero
-    diagonal, and they are ``D_{i+1}[R, K]`` times a matrix that is
-    unitriangular in input order, since each column was reduced only by
-    the columns of ``K`` before it.  Hence the columns ``K`` of ``D_{i+1}``
+    the reduced columns on ``R x K``, which :func:`_pivot_rows_mod_p`
+    stores as they are, are then triangular with a nonzero diagonal, and
+    they are ``D_{i+1}[R, K]`` times a matrix that is unitriangular in
+    input order, since each column lost only multiples of the stored
+    columns of ``K`` before it.  Hence the columns ``K`` of ``D_{i+1}``
     together with the unit vectors ``e_j`` for ``j`` not in ``R`` form a
     basis of ``C_i``.  Since ``D_i D_{i+1} = 0``, ``D_i`` has the same
     image as ``D_i`` restricted to the columns outside ``R``; hence the

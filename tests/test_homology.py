@@ -326,6 +326,12 @@ def test_mixed_unit_matrices_match_euclid_reference(case):
     assert len(diagonal) == rank and math.prod(diagonal) == math.prod(factors)
     for p in (2, 3):
         assert rank_of_columns_mod_p(columns, p) == len(reference_rref(rows, n, p)[1])
+    # odd primes that divide some entries (3, 5) and some that divide none
+    before = [dict(c) for c in columns]
+    for p in (3, 5, 7, MAX_PRIME):
+        check_pivot_rows(rows, n, p)
+        _pivot_rows_mod_p(columns, p)
+        assert columns == before
 
 
 @pytest.mark.parametrize("n, weight_max", [(1, 10), (2, 9)])
@@ -376,7 +382,7 @@ def _dense_boundaries(algebra, weight):
         yield i, [[c.get(r, 0) for c in cols] for r in range(n_rows)], len(cols)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n, weight_max", [(1, 8), (2, 6), (3, 5)])
 def test_pivot_rows_of_bar_slices_give_full_rank_blocks(n, weight_max, p):
     """The column reduction of every boundary matrix of the bar slices finds
@@ -387,7 +393,7 @@ def test_pivot_rows_of_bar_slices_give_full_rank_blocks(n, weight_max, p):
             check_pivot_rows(rows, n_cols, p)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n, weight_max", [(1, 8), (2, 6), (3, 5)])
 def test_mod_p_homology_matches_reference_ranks(n, weight_max, p):
     """homology_over_Fp, which clears slice by slice and block by block,

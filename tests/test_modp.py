@@ -142,6 +142,24 @@ def test_column_reduction_pivot_rows_give_a_full_rank_block(case):
     assert columns == before
 
 
+ODD_LOWS = {
+    # column 1 loses 4 / 2 = 2 times column 0 at their low row 1, leaving 6 at row 0
+    "second column reduces": ([{0: 3, 1: 2}, {0: 5, 1: 4}], 7, [1, 0]),
+    "second column cancels": ([{0: 3, 1: 2}, {0: 6, 1: 4}], 7, [1]),
+    "multiples of p drop out": ([{0: 7, 1: -3}, {0: 2, 1: 14}], 7, [1, 0]),
+    "a multiple of p is no low": ([{0: 2, 1: 14}], 7, [0]),
+    # the last column takes two reduction steps, at rows 2 and 1
+    "two steps": ([{0: 1, 2: -2}, {1: 3, 2: 1}, {0: 2, 1: 1, 2: 2}], 5, [2, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("columns, p, pivot_rows", ODD_LOWS.values(), ids=ODD_LOWS.keys())
+def test_odd_p_pivot_rows_with_stored_lows_other_than_one(columns, p, pivot_rows):
+    before = [dict(c) for c in columns]
+    assert _pivot_rows_mod_p(columns, p) == pivot_rows
+    assert columns == before
+
+
 @st.composite
 def systems(draw):
     """``(p, n, rows, b)`` for ``rows x = b``: half consistent by
