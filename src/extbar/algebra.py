@@ -159,34 +159,23 @@ class WdgAlgebra:
             self._slice_cache[weight] = got
         return got
 
-    def slice_columns(self, weight: int) -> Dict[int, List[Optional[Column]]]:
-        """Boundary columns out of every degree of the weight slice, keyed by
-        degree: column ``j`` of degree ``i`` holds the differential of the
-        ``j``-th basis monomial of degree ``i`` as ``{row: coefficient}``,
-        rows indexing the degree-``i - 1`` basis.  Every homology
-        computation reads its columns from here, checked for d^2 = 0
-        (:meth:`_checked_slice`); they must not be mutated.
-
-        When another block of its orbit stands for a block
-        (:meth:`block_multiplicity` 0), homology never reads its columns, so
-        they may be ``None`` here, neither compiled nor checked for it.
-        :meth:`_compiled` has them all."""
-        return self._checked_slice(weight)[0]
-
-    def _checked_slice(
+    def slice_columns(
         self, weight: int
     ) -> Tuple[Dict[int, List[Optional[Column]]], Optional[List[Block]]]:
-        """The columns :meth:`slice_columns` hands out and the blocks homology
-        reduces them by (``None``: the whole slice as one block), kept per
-        weight once :func:`_check_square` passes on the columns; a slice
-        that fails is checked again on every call.
+        """The boundary columns of the weight slice, keyed by degree, and the
+        blocks homology reduces them by (``None``: the whole slice as one
+        block), kept per weight once :func:`_check_square` passes on the
+        columns; a slice that fails is checked again on every call.  Column
+        ``j`` of degree ``i`` is the differential of the ``j``-th basis
+        monomial of degree ``i`` as ``{row: coefficient}``, rows indexing
+        the degree-``i - 1`` basis; it must not be mutated.
 
         One walk of :meth:`block_keys` asks each distinct key's
         :meth:`block_multiplicity` once and makes each key of nonzero
         multiplicity a block: its indices by degree and that multiplicity.
-        The other blocks' columns are ``None``, and they are not compiled
-        here; their columns are picked from :meth:`_compiled` if it has
-        the slice."""
+        The other blocks' columns are ``None``, neither compiled nor checked
+        here; they are picked from :meth:`_compiled`, which has them all, if
+        it has the slice."""
         got = self._checked_slices.get(weight)
         if got is not None:
             return got

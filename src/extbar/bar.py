@@ -207,7 +207,7 @@ class BarAlgebra(WdgAlgebra):
         slices below it, read unchecked (:meth:`_compiled`): those that
         ``wanted`` asks for, ``None`` for the others.  A column that the
         slice's checked columns
-        (:meth:`~extbar.algebra.WdgAlgebra._checked_slice`) already hold is
+        (:meth:`~extbar.algebra.WdgAlgebra.slice_columns`) already hold is
         that same object, not built again.
 
         Column ``start(a) + k`` of degree ``i`` is ``d[a | r]`` for the

@@ -35,6 +35,9 @@ def _internal_guard(fn: Callable) -> Callable:
         except InternalAssertionError as exc:
             click.echo(f"internal assertion failed: {exc}", err=True)
             sys.exit(3)
+        except RecursionError:
+            click.echo("request too deep to recurse: lower --n or --height", err=True)
+            sys.exit(2)
 
     return wrapper
 
@@ -160,7 +163,6 @@ def bar_homology(
         table = homology_over_Fp(algebra, weight, ring.char)
     else:
         table = homology_over_Z(algebra, weight)
-    table = dict(sorted(table.items()))
     if as_json or as_csv:
         params = {"ring": _ring_label(ring), "n": n, "weight": weight, "m": m}
         _echo_table(table, ring, ("degree",), "groups", params, as_csv)

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 
 from .algebra import DIVIDED, SYMMETRIC, FreeAlgebra, WdgAlgebra
 from .bar import BarAlgebra
-from .homology import AbelianGroup, TableKey, homology_over_Fp, homology_over_Z
+from .homology import AbelianGroup, TableKey, homology_table
 from .predict import bar_iterations, ext_field_predict, poincare_dims, regrade_bar_table
 from .rings import Ring, ZZ
 
@@ -99,16 +99,7 @@ def ext_table_via_bar(
     if source != SYMMETRIC:
         raise ValueError("the bar pipeline computes symmetric-source tables only")
     n = bar_iterations(target)
-    algebra = bar_source_algebra(n, m)
-    homology: Dict[TableKey, object] = {}
-    for d in range(weight_max + 1):
-        if ring.is_field:
-            column = homology_over_Fp(algebra, d, ring.char)
-        else:
-            column = homology_over_Z(algebra, d)
-        for j, value in column.items():
-            homology[(j, d)] = value
-    table = regrade_bar_table(homology, n)
+    table = regrade_bar_table(homology_table(bar_source_algebra(n, m), weight_max, ring.char), n)
     if ring.is_field:
         return ExtTable(source, target, ring, 0, 0, m, weight_max, dims=table)  # type: ignore[arg-type]
     return ExtTable(source, target, ring, 0, 0, m, weight_max, groups=table)  # type: ignore[arg-type]

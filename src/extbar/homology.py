@@ -4,12 +4,13 @@ weighted homology tables.
 
 Each homology computation reads its weight slice's sparse boundary columns,
 ``{row: coefficient}`` per basis monomial, and the blocks it reduces them
-by from the algebra (:meth:`~extbar.algebra.WdgAlgebra._checked_slice`),
+by from the algebra (:meth:`~extbar.algebra.WdgAlgebra.slice_columns`),
 which compiles the columns once, checks d^2 = 0 on them as the exact sparse
 product ``D_{i-1} D_i = 0`` over its ring, and keeps them with their blocks
-only once they pass.  So every slice that integral and mod-p slice homology
-read has passed the check.
-They read the slice's size in each degree from
+only once they pass.  So every slice that slice homology reads, over Z
+(``p = 0``) and F_p in one routine (:func:`_slice_homology`), has passed the
+check, and :func:`homology_table` collects it weight by weight.
+It reads the slice's size in each degree from
 :meth:`~extbar.algebra.WdgAlgebra.dims`, and its basis monomials not at
 all.  By default the differential of every basis monomial is evaluated once
 (:func:`boundary_columns`); the bar construction instead builds each slice's
@@ -77,6 +78,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...],
     >>> smith_normal_form([[1]])
     ((1,), 1)
     """
+    return smith_normal_form_of_columns(_columns_of_rows(matrix))
+
+
+def _columns_of_rows(matrix: Sequence[Sequence[int]]) -> List[Column]:
+    """The ``{row: entry}`` columns of the nonzero entries of a dense matrix
+    given as rows, which must have equal length."""
     n = len(matrix[0]) if len(matrix) else 0
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix rows must have equal length")
@@ -85,7 +92,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...],
         for j, v in enumerate(row):
             if v:
                 columns[j][i] = int(v)
-    return smith_normal_form_of_columns(columns)
+    return columns
 
 
 def _eliminate(columns: Sequence[Mapping[int, int]]) -> Tuple[List[int], int, List[int]]:
@@ -592,50 +599,44 @@ def _reduce_slice(
     return diagonals
 
 
-def homology_over_Z(algebra: WdgAlgebra, weight: int) -> Dict[int, AbelianGroup]:
-    """Integral homology of one weight slice, trivial degrees omitted."""
+def _slice_homology(algebra: WdgAlgebra, weight: int, p: int) -> Dict[int, object]:
+    """Homology of one weight slice, trivial degrees omitted: integral groups
+    for ``p == 0``, else mod-p dimensions."""
     dims = algebra.dims(weight)
-    columns, blocks = algebra._checked_slice(weight)
-    diagonals = _reduce_slice(columns, 0, blocks)
-    out: Dict[int, AbelianGroup] = {}
+    columns, blocks = algebra.slice_columns(weight)
+    diagonals = _reduce_slice(columns, p, blocks)
+    out: Dict[int, object] = {}
     for i, n in dims.items():
         below = diagonals.get(i + 1, ())
         free = n - len(diagonals[i]) - len(below)
         if free < 0:
-            raise InternalAssertionError(f"negative free rank at degree {i}")
-        torsion = [d for d in below if d > 1]
-        group = AbelianGroup.from_invariant_factors(torsion, free_rank=free)
-        if not group.is_trivial:
-            out[i] = group
+            what = f"mod-{p} dimension" if p else "free rank"
+            raise InternalAssertionError(f"negative {what} at degree {i}")
+        torsion = () if p else [d for d in below if d > 1]
+        if free or torsion:
+            out[i] = free if p else AbelianGroup.from_invariant_factors(torsion, free_rank=free)
     return out
+
+
+def homology_over_Z(algebra: WdgAlgebra, weight: int) -> Dict[int, AbelianGroup]:
+    """Integral homology of one weight slice, trivial degrees omitted."""
+    return _slice_homology(algebra, weight, 0)  # type: ignore[return-value]
 
 
 def homology_over_Fp(algebra: WdgAlgebra, weight: int, p: int) -> Dict[int, int]:
     """Dimensions of mod-p homology of one weight slice (zeros omitted)."""
     check_prime(p)
-    dims = algebra.dims(weight)
-    columns, blocks = algebra._checked_slice(weight)
-    diagonals = _reduce_slice(columns, p, blocks)
-    ranks = {i: len(d) for i, d in diagonals.items()}
-    out: Dict[int, int] = {}
-    for i, n in dims.items():
-        dim = n - ranks[i] - ranks.get(i + 1, 0)
-        if dim < 0:
-            raise InternalAssertionError(f"negative mod-{p} dimension at degree {i}")
-        if dim:
-            out[i] = dim
-    return out
+    return _slice_homology(algebra, weight, p)  # type: ignore[return-value]
 
 
-def integral_homology_table(
-    algebra: WdgAlgebra, weight_max: int
-) -> Dict[TableKey, AbelianGroup]:
-    """Weighted table of integral homology for all weights up to the cap."""
-    out: Dict[TableKey, AbelianGroup] = {}
-    for d in range(weight_max + 1):
-        for i, g in homology_over_Z(algebra, d).items():
-            out[(i, d)] = g
-    return out
+def homology_table(algebra: WdgAlgebra, weight_max: int, p: int = 0) -> Dict[TableKey, object]:
+    """Weighted table of the homology of every weight slice up to the cap:
+    integral groups for ``p == 0``, else mod-p dimensions."""
+    if p:
+        check_prime(p)
+    return {
+        (i, d): v for d in range(weight_max + 1) for i, v in _slice_homology(algebra, d, p).items()
+    }
 
 
 # ----------------------------------------------------------------------

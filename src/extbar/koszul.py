@@ -169,7 +169,8 @@ def koszul_kernels_dims(
     algebra = build_koszul(KoszulSpec(tuple(generators), h=1, variant=KOSZUL), GF(p))
     out: Dict[TableKey, int] = {(0, 0): 1}
     for d in range(1, weight_max + 1):
-        diagonals = _reduce_slice(algebra.slice_columns(d), p)
+        columns, blocks = algebra.slice_columns(d)
+        diagonals = _reduce_slice(columns, p, blocks)
         for i in sorted(diagonals):
             r = len(diagonals.get(i + 1, ()))
             if r and 1 <= i <= max_degree:

@@ -6,7 +6,8 @@ for a matrix given as dense rows.
 
 The public entry points that take a modulus (:func:`rank_mod_p`,
 :func:`extbar.homology.rank_of_columns_mod_p`,
-:func:`extbar.homology.homology_over_Fp`, the predictors of
+:func:`extbar.homology.homology_over_Fp`, :func:`extbar.homology.homology_table`
+at ``p != 0``, the predictors of
 :mod:`extbar.predict`, the word enumerators of :mod:`extbar.words`,
 :func:`extbar.koszul.build_Xp`, :func:`extbar.verify.run_suite` and
 :class:`extbar.rings.Ring`) reject with ``ValueError`` any modulus that is
@@ -49,10 +50,6 @@ def check_prime(p: int) -> None:
 
 def rank_mod_p(matrix: Sequence[Sequence[int]], p: int) -> int:
     """Rank of an integer matrix, given as rows, over F_p."""
-    from .homology import rank_of_columns_mod_p  # homology imports this module
+    from .homology import _columns_of_rows, rank_of_columns_mod_p  # homology imports this module
 
-    n = len(matrix[0]) if len(matrix) else 0
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix rows must have equal length")
-    columns = [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(n)]
-    return rank_of_columns_mod_p(columns, p)
+    return rank_of_columns_mod_p(_columns_of_rows(matrix), p)

@@ -17,7 +17,7 @@ from .homology import (
     TableKey,
     homology_over_Fp,
     homology_over_Z,
-    integral_homology_table,
+    homology_table,
 )
 from .koszul import (
     DERHAM,
@@ -103,7 +103,7 @@ def verify_cartan_field(
 
 def verify_cartan_integral(n: int, weight_max: int, m: int = 1) -> SuiteResult:
     """Integral bar homology against the Koszul-assembled prediction."""
-    computed = integral_homology_table(bar_source_algebra(n, m), weight_max)
+    computed = homology_table(bar_source_algebra(n, m), weight_max)
     predicted = predicted_bar_homology(n, m, weight_max)
     bad = _compare_tables(computed, predicted, f"n={n} m={m}")
     if bad:
@@ -120,7 +120,7 @@ def verify_koszul(weight_max: int = 5) -> SuiteResult:
         for variant, degree in ((KOSZUL, 3), (DERHAM, 2)):
             algebra = build_koszul(KoszulSpec(((degree, 1, 1),), h, variant))
             closed = koszul_homology_closed_form(degree, h, weight_max)
-            computed = integral_homology_table(algebra, weight_max)
+            computed = homology_table(algebra, weight_max)
             bad = _compare_tables(computed, closed, f"variant={variant} h={h}")
             if bad:
                 return SuiteResult("koszul", False, checks, bad)
@@ -165,15 +165,8 @@ def verify_exponential(p: int, n: int, weight_max: int) -> SuiteResult:
     """Rank-2 bar homology dimensions must be the bidegree convolution of the
     rank-1 dimensions (the algebras are exponential in the evaluation
     variable)."""
-    single: Dict[TableKey, int] = {}
-    double: Dict[TableKey, int] = {}
-    alg1 = bar_source_algebra(n, 1)
-    alg2 = bar_source_algebra(n, 2)
-    for d in range(weight_max + 1):
-        for i, dim in homology_over_Fp(alg1, d, p).items():
-            single[(i, d)] = dim
-        for i, dim in homology_over_Fp(alg2, d, p).items():
-            double[(i, d)] = dim
+    single = homology_table(bar_source_algebra(n, 1), weight_max, p)
+    double = homology_table(bar_source_algebra(n, 2), weight_max, p)
     convolved: Dict[TableKey, int] = {}
     for (i1, d1), c1 in single.items():
         for (i2, d2), c2 in single.items():

@@ -140,7 +140,7 @@ def _enumerate_general(p: int, height: int, max_degree: int) -> Iterator[Word]:
             if new <= max_degree:
                 yield from go(DIVIDED_POWER + suffix, new, h, s_count)
 
-    if height < 1:
+    if height < 1 or max_degree < 1:
         return
     yield from go(SUSPENSION, 1, 1, 1)
 

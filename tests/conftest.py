@@ -38,7 +38,7 @@ def full_columns():
     """A function giving every boundary column of a weight slice, the
     blocks that ``slice_columns`` leaves out included: the algebra's
     compiled columns (``_compiled``), which heavier slices read, checked for
-    d^2 = 0 by ``extbar.algebra._check_square`` as ``_checked_slice``
+    d^2 = 0 by ``extbar.algebra._check_square`` as ``slice_columns``
     checks the columns homology reads, but not kept as checked."""
 
     def get(algebra, weight):

@@ -27,7 +27,7 @@ from extbar import (
     ext_table_via_bar,
     hom_dimension,
     homology_over_Fp,
-    integral_homology_table,
+    homology_table,
     poincare_dims,
     regrade,
     weight_twist,
@@ -227,7 +227,7 @@ def test_criterion_9_structural_suites():
         checks += result.checks
 
     # universal coefficients: mod-p dimensions from the integral table
-    table = integral_homology_table(single, 4)
+    table = homology_table(single, 4)
     for p in (2, 3):
         derived = dimensions_mod_p_from_integral(table, p)
         direct = {}

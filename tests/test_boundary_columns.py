@@ -24,6 +24,7 @@ from extbar import (
     build_koszul,
     homology_over_Fp,
     homology_over_Z,
+    homology_table,
     iterate_bar,
     regrade,
     tensor_signed,
@@ -109,7 +110,7 @@ CASES = [
     *[
         (f"bar^{n} m={m}", lambda n=n, m=m: bar_source_algebra(n, m), w)
         for (n, m), w in {
-            (1, 1): 9, (1, 2): 4, (1, 3): 4, (2, 1): 7, (2, 2): 3, (3, 1): 4, (3, 2): 3
+            (1, 1): 9, (1, 2): 6, (1, 3): 4, (2, 1): 7, (2, 2): 3, (3, 1): 4, (3, 2): 3
         }.items()
     ],
     ("bar^2 over F3", lambda: iterate_bar(FreeAlgebra(DIVIDED, [(2, 1, 1)], GF(3)), 2), 6),
@@ -129,7 +130,7 @@ def test_compiled_columns_match_reference(factory, weight_max, full_columns):
     algebra = factory()
     for w in range(weight_max + 1):
         slice_ = algebra.weight_slice(w)
-        handed_out = algebra.slice_columns(w)
+        handed_out = algebra.slice_columns(w)[0]
         compiled = full_columns(algebra, w)
         assert sorted(compiled) == sorted(slice_)
         assert handed_out.keys() == compiled.keys()
@@ -146,6 +147,14 @@ def test_compiled_columns_match_reference(factory, weight_max, full_columns):
                 assert len(handed_out[i]) == len(ref_columns)
                 assert all(c is None or c == r for c, r in zip(handed_out[i], ref_columns))
         check_boundary_squares_to_zero(algebra, w)
+    # the table is the slices' homology, weight by weight in degree order
+    for p in (0, 2, 3) if algebra.ring.char == 0 else (algebra.ring.char,):
+        slices = [
+            homology_over_Fp(algebra, w, p) if p else homology_over_Z(algebra, w)
+            for w in range(weight_max + 1)
+        ]
+        expected = [((i, w), v) for w, h in enumerate(slices) for i, v in h.items()]
+        assert list(homology_table(algebra, weight_max, p).items()) == expected
 
 
 BAR_CASES = [c for c in CASES if c[0].startswith("bar")]
@@ -266,13 +275,13 @@ def test_orbit_columns_give_the_homology_of_a_cold_full_compile(n, m, weight_max
     algebra = bar_source_algebra(n, m)
     got = [_homology(algebra, w) for w in weights]
     assert square_checks == list(weights)
-    orbit = {w: algebra.slice_columns(w) for w in weights}
+    orbit = {w: algebra.slice_columns(w)[0] for w in weights}
     for w in weights[1:]:
         assert any(c is None for cols in orbit[w].values() for c in cols)
         assert any(c is not None for cols in orbit[w].values() for c in cols)
     for w in weights:
         # the columns held are those of the blocks, one block per orbit
-        columns, blocks = algebra._checked_slice(w)
+        columns, blocks = algebra.slice_columns(w)
         held = {(i, j) for i, cols in columns.items() for j, c in enumerate(cols) if c is not None}
         indexed = [(i, j) for block, _ in blocks for i, js in block.items() for j in js]
         assert len(indexed) == len(set(indexed)) and set(indexed) == held
@@ -298,11 +307,11 @@ def test_orbit_columns_give_the_homology_of_a_cold_full_compile(n, m, weight_max
     cold.block_keys = lambda weight: None  # one block: every column compiled and checked
     assert [_homology(cold, w) for w in weights] == got
     assert square_checks == list(weights)
-    assert all(None not in cols for w in weights for cols in cold.slice_columns(w).values())
+    assert all(None not in cols for w in weights for cols in cold.slice_columns(w)[0].values())
 
     # the top weight, compiled for its blocks only: a column is built exactly
     # where its block is reduced, and then equals the cold one entry for entry
-    top, cold_top = orbit[weight_max], cold.slice_columns(weight_max)
+    top, cold_top = orbit[weight_max], cold.slice_columns(weight_max)[0]
     keys = algebra.block_keys(weight_max)
     assert top.keys() == cold_top.keys()
     for i, cols in top.items():

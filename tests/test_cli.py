@@ -72,6 +72,12 @@ def test_words_pairs_listing(runner):
     ]
 
 
+def test_words_at_max_degree_zero_lists_nothing(runner):
+    result = runner.invoke(main, ["words", "--p", "3", "--height", "1", "--max-degree", "0"])
+    assert result.exit_code == 0
+    assert result.output == "# word\tdegree\ttwisting\tweight\n"
+
+
 def test_words_rejects_composite_p(runner):
     result = runner.invoke(main, ["words", "--p", "4", "--height", "2", "--max-degree", "9"])
     assert result.exit_code == 2
@@ -510,9 +516,9 @@ Z2, Z3, Z7 = (AbelianGroup.cyclic(n) for n in (2, 3, 7))
         # the first call is the direct table of the first pair
         ("twist-consistency", "poincare_dims", {(50, 1): 7, (40, 2): 7}, 1,
          "at (40, 2) [S->S p=2 s=0 t=0]: computed None, predicted 7"),
-        # the third call is the rank-1 slice of weight 1; its entry is
-        # convolved with the unit twice
-        ("exponential", "homology_over_Fp", {50: 7}, 3,
+        # the first call is the rank-1 table; its entry is convolved with
+        # the unit twice
+        ("exponential", "homology_table", {(50, 1): 7}, 1,
          "at (50, 1) [p=2 n=1]: computed None, predicted 14"),
     ],
     ids=["cartan-field", "cartan-integral", "koszul", "twist-consistency", "exponential"],
@@ -542,6 +548,25 @@ def test_internal_assertion_exits_three(runner, monkeypatch):
     result = runner.invoke(main, ["verify", "--suite", "tables"])
     assert result.exit_code == 3
     assert "internal assertion failed: boundary square check failed" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, code, stdout",
+    [
+        (["bar-homology", "--n", "350", "--weight", "1"], 2, b""),
+        (["verify", "--suite", "cartan-integral", "--n", "600", "--max-weight", "1"], 2, b""),
+        (["words", "--p", "3", "--height", "1500", "--max-degree", "1500"], 2, b""),
+        (["bar-homology", "--n", "300", "--weight", "1"], 0, b"H_302 (weight 1) = Z\n"),
+    ],
+    ids=["bar-homology", "verify", "words", "bar-homology-300"],
+)
+def test_requests_too_deep_to_recurse_exit_two(args, code, stdout):
+    """A request deeper than the interpreter can recurse is a usage error:
+    one stderr line naming the options to lower, no traceback."""
+    proc = run_fresh_python("-m", "extbar", *args)
+    assert (proc.returncode, proc.stdout) == (code, stdout)
+    if code:
+        assert proc.stderr == b"request too deep to recurse: lower --n or --height\n"
 
 
 # ----------------------------------------------------------------------

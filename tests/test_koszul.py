@@ -14,7 +14,7 @@ from extbar import (
     build_X0,
     build_Xp,
     build_koszul,
-    integral_homology_table,
+    homology_table,
     koszul_homology_closed_form,
     koszul_kernels_dims,
     predicted_bar_homology,
@@ -111,13 +111,13 @@ def test_differential_satisfies_leibniz(spec):
 @pytest.mark.parametrize("h", [2, 3])
 def test_closed_form_matches_direct_homology_odd_generator(h):
     alg = build_koszul(KoszulSpec(((3, 1, 1),), h=h, variant=KOSZUL))
-    assert integral_homology_table(alg, 4) == koszul_homology_closed_form(3, h, 4)
+    assert homology_table(alg, 4) == koszul_homology_closed_form(3, h, 4)
 
 
 @pytest.mark.parametrize("h", [2, 3])
 def test_closed_form_matches_direct_homology_even_generator(h):
     alg = build_koszul(KoszulSpec(((2, 1, 1),), h=h, variant=DERHAM))
-    assert integral_homology_table(alg, 4) == koszul_homology_closed_form(2, h, 4)
+    assert homology_table(alg, 4) == koszul_homology_closed_form(2, h, 4)
 
 
 def test_closed_form_tables():
@@ -155,7 +155,7 @@ def test_unit_parameter_gives_exact_complex():
 def test_closed_form_refuses_zero_parameter(variant, degree, missed):
     """At h = 0 the differential vanishes, so every basis element is a
     class, and direct homology has classes the closed form lacks."""
-    direct = integral_homology_table(build_koszul(KoszulSpec(((degree, 1, 1),), 0, variant)), 2)
+    direct = homology_table(build_koszul(KoszulSpec(((degree, 1, 1),), 0, variant)), 2)
     assert all(direct[key] == Z for key in missed)
     with pytest.raises(ValueError, match="h != 0"):
         koszul_homology_closed_form(degree, 0, 2)
@@ -211,7 +211,7 @@ def test_xp_homology_table_smallest_case():
 def test_xp_table_matches_direct_homology_of_Xp():
     for p, weight_max in [(2, 4), (3, 3)]:
         alg = build_Xp(p, 3, weight_max)
-        assert integral_homology_table(alg, weight_max) == xp_homology_table(
+        assert homology_table(alg, weight_max) == xp_homology_table(
             p, 3, weight_max
         )
 
@@ -221,7 +221,7 @@ def test_predicted_bar_homology_matches_direct(n, m, weight_max):
     from extbar import iterate_bar
 
     base = FreeAlgebra(DIVIDED, [(2, 1, m)], ZZ)
-    direct = integral_homology_table(iterate_bar(base, n), weight_max)
+    direct = homology_table(iterate_bar(base, n), weight_max)
     assert predicted_bar_homology(n, m, weight_max) == direct
 
 

@@ -15,7 +15,7 @@ from extbar import (
     bar_source_algebra,
     dimensions_mod_p_from_integral,
     homology_over_Fp,
-    integral_homology_table,
+    homology_table,
 )
 from extbar.homology import _pivot_rows_mod_p, rank_of_columns_mod_p
 from extbar.modp import MAX_PRIME, is_prime, rank_mod_p
@@ -289,7 +289,7 @@ def test_sparse_rank_at_the_largest_supported_prime_matches_reference(case):
 
 def test_bar_homology_at_the_largest_supported_prime_follows_universal_coefficients():
     algebra = bar_source_algebra(1, 1)
-    integral = integral_homology_table(algebra, 6)
+    integral = homology_table(algebra, 6)
     expected = dimensions_mod_p_from_integral(integral, MAX_PRIME)
     got = {
         (i, d): dim

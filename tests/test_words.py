@@ -126,6 +126,18 @@ def test_enumerate_general_words_at_two_matches_brute_force(p, height, max_degre
     assert set(enumerate_general_words(p, height, max_degree)) == expected
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_enumerators_respect_every_small_degree_cap(p):
+    """Down to ``max_degree`` 0, no enumerated word or pair is heavier than
+    the cap."""
+    for height, max_degree in itertools.product(range(4), range(4)):
+        words = enumerate_words(p, height, max_degree)
+        words += enumerate_general_words(p, height, max_degree)
+        assert all(word_degree(w, p) <= max_degree for w in words), (height, max_degree)
+        pairs = enumerate_p_pairs(p, height, max_degree)
+        assert all(pair.degree <= max_degree for pair in pairs), (height, max_degree)
+
+
 def test_enumeration_is_sorted_by_degree_then_word():
     words = enumerate_words(3, 3, 30)
     keys = [(word_degree(w, 3), w) for w in words]
